@@ -13,7 +13,8 @@ rebuilt by brute force and compared against the union of chain polytopes.
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
 wall-clock timings and an overall verdict. Exit status is 0 only if every
-check of every pair passed.
+check of every pair passed, and 2 on a usage error or an --out path that
+cannot be written (checked before sweeping and again on writing).
 
 Example:
 
@@ -185,13 +186,21 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(argv)
+    if config.out is not None:
+        # Imported only here: loading the CLI module would slow every start-up.
+        from grothsnp.cli import out_path_error, refuse_out, write_out
+
+        reason = out_path_error(config.out)
+        if reason is not None:
+            return refuse_out(config.out, reason, "desk_sweep.py")
     report = sweep(config)
     text = json.dumps(report, indent=2) + "\n"
     if config.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        reason = write_out(config.out, text)
+        if reason is not None:
+            return refuse_out(config.out, reason, "desk_sweep.py")
         summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
         print(f"{report['pairs']} pairs swept, {summary}; report in {config.out}")
     return 0 if report["ok"] else 1

@@ -4,7 +4,8 @@ Subcommands mirror the library surface. All output is deterministic: JSON
 objects are assembled in fixed key order, point lists are sorted, and every
 verification command takes an explicit seed, so identical invocations produce
 byte-identical files. Exit codes: 0 success or verified, 1 verification
-failure (the report still goes to the output), 2 usage error.
+failure (the report still goes to the output), 2 usage error or an --out path
+that cannot be written (checked before computing and again on writing).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -315,18 +317,50 @@ def run(config: RunConfig) -> tuple[int, str]:
     return _HANDLERS[config.command](config)
 
 
+def out_path_error(path: str) -> str | None:
+    """Why a file cannot be created at path, or None if its directory is a
+    writable directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    if not os.access(parent, os.W_OK):
+        return f"directory {parent} is not writable"
+    return None
+
+
+def write_out(path: str, text: str) -> str | None:
+    """Write text to path; the reason on failure, None on success."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    return None
+
+
+def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
+    """Report an unwritable --out on one stderr line; returns exit status 2."""
+    print(f"{prog}: error: cannot write --out {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "figure-data" and args.n > 3:
         parser.error("figure export limited to n ≤ 3")
     config = _config_from_args(parser, args)
+    if config.out is not None:
+        reason = out_path_error(config.out)
+        if reason is not None:
+            return refuse_out(config.out, reason)
     status, text = run(config)
     if config.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        reason = write_out(config.out, text)
+        if reason is not None:
+            return refuse_out(config.out, reason)
     return status
 
 

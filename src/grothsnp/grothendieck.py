@@ -13,15 +13,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .partitions import (
     Partition,
     RationalVector,
-    convex_combination,
     dominance_leq,
     majorizes,
-    sort_decreasing,
 )
 from .polynomials import SparsePolynomial
 from .tableaux import (
@@ -206,10 +206,11 @@ def schur_polynomial(mu: Partition, n: int) -> SparsePolynomial:
 @lru_cache(maxsize=None)
 def grothendieck_lenart(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial assembled from its Schur expansion."""
-    result = SparsePolynomial.zero(n)
+    acc: dict[tuple[int, ...], int] = {}
     for mu, coeff in schur_expansion(lam, n).terms:
-        result = result + coeff * schur_polynomial(mu, n)
-    return result
+        for w, count in schur_polynomial(mu, n).items():
+            acc[w] = acc.get(w, 0) + coeff * count
+    return SparsePolynomial(n, acc)
 
 
 def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
@@ -316,51 +317,83 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
     return CheckResult(True)
 
 
-def _random_convex_weights(rng: random.Random, count: int) -> tuple[Fraction, ...]:
-    """Convex weights with denominator at most 10**4, never all zero."""
+def _random_numerators(rng: random.Random, count: int) -> list[int]:
+    """Numerators of convex weights over their sum (at most 10**4), never all zero."""
     scale = max(1, 10**4 // max(count, 1))
     raws = [rng.randint(0, scale) for _ in range(count)]
     if sum(raws) == 0:
         raws[rng.randrange(count)] = 1
-    total = sum(raws)
-    return tuple(Fraction(a, total) for a in raws)
+    return raws
 
 
-def _random_point_in_permutahedron(
-    rng: random.Random, weight: tuple[int, ...]
-) -> RationalVector:
-    """Exact rational point sampled as a convex mix of coordinate permutations."""
-    spots = []
-    for _ in range(rng.randint(1, 3)):
-        shuffled = list(weight)
-        rng.shuffle(shuffled)
-        spots.append(tuple(shuffled))
-    return convex_combination(_random_convex_weights(rng, len(spots)), spots)
+def _mix(numerators: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Componentwise sum of numerators[k] * vectors[k]."""
+    return [sum(map(mul, numerators, column)) for column in zip(*vectors)]
+
+
+def _as_fractions(numerators: Sequence[int], denominator: int) -> RationalVector:
+    return tuple(Fraction(x, denominator) for x in numerators)
+
+
+def _claim_b_mix(
+    rng: random.Random, padded: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int], int]:
+    """One claim-b trial as (point, shape, D): the mixed point point/D and the
+    matching mix shape/D of the chain shapes.
+
+    Each chain shape k yields a point of its permutahedron, a convex mix of
+    1-3 shuffles with weights over a total t_k; the chain weights share the
+    total W. Everything is scaled by D = W * lcm(t_0..t_N), so the mixes are
+    integer vectors.
+    """
+    points = []
+    totals = []
+    for w in padded:
+        spots = []
+        for _ in range(rng.randint(1, 3)):
+            shuffled = list(w)
+            rng.shuffle(shuffled)
+            spots.append(shuffled)
+        raws = _random_numerators(rng, len(spots))
+        points.append(_mix(raws, spots))
+        totals.append(sum(raws))
+    weights = _random_numerators(rng, len(padded))
+    common = lcm(*totals)
+    point = _mix([a * (common // t) for a, t in zip(weights, totals)], points)
+    shape = _mix([a * common for a in weights], padded)
+    return point, shape, sum(weights) * common
 
 
 def _weights_with_integer_moment(
     rng: random.Random, top: int
-) -> tuple[tuple[Fraction, ...], int]:
+) -> tuple[tuple[int, ...], int, int]:
     """Convex weights c_0..c_top whose index-average sum(k*c_k) is an integer.
 
-    Random weights are drawn first; surplus fractional moment is then shed by
+    Returns (numerators, D, K) with c_k = numerators[k] / D and K the
+    integer moment. Random weights over a total T are drawn first and scaled
+    by D = T * lcm(1..top); surplus fractional moment is then shed by
     shifting mass from high indices to index 0, which preserves convexity.
+    The scaled surplus stays a multiple of lcm(1..top), so every shift of
+    surplus/j is an exact integer.
     """
     if top == 0:
-        return (Fraction(1),), 0
-    c = list(_random_convex_weights(rng, top + 1))
+        return (1,), 1, 0
+    raws = _random_numerators(rng, top + 1)
+    scale = lcm(*range(1, top + 1))
+    denominator = sum(raws) * scale
+    c = [a * scale for a in raws]
     moment = sum(k * c[k] for k in range(top + 1))
-    target = int(moment)  # floor: moment is nonnegative
-    excess = moment - target
+    target = moment // denominator
+    excess = moment - target * denominator
     j = top
     while excess > 0:
         while c[j] == 0:
             j -= 1
-        shift = min(c[j], excess / j)
+        shift = min(c[j], excess // j)
         c[j] -= shift
         c[0] += shift
         excess -= shift * j
-    return tuple(c), target
+    return tuple(c), denominator, target
 
 
 def check_claim_b(chain: MuChain, trials: int, seed: int) -> CheckResult:
@@ -370,14 +403,12 @@ def check_claim_b(chain: MuChain, trials: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
     padded = [mu.padded(chain.n) for mu in chain.mus]
     for trial in range(trials):
-        points = [_random_point_in_permutahedron(rng, w) for w in padded]
-        weights = _random_convex_weights(rng, chain.length + 1)
-        mixed_point = convex_combination(weights, points)
-        mixed_shape = convex_combination(weights, padded)
-        if not majorizes(mixed_shape, mixed_point):
+        point, shape, denominator = _claim_b_mix(rng, padded)
+        if not majorizes(shape, point):
             return CheckResult(
                 False,
-                f"trial {trial}: point {mixed_point} escapes bound {mixed_shape}",
+                f"trial {trial}: point {_as_fractions(point, denominator)} "
+                f"escapes bound {_as_fractions(shape, denominator)}",
             )
     return CheckResult(True)
 
@@ -389,12 +420,13 @@ def check_claim_c(chain: MuChain, trials: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
     padded = [mu.padded(chain.n) for mu in chain.mus]
     for trial in range(trials):
-        weights, surplus = _weights_with_integer_moment(rng, chain.length)
-        mixed_shape = convex_combination(weights, padded)
-        if not majorizes(padded[surplus], mixed_shape):
+        weights, denominator, surplus = _weights_with_integer_moment(rng, chain.length)
+        mixed = _mix(weights, padded)
+        if not majorizes([denominator * x for x in padded[surplus]], mixed):
             return CheckResult(
                 False,
-                f"trial {trial}: mix {mixed_shape} escapes chain shape at K={surplus}",
+                f"trial {trial}: mix {_as_fractions(mixed, denominator)} "
+                f"escapes chain shape at K={surplus}",
             )
     return CheckResult(True)
 
@@ -403,8 +435,8 @@ def check_lemmas_random(chain: MuChain, trials: int, seed: int) -> CheckResult:
     """Run the prefix-sum identities against seeded random convex weights."""
     rng = random.Random(seed)
     for trial in range(trials):
-        weights = _random_convex_weights(rng, chain.length + 1)
-        res = check_lemma_prefix_sums(chain, weights)
+        raws = _random_numerators(rng, chain.length + 1)
+        res = _check_prefix_sums(chain, raws, sum(raws))
         if not res:
             return CheckResult(False, f"trial {trial}: {res.detail}")
     return CheckResult(True)
@@ -425,22 +457,34 @@ def check_lemma_prefix_sums(chain: MuChain, weights: Sequence) -> CheckResult:
         raise ValueError("one weight per chain shape required")
     if any(w < 0 for w in coeffs) or sum(coeffs) != 1:
         raise ValueError("weights must be convex")
+    denominator = lcm(*(w.denominator for w in coeffs))
+    numerators = [w.numerator * (denominator // w.denominator) for w in coeffs]
+    return _check_prefix_sums(chain, numerators, denominator)
+
+
+def _check_prefix_sums(
+    chain: MuChain, numerators: Sequence[int], denominator: int
+) -> CheckResult:
+    """Both identities of check_lemma_prefix_sums for the convex weights
+    numerators[k] / denominator, compared after scaling by the denominator."""
     n = chain.n
     padded = [mu.padded(n) for mu in chain.mus]
-    mixed = convex_combination(coeffs, padded)
+    mixed = _mix(numerators, padded)
     base_prefix = [0] * (n + 1)
     for r in range(1, n + 1):
         base_prefix[r] = base_prefix[r - 1] + chain.lam.part(r)
     surplus = chain.extra_boxes()
     for r in range(1, n + 1):
         last = max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
-        closed = base_prefix[r] + sum(
-            min(k, last) * coeffs[k] for k in range(1, chain.length + 1)
+        closed = base_prefix[r] * denominator + sum(
+            min(k, last) * numerators[k] for k in range(1, chain.length + 1)
         )
-        direct = sum(mixed[:r], Fraction(0))
+        direct = sum(mixed[:r])
         if direct != closed:
             return CheckResult(
-                False, f"mixed prefix sum at row {r}: {direct} != {closed}"
+                False,
+                f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
+                f"!= {Fraction(closed, denominator)}",
             )
     for k in range(1, chain.length + 1):
         for r in range(1, chain.rows[k - 1]):

@@ -1,7 +1,10 @@
 """Partitions, dominance order, and exact majorization arithmetic.
 
-Everything here is an immutable value and every function is pure; all
-rational arithmetic uses ``fractions.Fraction``, never floats.
+Everything here is an immutable value and every function is pure. The
+arithmetic is exact, with no floats and no tolerances. `majorizes` takes
+integers and ``fractions.Fraction`` values alike, so callers compare rational
+vectors as exact integer numerators over a common denominator: majorization
+does not change when both sides are scaled by the same positive integer.
 """
 
 from __future__ import annotations
@@ -115,11 +118,11 @@ def majorizes(mu: Union[Partition, Sequence[Rational]], v: Sequence[Rational]) -
     bound = _as_decreasing_entries(mu)
     if any(x < 0 for x in v):
         raise ValueError("majorization requires nonnegative entries")
-    if sum(v, Fraction(0)) != sum(bound, Fraction(0)):
+    if sum(v) != sum(bound):
         raise ValueError("majorization undefined across unequal sums")
     arranged = sort_decreasing(v)
     width = max(len(bound), len(arranged))
-    acc_v = acc_m = Fraction(0)
+    acc_v = acc_m = 0
     for i in range(width):
         acc_v += arranged[i] if i < len(arranged) else 0
         acc_m += bound[i] if i < len(bound) else 0

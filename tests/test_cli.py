@@ -1,8 +1,10 @@
 """Command-line surface: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,50 @@ class TestOutputFile:
                 ]
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestUnwritableOut:
+    def test_missing_directory_is_refused_before_computing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_run(config):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr("grothsnp.cli.run", no_run)
+        target = tmp_path / "missing" / "report.json"
+        status = main(["verify", "--lambda", "2,1", "--n", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"grothsnp: error: cannot write --out {target}: ")
+
+    def test_failed_write_is_refused(self, capsys, tmp_path):
+        status = main(["chain", "--lambda", "1", "--n", "2", "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert status == 2
+        assert len(lines) == 1
+        assert lines[0].startswith(f"grothsnp: error: cannot write --out {tmp_path}: ")
+
+    def test_desk_sweep_refuses_a_missing_directory(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        target = tmp_path / "missing" / "sweep.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "desk_sweep.py"), "--out", str(target)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"desk_sweep.py: error: cannot write --out {target}: ")
 
 
 class TestRunConfig:

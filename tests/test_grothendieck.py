@@ -27,7 +27,8 @@ from grothsnp import (
     schur_polynomial,
     witness_tableau,
 )
-from grothsnp.grothendieck import _weights_with_integer_moment
+from grothsnp import grothendieck
+from grothsnp.grothendieck import _claim_b_mix, _mix, _weights_with_integer_moment
 
 LAM310 = Partition((3, 1))
 
@@ -282,12 +283,107 @@ class TestClaimC:
     def test_weight_sampler_hits_integer_moments(self):
         rng = random.Random(99)
         for _ in range(300):
-            weights, target = _weights_with_integer_moment(rng, 5)
+            numerators, denominator, target = _weights_with_integer_moment(rng, 5)
+            weights = [Fraction(c, denominator) for c in numerators]
             assert sum(weights) == 1
             assert all(w >= 0 for w in weights)
             moment = sum(k * w for k, w in enumerate(weights))
             assert moment == target
             assert 0 <= target <= 5
+
+
+# Fraction references for the randomized claims: each trial is computed with
+# Fraction weights and convex_combination, drawing from a second generator
+# with the same seed in the same order. The integer mixes divided by their
+# denominator must equal these exactly, and the generators stay in lockstep.
+
+
+def _reference_weights(rng, count):
+    scale = max(1, 10**4 // max(count, 1))
+    raws = [rng.randint(0, scale) for _ in range(count)]
+    if sum(raws) == 0:
+        raws[rng.randrange(count)] = 1
+    total = sum(raws)
+    return tuple(Fraction(a, total) for a in raws)
+
+
+def _reference_claim_b_trial(rng, padded):
+    points = []
+    for w in padded:
+        spots = []
+        for _ in range(rng.randint(1, 3)):
+            shuffled = list(w)
+            rng.shuffle(shuffled)
+            spots.append(tuple(shuffled))
+        points.append(convex_combination(_reference_weights(rng, len(spots)), spots))
+    weights = _reference_weights(rng, len(padded))
+    return convex_combination(weights, points), convex_combination(weights, padded)
+
+
+def _reference_integer_moment(rng, top):
+    if top == 0:
+        return (Fraction(1),), 0
+    c = list(_reference_weights(rng, top + 1))
+    moment = sum(k * c[k] for k in range(top + 1))
+    target = int(moment)
+    excess = moment - target
+    j = top
+    while excess > 0:
+        while c[j] == 0:
+            j -= 1
+        shift = min(c[j], excess / j)
+        c[j] -= shift
+        c[0] += shift
+        excess -= shift * j
+    return tuple(c), target
+
+
+def _scaled_down(numerators, denominator):
+    return tuple(Fraction(x, denominator) for x in numerators)
+
+
+DIFFERENTIAL_CASES = [((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5)]
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    def test_claim_b_mixes_equal_the_fraction_mixes(self, parts, n):
+        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
+        rng, reference = random.Random(5), random.Random(5)
+        for _ in range(150):
+            point, shape, denominator = _claim_b_mix(rng, padded)
+            ref_point, ref_shape = _reference_claim_b_trial(reference, padded)
+            assert _scaled_down(point, denominator) == ref_point
+            assert _scaled_down(shape, denominator) == ref_shape
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    def test_claim_c_weights_and_mixes_equal_the_fraction_ones(self, parts, n):
+        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
+        top = len(padded) - 1
+        rng, reference = random.Random(7), random.Random(7)
+        for _ in range(150):
+            numerators, denominator, target = _weights_with_integer_moment(rng, top)
+            ref_weights, ref_target = _reference_integer_moment(reference, top)
+            assert _scaled_down(numerators, denominator) == ref_weights
+            assert target == ref_target
+            mixed = _scaled_down(_mix(numerators, padded), denominator)
+            assert mixed == convex_combination(ref_weights, padded)
+            assert rng.getstate() == reference.getstate()
+
+    def test_failure_details_keep_the_fraction_format(self, monkeypatch):
+        # Reference strings printed by the Fraction implementation.
+        monkeypatch.setattr(grothendieck, "majorizes", lambda mu, v: False)
+        chain = mu_chain(LAM310, 3)
+        assert check_claim_b(chain, 5, 11).detail == (
+            "trial 0: point (Fraction(2919656416, 1603118855), "
+            "Fraction(9358268187, 3206237710), Fraction(4571741951, 3206237710)) "
+            "escapes bound (Fraction(3, 1), Fraction(4073, 2158), Fraction(2759, 2158))"
+        )
+        assert check_claim_c(chain, 5, 11).detail == (
+            "trial 0: mix (Fraction(3, 1), Fraction(38095, 23703), "
+            "Fraction(9311, 23703)) escapes chain shape at K=1"
+        )
 
 
 class TestLemmas:
@@ -315,6 +411,11 @@ class TestLemmas:
             check_lemma_prefix_sums(chain, (Fraction(1, 2),) * 4)
         with pytest.raises(ValueError):
             check_lemma_prefix_sums(chain, (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_weights_over_different_denominators(self):
+        chain = mu_chain(LAM310, 3)
+        weights = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
+        assert check_lemma_prefix_sums(chain, weights)
 
 
 class TestCaching:
