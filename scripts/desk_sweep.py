@@ -13,8 +13,9 @@ rebuilt by brute force and compared against the union of chain polytopes.
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
 wall-clock timings and an overall verdict. Exit status is 0 only if every
-check of every pair passed, and 2 on a usage error or an --out path that
-cannot be written (checked before sweeping and again on writing).
+check of every pair passed, and 2 on a usage error, an --out path that
+cannot be written (checked before sweeping and again on writing) or an
+interrupt (Ctrl-C).
 
 Example:
 
@@ -128,7 +129,11 @@ def sweep(config: SweepConfig) -> dict:
         if len(lam.parts) <= n
     ]
     if config.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(config.jobs, len(tasks))) as pool:
+        from grothsnp.cli import ignore_sigint
+
+        with multiprocessing.Pool(
+            min(config.jobs, len(tasks)), initializer=ignore_sigint
+        ) as pool:
             results = pool.map(run_battery, tasks)
     else:
         results = [run_battery(task) for task in tasks]
@@ -193,7 +198,11 @@ def main(argv: list[str] | None = None) -> int:
         reason = out_path_error(config.out)
         if reason is not None:
             return refuse_out(config.out, reason, "desk_sweep.py")
-    report = sweep(config)
+    try:
+        report = sweep(config)
+    except KeyboardInterrupt:
+        print("desk_sweep.py: error: interrupted", file=sys.stderr)
+        return 2
     text = json.dumps(report, indent=2) + "\n"
     if config.out is None:
         sys.stdout.write(text)

@@ -4,8 +4,9 @@ Subcommands mirror the library surface. All output is deterministic: JSON
 objects are assembled in fixed key order, point lists are sorted, and every
 verification command takes an explicit seed, so identical invocations produce
 byte-identical files. Exit codes: 0 success or verified, 1 verification
-failure (the report still goes to the output), 2 usage error or an --out path
-that cannot be written (checked before computing and again on writing).
+failure (the report still goes to the output), 2 usage error, an --out path
+that cannot be written (checked before computing and again on writing), or an
+interrupt (Ctrl-C), each reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -273,7 +275,9 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
         for name in names
     ]
     if config.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(config.jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(
+            min(config.jobs, len(tasks)), initializer=ignore_sigint
+        ) as pool:
             results = pool.map(_run_one_check, tasks)
     else:
         results = [_run_one_check(task) for task in tasks]
@@ -317,6 +321,12 @@ def run(config: RunConfig) -> tuple[int, str]:
     return _HANDLERS[config.command](config)
 
 
+def ignore_sigint() -> None:
+    """Pool worker initializer: leave Ctrl-C to the parent, which reports it
+    once and terminates the pool, so workers print no tracebacks."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def out_path_error(path: str) -> str | None:
     """Why a file cannot be created at path, or None if its directory is a
     writable directory."""
@@ -354,13 +364,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         reason = out_path_error(config.out)
         if reason is not None:
             return refuse_out(config.out, reason)
-    status, text = run(config)
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        reason = write_out(config.out, text)
-        if reason is not None:
-            return refuse_out(config.out, reason)
+    try:
+        status, text = run(config)
+        if config.out is None:
+            sys.stdout.write(text)
+        else:
+            reason = write_out(config.out, text)
+            if reason is not None:
+                return refuse_out(config.out, reason)
+    except KeyboardInterrupt:
+        print("grothsnp: error: interrupted", file=sys.stderr)
+        return 2
     return status
 
 

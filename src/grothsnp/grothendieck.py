@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .partitions import (
     Partition,
@@ -26,11 +26,10 @@ from .partitions import (
 from .polynomials import SparsePolynomial
 from .tableaux import (
     Tableau,
-    content,
-    enumerate_lenart_tableaux,
-    enumerate_set_valued,
-    enumerate_ssyt,
+    count_lenart_tableaux,
     is_valid_lenart,
+    set_valued_contents,
+    ssyt_contents,
 )
 
 
@@ -160,8 +159,7 @@ def lenart_coefficient(lam: Partition, mu: Partition, n: int) -> int:
     """Signed count of flagged strictly increasing skew fillings of mu/lam."""
     if not mu.contains(lam) or len(mu) > n:
         return 0
-    count = sum(1 for _ in enumerate_lenart_tableaux(lam, mu, n))
-    return (-1) ** (mu.size() - lam.size()) * count
+    return (-1) ** (mu.size() - lam.size()) * count_lenart_tableaux(lam, mu, n)
 
 
 def _candidate_shapes(lam: Partition, n: int) -> Iterator[Partition]:
@@ -196,11 +194,7 @@ def schur_expansion(lam: Partition, n: int) -> SchurExpansion:
 @lru_cache(maxsize=None)
 def schur_polynomial(mu: Partition, n: int) -> SparsePolynomial:
     """Monomial expansion of the Schur polynomial: sum over SSYT contents."""
-    acc: dict[tuple[int, ...], int] = {}
-    for t in enumerate_ssyt(mu, n):
-        w = content(t, n)
-        acc[w] = acc.get(w, 0) + 1
-    return SparsePolynomial(n, acc)
+    return SparsePolynomial(n, ssyt_contents(mu, n))
 
 
 @lru_cache(maxsize=None)
@@ -221,12 +215,7 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
     """
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
-    base = lam.size()
-    acc: dict[tuple[int, ...], int] = {}
-    for t in enumerate_set_valued(lam, n):
-        w = content(t, n)
-        acc[w] = acc.get(w, 0) + (-1) ** (t.label_count() - base)
-    return SparsePolynomial(n, acc)
+    return SparsePolynomial(n, set_valued_contents(lam, n))
 
 
 # -- the greedy chain ---------------------------------------------------------
@@ -434,9 +423,10 @@ def check_claim_c(chain: MuChain, trials: int, seed: int) -> CheckResult:
 def check_lemmas_random(chain: MuChain, trials: int, seed: int) -> CheckResult:
     """Run the prefix-sum identities against seeded random convex weights."""
     rng = random.Random(seed)
+    check = _prefix_sum_checker(chain)
     for trial in range(trials):
         raws = _random_numerators(rng, chain.length + 1)
-        res = _check_prefix_sums(chain, raws, sum(raws))
+        res = check(raws, sum(raws))
         if not res:
             return CheckResult(False, f"trial {trial}: {res.detail}")
     return CheckResult(True)
@@ -459,33 +449,51 @@ def check_lemma_prefix_sums(chain: MuChain, weights: Sequence) -> CheckResult:
         raise ValueError("weights must be convex")
     denominator = lcm(*(w.denominator for w in coeffs))
     numerators = [w.numerator * (denominator // w.denominator) for w in coeffs]
-    return _check_prefix_sums(chain, numerators, denominator)
+    return _prefix_sum_checker(chain)(numerators, denominator)
 
 
-def _check_prefix_sums(
-    chain: MuChain, numerators: Sequence[int], denominator: int
-) -> CheckResult:
-    """Both identities of check_lemma_prefix_sums for the convex weights
-    numerators[k] / denominator, compared after scaling by the denominator."""
+def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckResult]:
+    """Both identities of check_lemma_prefix_sums, as a check of the convex
+    weights numerators[k] / denominator compared after scaling by the
+    denominator. The chain data and the weight-independent second identity
+    are computed once, here; each check runs the first identity and then
+    reports the second."""
     n = chain.n
     padded = [mu.padded(n) for mu in chain.mus]
-    mixed = _mix(numerators, padded)
     base_prefix = [0] * (n + 1)
     for r in range(1, n + 1):
         base_prefix[r] = base_prefix[r - 1] + chain.lam.part(r)
-    surplus = chain.extra_boxes()
-    for r in range(1, n + 1):
-        last = max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
-        closed = base_prefix[r] * denominator + sum(
-            min(k, last) * numerators[k] for k in range(1, chain.length + 1)
-        )
-        direct = sum(mixed[:r])
-        if direct != closed:
-            return CheckResult(
-                False,
-                f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
-                f"!= {Fraction(closed, denominator)}",
+    lasts = [
+        max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
+        for r in range(1, n + 1)
+    ]
+    second = _chain_prefix_identity(chain, padded, base_prefix)
+
+    def check(numerators: Sequence[int], denominator: int) -> CheckResult:
+        mixed = _mix(numerators, padded)
+        direct = 0
+        for r in range(1, n + 1):
+            last = lasts[r - 1]
+            closed = base_prefix[r] * denominator + sum(
+                min(k, last) * numerators[k] for k in range(1, chain.length + 1)
             )
+            direct += mixed[r - 1]
+            if direct != closed:
+                return CheckResult(
+                    False,
+                    f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
+                    f"!= {Fraction(closed, denominator)}",
+                )
+        return second
+
+    return check
+
+
+def _chain_prefix_identity(
+    chain: MuChain, padded: Sequence[tuple[int, ...]], base_prefix: Sequence[int]
+) -> CheckResult:
+    """The second identity of check_lemma_prefix_sums."""
+    surplus = chain.extra_boxes()
     for k in range(1, chain.length + 1):
         for r in range(1, chain.rows[k - 1]):
             direct = sum(padded[k][:r])

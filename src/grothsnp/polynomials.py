@@ -7,7 +7,7 @@ Serialization orders terms graded-lexicographically for reproducible output.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .partitions import ExponentVector
 
@@ -187,13 +187,3 @@ class SparsePolynomial:
             {tuple(t["exp"]): int(t["coeff"]) for t in data["terms"]},
         )
 
-
-def poly_sum(polys: Iterable[SparsePolynomial], n: int) -> SparsePolynomial:
-    """Sum a stream of polynomials over a common ambient."""
-    acc: dict[ExponentVector, int] = {}
-    for poly in polys:
-        if poly.n != n:
-            raise ValueError(f"ambient mismatch: {poly.n} vs {n}")
-        for exp, coeff in poly.items():
-            acc[exp] = acc.get(exp, 0) + coeff
-    return SparsePolynomial(n, acc)

@@ -2,15 +2,19 @@
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
 set-valued semistandard tableaux.
 
-All enumerators are restartable generators that fill cells in row-major order
-and try labels in increasing order, so the output sequence is deterministic.
+Each family has one backtracking fill. It fills cells in row-major order,
+tries labels in increasing order and keeps the content of the partial filling
+in a per-label count list, so the order of fillings is deterministic. The
+polynomial models use the counting functions (ssyt_contents,
+count_lenart_tableaux, set_valued_contents), which tally contents at the
+leaves without building a Tableau. The enumerate_* generators are views over
+the same fills that yield each filling as a Tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .partitions import ExponentVector, Partition
 
@@ -77,9 +81,72 @@ def content(t: Tableau, n: int) -> ExponentVector:
     return tuple(counts)
 
 
-def _straight_tableau(lam: Partition, grid: list[list[int]]) -> Tableau:
-    entries = tuple(tuple((v,) for v in row) for row in grid)
-    return Tableau(outer=lam, inner=Partition(), entries=entries)
+def _entries(row_lengths: Sequence[int], cells: Sequence[tuple[int, ...]]) -> tuple:
+    """Split row-major cell labels into the rows of a Tableau."""
+    rows = []
+    start = 0
+    for length in row_lengths:
+        rows.append(tuple(cells[start : start + length]))
+        start += length
+    return tuple(rows)
+
+
+# -- semistandard Young tableaux ---------------------------------------------
+
+
+def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
+    """Backtrack over the SSYT of shape lam with entries in 1..n.
+
+    Cells are filled in row-major order, labels tried in increasing order.
+    Rows weakly increase, columns strictly increase, so a cell with b cells
+    below it holds at most n - b; every partial filling within these bounds
+    completes. At each complete filling leaf(values, counts) is called with
+    the row-major labels and the content (counts[i] is the multiplicity of
+    label i+1); both lists are live.
+    """
+    shape = lam.parts
+    left: list[int] = []
+    up: list[int] = []
+    cap: list[int] = []
+    for r, length in enumerate(shape):
+        for c in range(length):
+            left.append(len(left) - 1 if c > 0 else -1)
+            up.append(len(up) - shape[r - 1] if r > 0 else -1)
+            cap.append(n - sum(1 for below in shape[r + 1 :] if below > c))
+    size = len(cap)
+    values = [0] * size
+    counts = [0] * n
+
+    def fill(idx: int) -> None:
+        if idx == size:
+            leaf(values, counts)
+            return
+        lo = 1
+        j = left[idx]
+        if j >= 0:
+            lo = values[j]
+        j = up[idx]
+        if j >= 0 and values[j] >= lo:
+            lo = values[j] + 1
+        for v in range(lo, cap[idx] + 1):
+            values[idx] = v
+            counts[v - 1] += 1
+            fill(idx + 1)
+            counts[v - 1] -= 1
+
+    fill(0)
+
+
+def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
+    """Number of SSYT of shape lam with entries in 1..n, per content vector."""
+    acc: dict[ExponentVector, int] = {}
+
+    def leaf(values: list[int], counts: list[int]) -> None:
+        key = tuple(counts)
+        acc[key] = acc.get(key, 0) + 1
+
+    _fill_ssyt(lam, n, leaf)
+    return acc
 
 
 def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:
@@ -88,24 +155,67 @@ def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:
     Rows weakly increase, columns strictly increase. Shapes with more rows
     than n admit no filling and yield nothing.
     """
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam.part(r + 1))]
-    grid = [[0] * lam.part(r + 1) for r in range(len(lam))]
+    fills: list[tuple[int, ...]] = []
+    _fill_ssyt(lam, n, lambda values, counts: fills.append(tuple(values)))
+    for values in fills:
+        entries = _entries(lam.parts, [(v,) for v in values])
+        yield Tableau(outer=lam, inner=Partition(), entries=entries)
 
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            yield _straight_tableau(lam, grid)
+
+# -- flagged strictly increasing skew tableaux -------------------------------
+
+
+def _fill_lenart(
+    lam: Partition, mu: Partition, n: int, leaf: Callable[[list[int]], None]
+) -> None:
+    """Backtrack over the fillings of mu/lam that are strictly increasing along
+    rows and down columns, with every entry of row r at most r-1 (and in 1..n).
+
+    Cells are filled in row-major order, labels tried in increasing order; at
+    each complete filling leaf(values) gets the live row-major labels.
+    """
+    if not mu.contains(lam):
+        raise ValueError("not a skew shape")
+    left: list[int] = []
+    up: list[int] = []
+    cap: list[int] = []
+    index: dict[tuple[int, int], int] = {}
+    for r in range(len(mu)):
+        for c in range(lam.part(r + 1), mu.part(r + 1)):
+            left.append(index.get((r, c - 1), -1))
+            up.append(index.get((r - 1, c), -1))
+            cap.append(min(n, r))  # 1-based row r+1 caps entries at (r+1)-1 = r
+            index[(r, c)] = len(cap) - 1
+    size = len(cap)
+    values = [0] * size
+
+    def fill(idx: int) -> None:
+        if idx == size:
+            leaf(values)
             return
-        r, c = cells[idx]
         lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            grid[r][c] = v
-            yield from fill(idx + 1)
+        j = left[idx]
+        if j >= 0:
+            lo = values[j] + 1
+        j = up[idx]
+        if j >= 0 and values[j] >= lo:
+            lo = values[j] + 1
+        for v in range(lo, cap[idx] + 1):
+            values[idx] = v
+            fill(idx + 1)
 
-    yield from fill(0)
+    fill(0)
+
+
+def count_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> int:
+    """Number of fillings that enumerate_lenart_tableaux(lam, mu, n) yields."""
+    found = [0]
+
+    def leaf(values: list[int]) -> None:
+        found[0] += 1
+
+    _fill_lenart(lam, mu, n, leaf)
+    return found[0]
 
 
 def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
@@ -115,48 +225,83 @@ def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator
     The row-r cap makes row 1 unfillable, so any mu with mu_1 > lam_1 yields
     nothing at all.
     """
-    if not mu.contains(lam):
-        raise ValueError("not a skew shape")
-    cells = [
-        (r, c)
-        for r in range(len(mu))
-        for c in range(lam.part(r + 1), mu.part(r + 1))
-    ]
-    grid = {cell: 0 for cell in cells}
+    fills: list[tuple[int, ...]] = []
+    _fill_lenart(lam, mu, n, lambda values: fills.append(tuple(values)))
+    lengths = [mu.part(r + 1) - lam.part(r + 1) for r in range(len(mu))]
+    for values in fills:
+        entries = _entries(lengths, [(v,) for v in values])
+        yield Tableau(outer=mu, inner=lam, entries=entries)
 
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            entries = tuple(
-                tuple((grid[(r, c)],) for c in range(lam.part(r + 1), mu.part(r + 1)))
-                for r in range(len(mu))
-            )
-            yield Tableau(outer=mu, inner=lam, entries=entries)
+
+# -- set-valued semistandard tableaux ----------------------------------------
+
+
+def _fill_set_valued(
+    lam: Partition, n: int, leaf: Callable[[list[list[int]], list[int], int], None]
+) -> None:
+    """Backtrack over the set-valued semistandard fillings of lam in 1..n.
+
+    Rows weakly increase and columns strictly increase on set extremes:
+    max(cell) <= min(right neighbour) and max(cell) < min(cell below), so
+    a cell with b cells below it holds labels of at most n - b; every partial
+    filling within these bounds completes. Cells are filled in row-major
+    order; each cell's label sets come in lexicographic order, a set before
+    its extensions. At each complete filling leaf(cells, counts, sign) gets
+    the live row-major label lists, the content and
+    (-1)^(labels placed - |lam|).
+    """
+    shape = lam.parts
+    left: list[int] = []
+    up: list[int] = []
+    cap: list[int] = []
+    for r, length in enumerate(shape):
+        for c in range(length):
+            left.append(len(left) - 1 if c > 0 else -1)
+            up.append(len(up) - shape[r - 1] if r > 0 else -1)
+            cap.append(n - sum(1 for below in shape[r + 1 :] if below > c))
+    size = len(cap)
+    cells: list[list[int]] = [[] for _ in range(size)]
+    counts = [0] * n
+
+    def fill(idx: int, sign: int) -> None:
+        if idx == size:
+            leaf(cells, counts, sign)
             return
-        r, c = cells[idx]
         lo = 1
-        if (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)] + 1)
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        hi = min(n, r)  # 1-based row r+1 caps entries at (r+1)-1 = r
-        for v in range(lo, hi + 1):
-            grid[(r, c)] = v
-            yield from fill(idx + 1)
+        j = left[idx]
+        if j >= 0:
+            lo = cells[j][-1]
+        j = up[idx]
+        if j >= 0 and cells[j][-1] >= lo:
+            lo = cells[j][-1] + 1
+        grow(idx, lo, sign)
 
-    yield from fill(0)
+    def grow(idx: int, start: int, sign: int) -> None:
+        # Add one label v >= start to the cell; the first label of a cell
+        # keeps the sign, each further one flips it.
+        cell = cells[idx]
+        for v in range(start, cap[idx] + 1):
+            cell.append(v)
+            counts[v - 1] += 1
+            fill(idx + 1, sign)
+            grow(idx, v + 1, -sign)
+            counts[v - 1] -= 1
+            cell.pop()
+
+    fill(0, 1)
 
 
-@lru_cache(maxsize=None)
-def _label_sets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty subsets of {lo..hi} as sorted tuples, lexicographically ordered."""
+def set_valued_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
+    """Signed count (-1)^(labels - |lam|) of set-valued fillings of lam in
+    1..n, per content vector."""
+    acc: dict[ExponentVector, int] = {}
 
-    def rec(start: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for v in range(start, hi + 1):
-            grown = prefix + (v,)
-            yield grown
-            yield from rec(v + 1, grown)
+    def leaf(cells: list[list[int]], counts: list[int], sign: int) -> None:
+        key = tuple(counts)
+        acc[key] = acc.get(key, 0) + sign
 
-    return tuple(rec(lo, ()))
+    _fill_set_valued(lam, n, leaf)
+    return acc
 
 
 def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
@@ -165,28 +310,12 @@ def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
     Rows weakly increase and columns strictly increase on set extremes:
     max(cell) <= min(right neighbour) and max(cell) < min(cell below).
     """
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam.part(r + 1))]
-    grid: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def fill(idx: int) -> Iterator[Tableau]:
-        if idx == len(cells):
-            entries = tuple(
-                tuple(grid[(r, c)] for c in range(lam.part(r + 1)))
-                for r in range(len(lam))
-            )
-            yield Tableau(outer=lam, inner=Partition(), entries=entries)
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[(r, c - 1)][-1])
-        if r > 0:
-            lo = max(lo, grid[(r - 1, c)][-1] + 1)
-        for labels in _label_sets(lo, n) if lo <= n else ():
-            grid[(r, c)] = labels
-            yield from fill(idx + 1)
-
-    yield from fill(0)
+    fills: list[list[tuple[int, ...]]] = []
+    _fill_set_valued(
+        lam, n, lambda cells, counts, sign: fills.append([tuple(c) for c in cells])
+    )
+    for cells in fills:
+        yield Tableau(outer=lam, inner=Partition(), entries=_entries(lam.parts, cells))
 
 
 # -- post-hoc validity predicates -------------------------------------------

@@ -1,9 +1,13 @@
 """Command-line surface: golden outputs, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,10 +16,21 @@ from grothsnp.cli import RunConfig, main
 from grothsnp.partitions import Partition
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out
     return status, out
+
+
+def env_with_src() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 class TestExpand:
@@ -274,23 +289,104 @@ class TestUnwritableOut:
         assert lines[0].startswith(f"grothsnp: error: cannot write --out {tmp_path}: ")
 
     def test_desk_sweep_refuses_a_missing_directory(self, tmp_path):
-        root = Path(__file__).resolve().parent.parent
         target = tmp_path / "missing" / "sweep.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "desk_sweep.py"), "--out", str(target)],
+            [sys.executable, str(ROOT / "scripts" / "desk_sweep.py"), "--out", str(target)],
             capture_output=True,
             text=True,
-            env=env,
+            env=env_with_src(),
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"desk_sweep.py: error: cannot write --out {target}: ")
+
+
+def load_desk_sweep(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "desk_sweep", ROOT / "scripts" / "desk_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "desk_sweep", module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def interrupted():
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    def test_cli_interrupt_exits_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("grothsnp.cli.run", lambda config: interrupted())
+        status = main(["verify", "--lambda", "2,1", "--n", "2"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["grothsnp: error: interrupted"]
+
+    def test_desk_sweep_interrupt_exits_two_with_one_line(self, capsys, monkeypatch):
+        desk_sweep = load_desk_sweep(monkeypatch)
+        monkeypatch.setattr(desk_sweep, "sweep", lambda config: interrupted())
+        status = desk_sweep.main(["--n-values", "2"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["desk_sweep.py: error: interrupted"]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "killpg") or shutil.which("ps") is None,
+        reason="needs POSIX process groups and ps",
+    )
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            (
+                ["-m", "grothsnp", "verify", "--lambda", "3,1", "--n", "3",
+                 "--claim", "b", "--lemmas", "--trials", "100000000", "--jobs", "2"],
+                "grothsnp",
+            ),
+            (
+                [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2",
+                 "--trials", "100000000", "--jobs", "2"],
+                "desk_sweep.py",
+            ),
+        ],
+    )
+    def test_ctrl_c_in_the_worker_pool(self, argv, prog):
+        proc = subprocess.Popen(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env_with_src(),
+            start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            time.sleep(1.5)
+            # The workers alone first: they must ignore SIGINT and stay silent.
+            listing = subprocess.run(
+                ["ps", "-o", "pid=", "--ppid", str(proc.pid)],
+                capture_output=True,
+                text=True,
+            )
+            workers = [int(pid) for pid in listing.stdout.split()]
+            assert len(workers) == 2
+            for pid in workers:
+                os.kill(pid, signal.SIGINT)
+            time.sleep(0.5)
+            # Then Ctrl-C, which reaches the whole foreground process group.
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.splitlines() == [f"{prog}: error: interrupted"]
 
 
 class TestRunConfig:

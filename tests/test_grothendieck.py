@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothsnp import (
     MuChain,
@@ -132,6 +133,26 @@ class TestPolynomials:
     def test_rows_beyond_n_error(self):
         with pytest.raises(ValueError):
             grothendieck_setvalued(Partition((1, 1, 1)), 2)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=0, max_value=4), max_size=n),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_schur_assembly_matches_set_valued(case):
+    """Lenart's signed Schur expansion, summed term by term here, equals
+    Buch's set-valued series on random shapes."""
+    parts, n = case
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    assembled = SparsePolynomial.zero(n)
+    for mu, coeff in schur_expansion(lam, n).terms:
+        assembled = assembled + schur_polynomial(mu, n).scale(coeff)
+    assert assembled == grothendieck_setvalued(lam, n)
 
 
 class TestMuChain:
@@ -416,6 +437,28 @@ class TestLemmas:
         chain = mu_chain(LAM310, 3)
         weights = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
         assert check_lemma_prefix_sums(chain, weights)
+
+    def test_first_identity_failure_keeps_its_trial_and_text(self, monkeypatch):
+        # Breaks the mix of the third trial only; the expected string was
+        # printed by the implementation that rebuilt all chain data per trial.
+        calls = [0]
+
+        def bumped(numerators, vectors):
+            calls[0] += 1
+            mixed = _mix(numerators, vectors)
+            if calls[0] == 3:
+                mixed[1] += 1
+            return mixed
+
+        monkeypatch.setattr(grothendieck, "_mix", bumped)
+        res = check_lemmas_random(mu_chain(LAM310, 4), 10, 5)
+        assert res.detail == "trial 2: mixed prefix sum at row 2: 15781/3258 != 2630/543"
+
+    def test_second_identity_failure_keeps_its_trial_and_text(self, monkeypatch):
+        chain = mu_chain(LAM310, 4)
+        monkeypatch.setattr(MuChain, "extra_boxes", lambda self: (0,) * self.n)
+        res = check_lemmas_random(chain, 10, 5)
+        assert res.detail == "trial 0: chain prefix sum at k=2, row 2: 5 != 4"
 
 
 class TestCaching:

@@ -1,6 +1,6 @@
 """Tableau enumeration engines against independent counting oracles."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,10 +11,12 @@ from grothsnp import (
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
+    grothendieck_setvalued,
     is_valid_lenart,
     is_valid_set_valued,
     is_valid_ssyt,
     partitions_in_box,
+    schur_polynomial,
 )
 
 
@@ -35,13 +37,50 @@ def ssyt_count_oracle(parts: tuple[int, ...], n: int, _memo={}) -> int:
     elif n == 0 or len(parts) > n:
         result = 0
     else:
-        padded = parts + (0,)
-        ranges = [range(padded[i + 1], padded[i] + 1) for i in range(len(parts))]
-        result = sum(
-            ssyt_count_oracle(inner, n - 1) for inner in product(*ranges)
-        )
+        result = sum(ssyt_count_oracle(inner, n - 1) for inner in _strip_removals(parts))
     _memo[key] = result
     return result
+
+
+def _strip_removals(parts: tuple[int, ...]):
+    """Shapes inner interlacing parts, i.e. parts/inner is a horizontal strip."""
+    padded = parts + (0,)
+    return product(*(range(padded[i + 1], padded[i] + 1) for i in range(len(parts))))
+
+
+def kostka_oracle(parts: tuple[int, ...], alpha: tuple[int, ...]) -> int:
+    """Number of SSYT of shape parts and content alpha, peeling the largest
+    label len(alpha) off as a horizontal strip of size alpha[-1]."""
+    parts = tuple(p for p in parts if p)
+    if not alpha:
+        return 1 if not parts else 0
+    return sum(
+        kostka_oracle(inner, alpha[:-1])
+        for inner in _strip_removals(parts)
+        if sum(parts) - sum(inner) == alpha[-1]
+    )
+
+
+def brute_force_fillings(row_lengths, labels, valid):
+    """Every assignment of one entry of labels to each cell, kept if valid;
+    row-major as flat tuples of cells."""
+    kept = []
+    for cells in product(labels, repeat=sum(row_lengths)):
+        rows, start = [], 0
+        for length in row_lengths:
+            rows.append(tuple(cells[start : start + length]))
+            start += length
+        if valid(tuple(rows)):
+            kept.append(cells)
+    return kept
+
+
+def flat(t: Tableau) -> tuple:
+    return tuple(labels for _, _, labels in t.cells())
+
+
+def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
+    return [s for k in range(1, n + 1) for s in combinations(range(1, n + 1), k)]
 
 
 class TestSsyt:
@@ -74,6 +113,30 @@ class TestSsyt:
         second = [t.entries for t in enumerate_ssyt(Partition((2, 1)), 3)]
         assert first == second
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_content_coefficients_are_kostka_numbers(self, n):
+        for mu in partitions_in_box(3, 3):
+            poly = schur_polynomial(mu, n)
+            for alpha in product(range(mu.size() + 1), repeat=n):
+                if sum(alpha) == mu.size():
+                    assert poly.coefficient(alpha) == kostka_oracle(mu.parts, alpha), (
+                        mu.parts,
+                        alpha,
+                    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_major_order_against_brute_force(self, n):
+        singletons = [(v,) for v in range(1, n + 1)]
+        for lam in partitions_in_box(3, 3):
+            if lam.size() > 4:
+                continue
+            expected = brute_force_fillings(
+                list(lam.parts),
+                singletons,
+                lambda rows: is_valid_ssyt(Tableau(lam, Partition(), rows), n),
+            )
+            assert [flat(t) for t in enumerate_ssyt(lam, n)] == sorted(expected)
+
 
 class TestLenart:
     def test_paper_count_for_the_plus_two_coefficient(self):
@@ -101,6 +164,21 @@ class TestLenart:
         assert fills
         for t in fills:
             assert is_valid_lenart(t, lam, mu, 3)
+
+    def test_row_major_order_against_brute_force(self):
+        n = 3
+        for mu in partitions_in_box(3, 3):
+            for lam in partitions_in_box(3, 3):
+                if not mu.contains(lam) or mu.size() - lam.size() > 4:
+                    continue
+                lengths = [mu.part(r + 1) - lam.part(r + 1) for r in range(len(mu))]
+                expected = brute_force_fillings(
+                    lengths,
+                    [(v,) for v in range(1, n + 1)],
+                    lambda rows: is_valid_lenart(Tableau(mu, lam, rows), lam, mu, n),
+                )
+                got = [flat(t) for t in enumerate_lenart_tableaux(lam, mu, n)]
+                assert got == sorted(expected), (lam.parts, mu.parts)
 
     def test_flag_bound_is_row_minus_one(self):
         # row 2 may only hold label 1; row 3 labels up to 2
@@ -135,6 +213,37 @@ class TestSetValued:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_major_order_against_brute_force(self, n):
+        for lam in partitions_in_box(3, 3):
+            if lam.size() > 3:
+                continue
+            expected = brute_force_fillings(
+                list(lam.parts),
+                nonempty_subsets(n),
+                lambda rows: is_valid_set_valued(Tableau(lam, Partition(), rows), n),
+            )
+            assert [flat(t) for t in enumerate_set_valued(lam, n)] == sorted(expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_polynomial_against_brute_force(self, n):
+        for lam in partitions_in_box(3, 3):
+            if lam.size() > 3 or len(lam) > n:
+                continue
+            expected: dict[tuple[int, ...], int] = {}
+            fillings = brute_force_fillings(
+                list(lam.parts),
+                nonempty_subsets(n),
+                lambda rows: is_valid_set_valued(Tableau(lam, Partition(), rows), n),
+            )
+            for cells in fillings:
+                labels = [x for cell in cells for x in cell]
+                alpha = tuple(labels.count(i) for i in range(1, n + 1))
+                sign = (-1) ** (len(labels) - lam.size())
+                expected[alpha] = expected.get(alpha, 0) + sign
+            got = grothendieck_setvalued(lam, n)
+            assert dict(got.items()) == {a: c for a, c in expected.items() if c}, lam.parts
 
     def test_degree_zero_layer_is_plain_ssyt(self):
         lam = Partition((2, 1))
