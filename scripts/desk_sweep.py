@@ -12,10 +12,10 @@ rebuilt by brute force and compared against the union of chain polytopes.
 
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
-wall-clock timings and an overall verdict. Exit status is 0 only if every
-check of every pair passed, and 2 on a usage error, an --out path that
-cannot be written (checked before sweeping and again on writing) or an
-interrupt (Ctrl-C).
+wall-clock timings and an overall verdict. Exit status is 0 if every check
+of every pair passed, 1 if a check failed (the report is still written), and
+2 on a usage error, an --out path that cannot be written (checked before
+sweeping and again on writing) or an interrupt (Ctrl-C).
 
 Example:
 
@@ -27,26 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
 
-from grothsnp import (
-    Partition,
-    Permutahedron,
-    check_claim_a,
-    check_claim_b,
-    check_claim_c,
-    check_lemmas_random,
-    grothendieck_lenart,
-    grothendieck_setvalued,
-    mu_chain,
-    partitions_in_box,
-    permutahedron_lattice_points,
-    snp_check_bruteforce,
-    snp_check_symmetric_fast,
-)
+from grothsnp import battery, partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -73,45 +58,11 @@ class SweepConfig:
 def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
     """Run every applicable check for one (lambda, n) pair."""
     parts, n, trials, seed = task
-    lam = Partition(parts)
     started = time.perf_counter()
-    checks = []
-
-    lenart = grothendieck_lenart(lam, n)
-    setvalued = grothendieck_setvalued(lam, n)
-    checks.append(
-        {
-            "name": "cross-oracle",
-            "ok": lenart == setvalued,
-            "detail": "" if lenart == setvalued else "tableau models disagree",
-        }
-    )
-
-    verdict = snp_check_symmetric_fast(lam, n)
-    checks.append(
-        {"name": "component-snp", "ok": verdict.is_snp, "detail": verdict.detail}
-    )
-
-    for name, check in (
-        ("claim-a", lambda: check_claim_a(lam, n)),
-        ("claim-b", lambda: check_claim_b(mu_chain(lam, n), trials, seed)),
-        ("claim-c", lambda: check_claim_c(mu_chain(lam, n), trials, seed)),
-        ("lemmas", lambda: check_lemmas_random(mu_chain(lam, n), trials, seed)),
-    ):
-        result = check()
-        checks.append({"name": name, "ok": result.ok, "detail": result.detail})
-
-    if n <= 3:
-        brute = snp_check_bruteforce(lenart)
-        expected: set[tuple[int, ...]] = set()
-        for mu in mu_chain(lam, n).mus:
-            expected |= permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
-        ok = brute.is_snp and brute.hull_lattice_points == frozenset(expected)
-        detail = brute.detail
-        if brute.is_snp and not ok:
-            detail = "hull lattice points differ from the chain polytopes"
-        checks.append({"name": "brute-snp", "ok": ok, "detail": detail})
-
+    checks = [
+        battery.run_check((name, parts, n, trials, seed))
+        for name in battery.checks_for(n)
+    ]
     return {
         "lambda": list(parts),
         "n": n,
@@ -128,15 +79,7 @@ def sweep(config: SweepConfig) -> dict:
         for lam in partitions_in_box(config.max_rows, config.max_part)
         if len(lam.parts) <= n
     ]
-    if config.jobs > 1 and len(tasks) > 1:
-        from grothsnp.cli import ignore_sigint
-
-        with multiprocessing.Pool(
-            min(config.jobs, len(tasks)), initializer=ignore_sigint
-        ) as pool:
-            results = pool.map(run_battery, tasks)
-    else:
-        results = [run_battery(task) for task in tasks]
+    results = battery.map_jobs(run_battery, tasks, config.jobs)
 
     failures = [entry for entry in results if not entry["ok"]]
     return {

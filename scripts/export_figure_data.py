@@ -12,6 +12,10 @@ A ``manifest.json`` written alongside the CSVs records, per shape, the file
 name, the number of lattice points, and the degree range, so downstream
 plotting can be driven from the manifest alone.
 
+Exit status is 0 on success, and 2 on a usage error, an --out-dir that
+cannot be created or written, or an interrupt (Ctrl-C), each reported on one
+stderr line.
+
 Example:
 
     python3 scripts/export_figure_data.py --n 3 --max-part 3 --out-dir figures/
@@ -30,16 +34,7 @@ from grothsnp.cli import RunConfig, run
 
 def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     """Write one CSV and return its manifest entry."""
-    config = RunConfig(
-        command="figure-data",
-        lam=lam,
-        n=n,
-        out=None,
-        jobs=1,
-        brute=False,
-        checks=(),
-    )
-    status, text = run(config)
+    status, text = run(RunConfig(command="figure-data", lam=lam, n=n))
     if status != 0:
         raise RuntimeError(f"figure export failed for {lam.parts} with n={n}")
     label = "-".join(str(part) for part in lam.parts) or "empty"
@@ -59,6 +54,12 @@ def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     }
 
 
+def fail(message: str) -> int:
+    """Report an error on one stderr line; returns exit status 2."""
+    print(f"export_figure_data.py: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=3, choices=(2, 3),
@@ -71,21 +72,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_part < 0:
         parser.error("--max-part must be nonnegative")
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    entries = [
-        export_shape(lam, args.n, args.out_dir)
-        for lam in partitions_in_box(args.n, args.max_part)
-    ]
-    manifest = {
-        "n": args.n,
-        "max_part": args.max_part,
-        "shapes": len(entries),
-        "entries": entries,
-    }
-    path = os.path.join(args.out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        entries = [
+            export_shape(lam, args.n, args.out_dir)
+            for lam in partitions_in_box(args.n, args.max_part)
+        ]
+        manifest = {
+            "n": args.n,
+            "max_part": args.max_part,
+            "shapes": len(entries),
+            "entries": entries,
+        }
+        path = os.path.join(args.out_dir, "manifest.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        return fail(f"cannot write {exc.filename}: {exc.strerror or exc}")
+    except KeyboardInterrupt:
+        return fail("interrupted")
     print(f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}")
     return 0
 

@@ -13,23 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
-import signal
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grothendieck import (
-    check_claim_a,
-    check_claim_b,
-    check_claim_c,
-    check_lemmas_random,
-    grothendieck_lenart,
-    grothendieck_setvalued,
-    mu_chain,
-    schur_expansion,
-)
+from . import battery
+from .grothendieck import grothendieck_lenart, mu_chain, schur_expansion
 from .partitions import Partition
 from .polytopes import (
     Permutahedron,
@@ -39,16 +29,6 @@ from .polytopes import (
 )
 
 COMMANDS = ("expand", "groth", "chain", "newton", "snp", "verify", "figure-data")
-
-VERIFY_BATTERY = (
-    "cross-oracle",
-    "component-snp",
-    "claim-a",
-    "claim-b",
-    "claim-c",
-    "lemmas",
-    "brute-snp",
-)
 
 
 @dataclass(frozen=True)
@@ -142,7 +122,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
     checks: tuple[str, ...] = ()
     if args.command == "verify":
         if args.all or (args.claim is None and not args.lemmas):
-            checks = VERIFY_BATTERY
+            checks = battery.CHECKS
         else:
             picked = []
             if args.claim is not None:
@@ -225,62 +205,12 @@ def _run_snp(config: RunConfig) -> tuple[int, str]:
     return (0 if verdict.is_snp else 1), _dump_json(payload)
 
 
-def _run_one_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
-    name, parts, n, trials, seed = task
-    lam = Partition(parts)
-    if name == "cross-oracle":
-        same = grothendieck_lenart(lam, n) == grothendieck_setvalued(lam, n)
-        return {
-            "name": name,
-            "ok": same,
-            "detail": "" if same else "tableau models disagree",
-        }
-    if name == "component-snp":
-        verdict = snp_check_symmetric_fast(lam, n)
-        return {"name": name, "ok": verdict.is_snp, "detail": verdict.detail}
-    if name == "claim-a":
-        res = check_claim_a(lam, n)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "claim-b":
-        res = check_claim_b(mu_chain(lam, n), trials, seed)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "claim-c":
-        res = check_claim_c(mu_chain(lam, n), trials, seed)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "lemmas":
-        res = check_lemmas_random(mu_chain(lam, n), trials, seed)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "brute-snp":
-        verdict = snp_check_bruteforce(grothendieck_lenart(lam, n))
-        expected = set()
-        chain = mu_chain(lam, n)
-        for mu in chain.mus:
-            expected |= permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
-        ok = verdict.is_snp and verdict.hull_lattice_points == frozenset(expected)
-        detail = verdict.detail
-        if verdict.is_snp and not ok:
-            detail = "hull lattice points differ from the chain polytopes"
-        return {"name": name, "ok": ok, "detail": detail}
-    raise ValueError(f"unknown check {name!r}")
-
-
 def _run_verify(config: RunConfig) -> tuple[int, str]:
-    names = [
-        name
-        for name in config.checks
-        if not (name == "brute-snp" and config.n > 3)
-    ]
     tasks = [
         (name, config.lam.parts, config.n, config.trials, config.seed)
-        for name in names
+        for name in battery.checks_for(config.n, config.checks)
     ]
-    if config.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(
-            min(config.jobs, len(tasks)), initializer=ignore_sigint
-        ) as pool:
-            results = pool.map(_run_one_check, tasks)
-    else:
-        results = [_run_one_check(task) for task in tasks]
+    results = battery.map_jobs(battery.run_check, tasks, config.jobs)
     all_ok = all(entry["ok"] for entry in results)
     payload = {
         "lambda": list(config.lam.parts),
@@ -319,12 +249,6 @@ _HANDLERS = {
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one config; returns (exit status, serialized output)."""
     return _HANDLERS[config.command](config)
-
-
-def ignore_sigint() -> None:
-    """Pool worker initializer: leave Ctrl-C to the parent, which reports it
-    once and terminates the pool, so workers print no tracebacks."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def out_path_error(path: str) -> str | None:

@@ -28,8 +28,8 @@ class SparsePolynomial:
         for exp, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
-            key = tuple(int(e) for e in exp)
-            if len(key) != n or any(e < 0 for e in key):
+            key = tuple(exp)
+            if len(key) != n or min(key, default=0) < 0:
                 raise ValueError(f"bad exponent {exp} for ambient {n}")
             cleaned[key] = int(coeff)
         self.n = n

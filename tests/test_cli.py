@@ -165,7 +165,7 @@ class TestVerify:
             name = task[0]
             return {"name": name, "ok": False, "detail": "forced"}
 
-        monkeypatch.setattr("grothsnp.cli._run_one_check", forced_failure)
+        monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
         status, out = run_cli(
             capsys, "verify", "--lambda", "1,0", "--n", "2", "--claim", "b"
         )
@@ -302,6 +302,24 @@ class TestUnwritableOut:
         assert len(lines) == 1
         assert lines[0].startswith(f"desk_sweep.py: error: cannot write --out {target}: ")
 
+    def test_figure_export_refuses_a_file_as_out_dir(self, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("", encoding="utf-8")
+        proc = subprocess.run(
+            [
+                sys.executable, str(ROOT / "scripts" / "export_figure_data.py"),
+                "--n", "2", "--max-part", "1", "--out-dir", str(target),
+            ],
+            capture_output=True,
+            text=True,
+            env=env_with_src(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"export_figure_data.py: error: cannot write {target}: ")
+
 
 def load_desk_sweep(monkeypatch):
     spec = importlib.util.spec_from_file_location(
@@ -311,6 +329,35 @@ def load_desk_sweep(monkeypatch):
     monkeypatch.setitem(sys.modules, "desk_sweep", module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+class TestDeskSweepBattery:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_pair_runs_the_verify_battery(self, capsys, monkeypatch, n):
+        desk_sweep = load_desk_sweep(monkeypatch)
+        swept = desk_sweep.run_battery(((2, 1), n, 30, 7))["checks"]
+        _, out = run_cli(
+            capsys,
+            "verify", "--lambda", "2,1", "--n", str(n), "--all",
+            "--trials", "30", "--seed", "7",
+        )
+        assert swept == json.loads(out)["checks"]
+        assert ("brute-snp" in [c["name"] for c in swept]) == (n <= 3)
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        def forced_failure(task):
+            return {"name": task[0], "ok": False, "detail": "forced"}
+
+        desk_sweep = load_desk_sweep(monkeypatch)
+        monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
+        status = desk_sweep.main(
+            ["--max-part", "1", "--max-rows", "2", "--n-values", "2", "--trials", "5"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert status == 1
+        assert report["ok"] is False
+        assert report["pairs"] == 3
+        assert report["failures"] == report["pairs"]
 
 
 def interrupted():
