@@ -47,6 +47,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.max_part < 0 or self.max_rows < 0:
             raise ValueError("box dimensions must be nonnegative")
+        # The box always holds the empty partition, so each n gives a pair.
+        if not self.n_values:
+            raise ValueError("--n-values names no variable count; nothing to sweep")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n must be a positive integer")
         if self.trials < 1:

@@ -42,7 +42,8 @@ CHECKS = (
 
 def checks_for(n: int, names: Sequence[str] = CHECKS) -> tuple[str, ...]:
     """The checks among names that run in n variables: brute-snp only for
-    n <= 3, since it runs one exact simplex per point of the bounding box."""
+    n <= 3, since it runs one exact simplex per bounding-box point outside
+    the support."""
     return tuple(name for name in names if name != "brute-snp" or n <= 3)
 
 

@@ -1,18 +1,98 @@
-"""Exact linear feasibility over the rationals.
+"""Exact linear feasibility over the rationals, pivoted in integers.
 
 The only question asked here is whether a target vector is a convex
 combination of finitely many given points. It is answered with a phase-1
-simplex on Fraction arithmetic: no floats, no tolerances. Bland's least-index
-rule makes the pivoting finite, and artificial columns are retired for good
-the moment they leave the basis.
+simplex that is fraction-free (Edmonds 1967; Bareiss 1968): the tableau
+holds integers over one common denominator d, the last pivot, and each
+pivot divides exactly by the previous one. No floats, no tolerances, and no
+Fraction inside the loop. Rational inputs are first scaled to integers by
+the lcm L of their denominators, since q lies in conv(P) iff Lq lies in
+conv(LP), with the same weights.
+
+Bland's least-index rule makes the pivoting finite. Artificial columns are
+retired for good the moment they leave the basis; until then they are basic.
+So no artificial column can ever enter, and none is stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Vector = Sequence
+
+
+def _integral(vectors: Sequence[Vector]) -> list[list[int]]:
+    """The vectors scaled to integers: every entry times the lcm of all the
+    denominators. int entries are used as they are; any other entry is read
+    through Fraction first."""
+    rows = [[x if type(x) is int else Fraction(x) for x in v] for v in vectors]
+    scale = lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
+    return [
+        [x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+         for x in row]
+        for row in rows
+    ]
+
+
+def _phase1(pts: list[list[int]], goal: list[int]) -> tuple[list[int], int] | None:
+    """Weight numerators and their common denominator d > 0 of a feasible
+    basic solution of sum_j c_j * pts[j] = goal, sum_j c_j = 1, c >= 0; or
+    None if the system is infeasible."""
+    m = len(pts)
+    # Equality rows (body, then right-hand side) flipped to a nonnegative
+    # right-hand side; column m + i is the artificial variable of row i.
+    tableau = []
+    for i, rhs in enumerate(goal):
+        row = [p[i] for p in pts] + [rhs]
+        tableau.append([-x for x in row] if rhs < 0 else row)
+    tableau.append([1] * (m + 1))
+    basis = list(range(m, m + len(tableau)))
+
+    # Reduced-cost row for minimizing the sum of artificials, times d: entry
+    # j holds z_j - c_j, the last entry the current objective value.
+    z = [sum(col) for col in zip(*tableau)]
+    d = 1
+
+    while True:
+        entering = next((j for j in range(m) if z[j] > 0), None)
+        if entering is None:
+            break
+        pivot_row = None
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
+            if coeff <= 0:
+                continue
+            if pivot_row is None:
+                pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+                continue
+            # rhs / coeff against best_rhs / best_coeff; both coefficients > 0.
+            lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                pivot_row, best_rhs, best_coeff = i, row[-1], coeff
+        if pivot_row is None:
+            raise RuntimeError("phase-1 objective unbounded; inputs malformed")
+        pivot = tableau[pivot_row]
+        p = pivot[entering]
+        # Every other row moves to the new denominator p, the reduced-cost row
+        # too, even where its entering entry is already 0.
+        for i, row in enumerate(tableau):
+            if i != pivot_row:
+                f = row[entering]
+                tableau[i] = [(p * a - f * b) // d for a, b in zip(row, pivot)]
+        f = z[entering]
+        z = [(p * a - f * b) // d for a, b in zip(z, pivot)]
+        d = p
+        basis[pivot_row] = entering
+
+    if z[-1] != 0:
+        return None
+    weights = [0] * m
+    for row, var in zip(tableau, basis):
+        if var < m:
+            weights[var] = row[-1]
+    return weights, d
 
 
 def convex_certificate(
@@ -26,91 +106,17 @@ def convex_certificate(
     """
     if not points:
         return None
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    goal = tuple(Fraction(x) for x in target)
-    dim = len(goal)
-    if any(len(p) != dim for p in pts):
+    *pts, goal = _integral([*points, target])
+    if any(len(p) != len(goal) for p in pts):
         raise ValueError("all points must share the target's dimension")
-    m = len(pts)
-    rows = dim + 1
-
-    # Equality constraints with right-hand sides flipped nonnegative, then an
-    # artificial identity block appended; column m + i is artificial i.
-    tableau: list[list[Fraction]] = []
-    for i in range(rows):
-        if i < dim:
-            body = [pts[j][i] for j in range(m)]
-            rhs = goal[i]
-        else:
-            body = [Fraction(1)] * m
-            rhs = Fraction(1)
-        if rhs < 0:
-            body = [-x for x in body]
-            rhs = -rhs
-        art = [Fraction(0)] * rows
-        art[i] = Fraction(1)
-        tableau.append(body + art + [rhs])
-
-    basis = list(range(m, m + rows))
-    retired = [False] * rows
-
-    # Reduced-cost row for minimizing the sum of artificials: entry j holds
-    # z_j - c_j, the last entry the current objective value.
-    z = [sum(tableau[i][j] for i in range(rows)) for j in range(m + rows + 1)]
-    for j in range(m, m + rows):
-        z[j] -= 1
-
-    while True:
-        entering = None
-        for j in range(m + rows):
-            if j >= m and retired[j - m]:
-                continue
-            if z[j] > 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(rows):
-            coeff = tableau[i][entering]
-            if coeff <= 0:
-                continue
-            ratio = tableau[i][-1] / coeff
-            if best is None or ratio < best or (
-                ratio == best and basis[i] < basis[pivot_row]
-            ):
-                best = ratio
-                pivot_row = i
-        if pivot_row is None:
-            raise RuntimeError("phase-1 objective unbounded; inputs malformed")
-        leaving = basis[pivot_row]
-        if leaving >= m:
-            retired[leaving - m] = True
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [x / pivot for x in tableau[pivot_row]]
-        for i in range(rows):
-            if i != pivot_row and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    a - factor * b for a, b in zip(tableau[i], tableau[pivot_row])
-                ]
-        if z[entering] != 0:
-            factor = z[entering]
-            z = [a - factor * b for a, b in zip(z, tableau[pivot_row])]
-        basis[pivot_row] = entering
-
-    if z[-1] != 0:
+    found = _phase1(pts, goal)
+    if found is None:
         return None
+    weights, d = found
 
-    weights = [Fraction(0)] * m
-    for i, var in enumerate(basis):
-        if var < m:
-            weights[var] = tableau[i][-1]
-
-    if any(w < 0 for w in weights) or sum(weights) != 1:
+    if d <= 0 or any(w < 0 for w in weights) or sum(weights) != d:
         raise RuntimeError("simplex returned an invalid certificate")
-    for i in range(dim):
-        if sum(w * p[i] for w, p in zip(weights, pts)) != goal[i]:
+    for i, coord in enumerate(goal):
+        if sum(w * p[i] for w, p in zip(weights, pts)) != d * coord:
             raise RuntimeError("simplex returned an invalid certificate")
-    return tuple(weights)
+    return tuple(Fraction(w, d) for w in weights)

@@ -359,6 +359,21 @@ class TestDeskSweepBattery:
         assert report["pairs"] == 3
         assert report["failures"] == report["pairs"]
 
+    @pytest.mark.parametrize("n_values", ["", ","])
+    def test_empty_sweep_is_a_usage_error(self, n_values):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", n_values],
+            capture_output=True,
+            text=True,
+            env=env_with_src(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: desk_sweep.py ")
+        assert proc.stderr.splitlines()[-1] == (
+            "desk_sweep.py: error: --n-values names no variable count; nothing to sweep"
+        )
+
 
 def interrupted():
     raise KeyboardInterrupt

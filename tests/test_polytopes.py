@@ -3,6 +3,7 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothsnp import (
     Partition,
@@ -202,6 +203,30 @@ class TestFastRoute:
                     union |= permutahedron_lattice_points(p)
                 assert brute.hull_lattice_points == frozenset(union)
 
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=0, max_value=5), max_size=n),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_brute_force_agrees_with_the_chain_polytopes(case):
+    """The hull sweep (exact simplex) and the degreewise permutahedron check
+    give the same verdict, and the sweep's hull lattice points are exactly
+    the lattice points of the chain permutahedra, on random shapes with parts
+    up to 5."""
+    parts, n = case
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    brute = snp_check_bruteforce(grothendieck_lenart(lam, n))
+    assert brute.is_snp == snp_check_symmetric_fast(lam, n).is_snp
+    union = set()
+    for mu in mu_chain(lam, n).mus:
+        union |= permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
+    assert brute.hull_lattice_points == frozenset(union)
 
 class TestSchurNewtonPolytope:
     def test_schur_support_is_the_permutahedron(self):
