@@ -50,6 +50,8 @@ class SweepConfig:
         # The box always holds the empty partition, so each n gives a pair.
         if not self.n_values:
             raise ValueError("--n-values names no variable count; nothing to sweep")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError("--n-values repeats a variable count; name each n once")
         if any(n < 1 for n in self.n_values):
             raise ValueError("every n must be a positive integer")
         if self.trials < 1:

@@ -1,7 +1,6 @@
 """Exact arithmetic for symmetric Grothendieck polynomials and the
 saturation of their Newton polytopes."""
 
-from .exactlp import convex_certificate
 from .grothendieck import (
     CheckResult,
     MuChain,
@@ -9,26 +8,14 @@ from .grothendieck import (
     check_claim_a,
     check_claim_b,
     check_claim_c,
-    check_lemma_prefix_sums,
     check_lemmas_random,
     grothendieck_lenart,
     grothendieck_setvalued,
-    lenart_coefficient,
     mu_chain,
     schur_expansion,
     schur_polynomial,
-    witness_tableau,
 )
-from .partitions import (
-    Partition,
-    convex_combination,
-    dominance_leq,
-    majorizes,
-    pad,
-    partitions_in_box,
-    partitions_of_size,
-    sort_decreasing,
-)
+from .partitions import Partition, partitions_in_box, partitions_of_size
 from .polynomials import SparsePolynomial
 from .polytopes import (
     Permutahedron,
@@ -41,16 +28,6 @@ from .polytopes import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
-from .tableaux import (
-    Tableau,
-    content,
-    enumerate_lenart_tableaux,
-    enumerate_set_valued,
-    enumerate_ssyt,
-    is_valid_lenart,
-    is_valid_set_valued,
-    is_valid_ssyt,
-)
 
 __all__ = [
     "CheckResult",
@@ -61,29 +38,14 @@ __all__ = [
     "SchurExpansion",
     "SnpVerdict",
     "SparsePolynomial",
-    "Tableau",
     "check_claim_a",
     "check_claim_b",
     "check_claim_c",
-    "check_lemma_prefix_sums",
     "check_lemmas_random",
-    "content",
-    "convex_certificate",
-    "convex_combination",
-    "dominance_leq",
-    "enumerate_lenart_tableaux",
-    "enumerate_set_valued",
-    "enumerate_ssyt",
     "grothendieck_lenart",
     "grothendieck_setvalued",
     "hull_membership",
-    "is_valid_lenart",
-    "is_valid_set_valued",
-    "is_valid_ssyt",
-    "lenart_coefficient",
-    "majorizes",
     "mu_chain",
-    "pad",
     "partitions_in_box",
     "partitions_of_size",
     "permutahedron_lattice_points",
@@ -93,6 +55,4 @@ __all__ = [
     "schur_polynomial",
     "snp_check_bruteforce",
     "snp_check_symmetric_fast",
-    "sort_decreasing",
-    "witness_tableau",
 ]

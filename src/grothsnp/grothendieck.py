@@ -24,13 +24,7 @@ from .partitions import (
     majorizes,
 )
 from .polynomials import SparsePolynomial
-from .tableaux import (
-    Tableau,
-    count_lenart_tableaux,
-    is_valid_lenart,
-    set_valued_contents,
-    ssyt_contents,
-)
+from .tableaux import count_lenart_tableaux, set_valued_contents, ssyt_contents
 
 
 @dataclass(frozen=True)
@@ -75,15 +69,6 @@ class SchurExpansion:
             if shape == mu:
                 return coeff
         return 0
-
-    def coeffs(self) -> dict[Partition, int]:
-        return dict(self.terms)
-
-    def shapes_of_size(self, size: int) -> list[Partition]:
-        return [mu for mu, _ in self.terms if mu.size() == size]
-
-    def max_size(self) -> int:
-        return max(mu.size() for mu, _ in self.terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,39 +234,6 @@ def mu_chain(lam: Partition, n: int) -> MuChain:
     return MuChain(lam=lam, n=n, mus=tuple(mus), rows=tuple(rows))
 
 
-def witness_tableau(lam: Partition, n: int, k: int) -> Tableau:
-    """A flagged skew filling of mu^(k)/lam certifying its nonzero coefficient.
-
-    Boxes are labelled in chain order with the least label keeping rows and
-    columns strict; the result is re-validated before being returned.
-    """
-    chain = mu_chain(lam, n)
-    if not 0 <= k <= chain.length:
-        raise ValueError(f"k must lie in 0..{chain.length}, got {k}")
-    labels: dict[tuple[int, int], int] = {}
-    for step in range(1, k + 1):
-        r = chain.rows[step - 1]
-        c = chain.mus[step - 1].part(r)  # 0-based column of the new box
-        lo = 1
-        if (r - 1, c - 1) in labels:
-            lo = max(lo, labels[(r - 1, c - 1)] + 1)
-        if (r - 2, c) in labels:
-            lo = max(lo, labels[(r - 2, c)] + 1)
-        labels[(r - 1, c)] = lo
-    mu = chain.mus[k]
-    entries = tuple(
-        tuple(
-            (labels[(r, c)],)
-            for c in range(lam.part(r + 1), mu.part(r + 1))
-        )
-        for r in range(len(mu))
-    )
-    t = Tableau(outer=mu, inner=lam, entries=entries)
-    if not is_valid_lenart(t, lam, mu, n):
-        raise RuntimeError(f"witness construction failed for {lam.parts}, k={k}")
-    return t
-
-
 # -- dominance and majorization checks ----------------------------------------
 
 
@@ -432,8 +384,9 @@ def check_lemmas_random(chain: MuChain, trials: int, seed: int) -> CheckResult:
     return CheckResult(True)
 
 
-def check_lemma_prefix_sums(chain: MuChain, weights: Sequence) -> CheckResult:
-    """Closed forms for prefix sums along the chain.
+def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckResult]:
+    """Closed forms for prefix sums along the chain, as a check of the convex
+    weights c_k = numerators[k] / denominator.
 
     First identity: for each row r, the weighted mix of chain shapes has
     prefix sum base + sum_k min(k, l)*c_k where l is the index of the last
@@ -441,20 +394,8 @@ def check_lemma_prefix_sums(chain: MuChain, weights: Sequence) -> CheckResult:
     chain because the receiving rows weakly increase). Second identity: for
     r strictly north of the row receiving box k, the k-th shape's prefix sum
     is base + (b_1+...+b_r) with b_i the final surplus of row i.
-    """
-    coeffs = tuple(Fraction(w) for w in weights)
-    if len(coeffs) != chain.length + 1:
-        raise ValueError("one weight per chain shape required")
-    if any(w < 0 for w in coeffs) or sum(coeffs) != 1:
-        raise ValueError("weights must be convex")
-    denominator = lcm(*(w.denominator for w in coeffs))
-    numerators = [w.numerator * (denominator // w.denominator) for w in coeffs]
-    return _prefix_sum_checker(chain)(numerators, denominator)
 
-
-def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckResult]:
-    """Both identities of check_lemma_prefix_sums, as a check of the convex
-    weights numerators[k] / denominator compared after scaling by the
+    Both sides of the first identity are compared after scaling by the
     denominator. The chain data and the weight-independent second identity
     are computed once, here; each check runs the first identity and then
     reports the second."""
@@ -492,7 +433,7 @@ def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckR
 def _chain_prefix_identity(
     chain: MuChain, padded: Sequence[tuple[int, ...]], base_prefix: Sequence[int]
 ) -> CheckResult:
-    """The second identity of check_lemma_prefix_sums."""
+    """The second identity of _prefix_sum_checker."""
     surplus = chain.extra_boxes()
     for k in range(1, chain.length + 1):
         for r in range(1, chain.rows[k - 1]):

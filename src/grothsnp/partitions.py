@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 ExponentVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -49,10 +49,6 @@ class Partition:
     def size(self) -> int:
         """Total number of boxes."""
         return sum(self.parts)
-
-    def rows(self) -> int:
-        """Number of nonzero rows."""
-        return len(self.parts)
 
     def part(self, r: int) -> int:
         """Length of row r (1-based); zero beyond the last row."""
@@ -97,11 +93,6 @@ def dominance_leq(theta: Partition, delta: Partition) -> bool:
     return True
 
 
-def sort_decreasing(v: Sequence[Rational]) -> tuple:
-    """The entries of v rearranged into weakly decreasing order."""
-    return tuple(sorted(v, reverse=True))
-
-
 def _as_decreasing_entries(mu: Union[Partition, Sequence[Rational]]) -> tuple:
     entries = mu.parts if isinstance(mu, Partition) else tuple(mu)
     if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
@@ -120,7 +111,7 @@ def majorizes(mu: Union[Partition, Sequence[Rational]], v: Sequence[Rational]) -
         raise ValueError("majorization requires nonnegative entries")
     if sum(v) != sum(bound):
         raise ValueError("majorization undefined across unequal sums")
-    arranged = sort_decreasing(v)
+    arranged = sorted(v, reverse=True)
     width = max(len(bound), len(arranged))
     acc_v = acc_m = 0
     for i in range(width):
@@ -134,7 +125,12 @@ def majorizes(mu: Union[Partition, Sequence[Rational]], v: Sequence[Rational]) -
 def convex_combination(
     weights: Sequence[Rational], vectors: Sequence[Sequence[Rational]]
 ) -> RationalVector:
-    """Componentwise weighted sum of vectors, exact rationals throughout."""
+    """Componentwise weighted sum of vectors, exact rationals throughout.
+
+    The package mixes integer numerators instead (grothendieck._mix); this
+    Fraction form is the tests' reference, and perfbench/tracing.py wraps it
+    by name.
+    """
     coeffs = tuple(Fraction(w) for w in weights)
     if len(coeffs) != len(vectors):
         raise ValueError("one weight per vector required")
@@ -176,10 +172,3 @@ def partitions_in_box(max_rows: int, max_part: int) -> Iterator[Partition]:
     """All partitions fitting in a max_rows x max_part box, empty included."""
     for total in range(max_rows * max_part + 1):
         yield from partitions_of_size(total, max_rows=max_rows, max_part=max_part)
-
-
-def pad(v: Sequence[Rational], n: int) -> tuple:
-    """v extended with zeros to length n."""
-    if len(v) > n:
-        raise ValueError(f"vector {v} longer than ambient {n}")
-    return tuple(v) + (0,) * (n - len(v))

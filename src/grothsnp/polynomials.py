@@ -1,8 +1,10 @@
-"""Sparse multivariate polynomials over the integers.
+"""Sparse multivariate polynomials with exact integer coefficients.
 
-Terms live in a dict from exponent tuple to nonzero coefficient; every
-operation purges zero coefficients so the representation stays canonical.
-Serialization orders terms graded-lexicographically for reproducible output.
+Terms live in a dict from exponent tuple to nonzero coefficient; the
+constructor drops zero coefficients, so equal polynomials have equal dicts.
+A polynomial is read through its terms, support, degrees and homogeneous
+components. Serialization orders terms graded-lexicographically for
+reproducible output.
 """
 
 from __future__ import annotations
@@ -35,75 +37,17 @@ class SparsePolynomial:
         self.n = n
         self._terms = cleaned
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> SparsePolynomial:
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n: int, c: int) -> SparsePolynomial:
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def one(cls, n: int) -> SparsePolynomial:
-        return cls.constant(n, 1)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> SparsePolynomial:
-        """The monomial x_i (0-based index)."""
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range for ambient {n}")
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return cls(n, {exp: 1})
-
-    @classmethod
-    def monomial(cls, n: int, exp: ExponentVector, coeff: int = 1) -> SparsePolynomial:
-        return cls(n, {tuple(exp): coeff})
-
-    # -- ring structure ----------------------------------------------------
-
-    def _require_same_ambient(self, other: SparsePolynomial) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other: SparsePolynomial) -> SparsePolynomial:
+        """Termwise sum. The package itself never adds polynomials; the method
+        stays because perfbench/tracing.py wraps it by name."""
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        self._require_same_ambient(other)
+        if self.n != other.n:
+            raise ValueError(f"ambient mismatch: {self.n} vs {other.n}")
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
             acc[exp] = acc.get(exp, 0) + coeff
         return SparsePolynomial(self.n, acc)
-
-    def __neg__(self) -> SparsePolynomial:
-        return SparsePolynomial(self.n, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: SparsePolynomial) -> SparsePolynomial:
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> SparsePolynomial:
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        self._require_same_ambient(other)
-        acc: dict[ExponentVector, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return SparsePolynomial(self.n, acc)
-
-    def __rmul__(self, other) -> SparsePolynomial:
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: int) -> SparsePolynomial:
-        return SparsePolynomial(self.n, {e: c * v for e, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,11 +83,6 @@ class SparsePolynomial:
         """Exponent vectors carrying a nonzero coefficient."""
         return set(self._terms)
 
-    def coefficient(self, alpha: ExponentVector) -> int:
-        if len(alpha) != self.n:
-            raise ValueError(f"exponent length {len(alpha)} != ambient {self.n}")
-        return self._terms.get(tuple(alpha), 0)
-
     def homogeneous_component(self, k: int) -> SparsePolynomial:
         """Restriction to terms of total degree exactly k."""
         return SparsePolynomial(
@@ -153,9 +92,6 @@ class SparsePolynomial:
     def degrees(self) -> list[int]:
         """Sorted list of total degrees present."""
         return sorted({sum(e) for e in self._terms})
-
-    def min_degree(self) -> int | None:
-        return min((sum(e) for e in self._terms), default=None)
 
     def max_degree(self) -> int | None:
         return max((sum(e) for e in self._terms), default=None)
@@ -179,11 +115,3 @@ class SparsePolynomial:
                 {"exp": list(exp), "coeff": coeff} for exp, coeff in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> SparsePolynomial:
-        return cls(
-            int(data["n"]),
-            {tuple(t["exp"]): int(t["coeff"]) for t in data["terms"]},
-        )
-

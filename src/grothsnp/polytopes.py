@@ -42,18 +42,14 @@ class Permutahedron:
     def of_partition(cls, lam: Partition, n: int) -> "Permutahedron":
         return cls(weight=lam.padded(n), n=n)
 
-    def vertices(self) -> set[ExponentVector]:
-        return permutahedron_vertices(self)
-
-    def lattice_points(self) -> set[ExponentVector]:
-        return permutahedron_lattice_points(self)
-
     def to_json_dict(self) -> dict:
         return {
             "weight": list(self.weight),
             "n": self.n,
-            "vertices": [list(v) for v in sorted(self.vertices())],
-            "lattice_points": [list(v) for v in sorted(self.lattice_points())],
+            "vertices": [list(v) for v in sorted(permutahedron_vertices(self))],
+            "lattice_points": [
+                list(v) for v in sorted(permutahedron_lattice_points(self))
+            ],
         }
 
 
@@ -127,9 +123,6 @@ class SnpVerdict:
     hull_lattice_points: frozenset = field(default_factory=frozenset)
     components: tuple[Permutahedron, ...] = ()
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.is_snp
 
 
 def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:

@@ -1,14 +1,16 @@
-"""Backtracking enumeration of the three tableau families used downstream:
+"""Backtracking fills of the three tableau families used downstream:
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
 set-valued semistandard tableaux.
 
 Each family has one backtracking fill. It fills cells in row-major order,
 tries labels in increasing order and keeps the content of the partial filling
-in a per-label count list, so the order of fillings is deterministic. The
-polynomial models use the counting functions (ssyt_contents,
+in a per-label count list, so the order of fillings is deterministic, and it
+places only labels that keep the filling valid, so every leaf is a tableau of
+the family. The polynomial models use the counting functions (ssyt_contents,
 count_lenart_tableaux, set_valued_contents), which tally contents at the
 leaves without building a Tableau. The enumerate_* generators are views over
-the same fills that yield each filling as a Tableau.
+the same fills that yield each filling as a Tableau; nothing in the package
+calls them, and perfbench/tracing.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -46,39 +48,6 @@ class Tableau:
                     raise ValueError("cells must hold nonempty sets of positive ints")
                 if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
                     raise ValueError("cell labels must be strictly increasing tuples")
-
-    def cell(self, r: int, c: int) -> tuple[int, ...]:
-        """Labels at 0-based row r, absolute 0-based column c."""
-        offset = c - self.inner.part(r + 1)
-        return self.entries[r][offset]
-
-    def has_cell(self, r: int, c: int) -> bool:
-        return 0 <= r < len(self.outer) and self.inner.part(r + 1) <= c < self.outer.part(r + 1)
-
-    def cells(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Yield (row, column, labels) in row-major order, 0-based coordinates."""
-        for r, row in enumerate(self.entries):
-            start = self.inner.part(r + 1)
-            for offset, labels in enumerate(row):
-                yield r, start + offset, labels
-
-    def label_count(self) -> int:
-        """Total number of labels over all cells (counting set sizes)."""
-        return sum(len(labels) for _, _, labels in self.cells())
-
-    def is_empty(self) -> bool:
-        return all(not row for row in self.entries)
-
-
-def content(t: Tableau, n: int) -> ExponentVector:
-    """Multiplicity vector of labels 1..n over all cells of t."""
-    counts = [0] * n
-    for _, _, labels in t.cells():
-        for x in labels:
-            if x > n:
-                raise ValueError(f"label {x} exceeds ambient {n}")
-            counts[x - 1] += 1
-    return tuple(counts)
 
 
 def _entries(row_lengths: Sequence[int], cells: Sequence[tuple[int, ...]]) -> tuple:
@@ -317,50 +286,3 @@ def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
     for cells in fills:
         yield Tableau(outer=lam, inner=Partition(), entries=_entries(lam.parts, cells))
 
-
-# -- post-hoc validity predicates -------------------------------------------
-
-
-def is_valid_ssyt(t: Tableau, n: int) -> bool:
-    """Straight shape, singleton cells in 1..n, rows weak, columns strict."""
-    if len(t.inner) != 0:
-        return False
-    for r, c, labels in t.cells():
-        if len(labels) != 1 or not 1 <= labels[0] <= n:
-            return False
-        if c > 0 and t.cell(r, c - 1)[0] > labels[0]:
-            return False
-        if r > 0 and t.has_cell(r - 1, c) and t.cell(r - 1, c)[0] >= labels[0]:
-            return False
-    return True
-
-
-def is_valid_lenart(t: Tableau, lam: Partition, mu: Partition, n: int) -> bool:
-    """Skew shape mu/lam, strict rows and columns, row r capped at r-1."""
-    if t.outer != mu or t.inner != lam:
-        return False
-    for r, c, labels in t.cells():
-        if len(labels) != 1:
-            return False
-        v = labels[0]
-        if not 1 <= v <= min(n, r):  # r is 0-based, so the cap is (r+1)-1 = r
-            return False
-        if t.has_cell(r, c - 1) and c - 1 >= lam.part(r + 1) and t.cell(r, c - 1)[0] >= v:
-            return False
-        if r > 0 and t.has_cell(r - 1, c) and t.cell(r - 1, c)[0] >= v:
-            return False
-    return True
-
-
-def is_valid_set_valued(t: Tableau, n: int) -> bool:
-    """Straight shape, nonempty cells in 1..n, weak rows / strict columns on extremes."""
-    if len(t.inner) != 0:
-        return False
-    for r, c, labels in t.cells():
-        if not labels or labels[-1] > n:
-            return False
-        if c > 0 and t.cell(r, c - 1)[-1] > labels[0]:
-            return False
-        if r > 0 and t.has_cell(r - 1, c) and t.cell(r - 1, c)[-1] >= labels[0]:
-            return False
-    return True

@@ -359,8 +359,15 @@ class TestDeskSweepBattery:
         assert report["pairs"] == 3
         assert report["failures"] == report["pairs"]
 
-    @pytest.mark.parametrize("n_values", ["", ","])
+    @pytest.mark.parametrize("n_values", ["", ",", "2,2", "3,2,3"])
     def test_empty_sweep_is_a_usage_error(self, n_values):
+        # A repeated n would sweep its pairs twice; it is refused like an
+        # empty sweep, before any check runs.
+        reason = (
+            "--n-values repeats a variable count; name each n once"
+            if n_values.strip(",")
+            else "--n-values names no variable count; nothing to sweep"
+        )
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", n_values],
             capture_output=True,
@@ -370,9 +377,7 @@ class TestDeskSweepBattery:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: desk_sweep.py ")
-        assert proc.stderr.splitlines()[-1] == (
-            "desk_sweep.py: error: --n-values names no variable count; nothing to sweep"
-        )
+        assert proc.stderr.splitlines()[-1] == f"desk_sweep.py: error: {reason}"
 
 
 def interrupted():

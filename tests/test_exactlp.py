@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from grothsnp import convex_certificate, exactlp
+from grothsnp import exactlp
+from grothsnp.exactlp import convex_certificate
 
 
 def fraction_phase1(points, target):

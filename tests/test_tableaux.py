@@ -4,19 +4,12 @@ from itertools import combinations, product
 
 import pytest
 
-from grothsnp import (
-    Partition,
+from grothsnp import Partition, grothendieck_setvalued, partitions_in_box, schur_polynomial
+from grothsnp.tableaux import (
     Tableau,
-    content,
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
-    grothendieck_setvalued,
-    is_valid_lenart,
-    is_valid_set_valued,
-    is_valid_ssyt,
-    partitions_in_box,
-    schur_polynomial,
 )
 
 
@@ -75,8 +68,80 @@ def brute_force_fillings(row_lengths, labels, valid):
     return kept
 
 
+# Post-hoc validity predicates: the definitions of the three families,
+# checked cell by cell on a finished Tableau. They are the references the
+# brute-force order tests filter all label assignments with.
+
+
+def cells(t: Tableau):
+    """(row, column, labels) in row-major order, 0-based absolute coordinates."""
+    for r, row in enumerate(t.entries):
+        start = t.inner.part(r + 1)
+        for offset, labels in enumerate(row):
+            yield r, start + offset, labels
+
+
+def labels_at(t: Tableau, r: int, c: int):
+    """The labels at row r, absolute column c, or None outside the skew shape."""
+    if 0 <= r < len(t.outer) and t.inner.part(r + 1) <= c < t.outer.part(r + 1):
+        return t.entries[r][c - t.inner.part(r + 1)]
+    return None
+
+
+def is_valid_ssyt(t: Tableau, n: int) -> bool:
+    """Straight shape, singleton cells in 1..n, rows weak, columns strict."""
+    if len(t.inner) != 0:
+        return False
+    for r, c, labels in cells(t):
+        if len(labels) != 1 or not 1 <= labels[0] <= n:
+            return False
+        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        if left is not None and left[0] > labels[0]:
+            return False
+        if above is not None and above[0] >= labels[0]:
+            return False
+    return True
+
+
+def is_valid_lenart(t: Tableau, lam: Partition, mu: Partition, n: int) -> bool:
+    """Skew shape mu/lam, strict rows and columns, row r capped at r-1."""
+    if t.outer != mu or t.inner != lam:
+        return False
+    for r, c, labels in cells(t):
+        if len(labels) != 1:
+            return False
+        v = labels[0]
+        if not 1 <= v <= min(n, r):  # r is 0-based, so the cap is (r+1)-1 = r
+            return False
+        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        if left is not None and left[0] >= v:
+            return False
+        if above is not None and above[0] >= v:
+            return False
+    return True
+
+
+def is_valid_set_valued(t: Tableau, n: int) -> bool:
+    """Straight shape, nonempty cells in 1..n, weak rows / strict columns on extremes."""
+    if len(t.inner) != 0:
+        return False
+    for r, c, labels in cells(t):
+        if not labels or labels[-1] > n:
+            return False
+        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        if left is not None and left[-1] > labels[0]:
+            return False
+        if above is not None and above[-1] >= labels[0]:
+            return False
+    return True
+
+
 def flat(t: Tableau) -> tuple:
-    return tuple(labels for _, _, labels in t.cells())
+    return tuple(labels for row in t.entries for labels in row)
+
+
+def label_count(t: Tableau) -> int:
+    return sum(len(labels) for labels in flat(t))
 
 
 def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
@@ -92,7 +157,7 @@ class TestSsyt:
     def test_hook_shape_and_kostka(self):
         fills = list(enumerate_ssyt(Partition((2, 1)), 3))
         assert len(fills) == 8
-        standard = [t for t in fills if content(t, 3) == (1, 1, 1)]
+        standard = [t for t in fills if sorted(flat(t)) == [(1,), (2,), (3,)]]
         assert len(standard) == 2
 
     def test_tall_column_is_infeasible(self):
@@ -116,10 +181,10 @@ class TestSsyt:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_content_coefficients_are_kostka_numbers(self, n):
         for mu in partitions_in_box(3, 3):
-            poly = schur_polynomial(mu, n)
+            terms = dict(schur_polynomial(mu, n).items())
             for alpha in product(range(mu.size() + 1), repeat=n):
                 if sum(alpha) == mu.size():
-                    assert poly.coefficient(alpha) == kostka_oracle(mu.parts, alpha), (
+                    assert terms.get(alpha, 0) == kostka_oracle(mu.parts, alpha), (
                         mu.parts,
                         alpha,
                     )
@@ -148,7 +213,7 @@ class TestLenart:
             lam = Partition(parts)
             fills = list(enumerate_lenart_tableaux(lam, lam, 4))
             assert len(fills) == 1
-            assert fills[0].is_empty()
+            assert flat(fills[0]) == ()
 
     def test_row_one_can_never_grow(self):
         got = list(enumerate_lenart_tableaux(Partition((2,)), Partition((3,)), 3))
@@ -183,7 +248,7 @@ class TestLenart:
     def test_flag_bound_is_row_minus_one(self):
         # row 2 may only hold label 1; row 3 labels up to 2
         for t in enumerate_lenart_tableaux(Partition((3, 1)), Partition((3, 2, 2)), 3):
-            for r, _, labels in t.cells():
+            for r, _, labels in cells(t):
                 assert all(x <= r for x in labels)  # r is 0-based
 
 
@@ -196,7 +261,7 @@ class TestSetValued:
     def test_empty_shape(self):
         fills = list(enumerate_set_valued(Partition(()), 3))
         assert len(fills) == 1
-        assert fills[0].is_empty()
+        assert flat(fills[0]) == ()
 
     def test_vertical_domino_is_forced(self):
         fills = list(enumerate_set_valued(Partition((1, 1)), 2))
@@ -250,43 +315,22 @@ class TestSetValued:
         minimal = [
             t
             for t in enumerate_set_valued(lam, 3)
-            if t.label_count() == lam.size()
+            if label_count(t) == lam.size()
         ]
         assert len(minimal) == sum(1 for _ in enumerate_ssyt(lam, 3))
 
 
 class TestContent:
-    def test_single_labels(self):
-        t = Tableau(outer=Partition((1,)), inner=Partition(()), entries=(((1,),),))
-        assert content(t, 2) == (1, 0)
-
-    def test_set_cell(self):
-        t = Tableau(outer=Partition((1,)), inner=Partition(()), entries=(((1, 2),),))
-        assert content(t, 2) == (1, 1)
-
-    def test_label_above_n_is_an_error(self):
-        t = Tableau(outer=Partition((1,)), inner=Partition(()), entries=(((3,),),))
-        with pytest.raises(ValueError):
-            content(t, 2)
-
     def test_lenart_label_counts_match_added_boxes(self):
         lam, mu = Partition((3, 1)), Partition((3, 2, 1))
         for t in enumerate_lenart_tableaux(lam, mu, 3):
-            assert t.label_count() == mu.size() - lam.size() == 2
+            assert label_count(t) == mu.size() - lam.size() == 2
 
 
 class TestTableauType:
     def test_entries_must_fit_the_skew_shape(self):
         with pytest.raises(ValueError):
             Tableau(outer=Partition((2,)), inner=Partition(()), entries=(((1,),),))
-
-    def test_cells_iterate_row_major(self):
-        t = Tableau(
-            outer=Partition((2, 1)),
-            inner=Partition(()),
-            entries=(((1,), (1,)), ((2,),)),
-        )
-        assert [(r, c) for r, c, _ in t.cells()] == [(0, 0), (0, 1), (1, 0)]
 
     def test_empty_cells_rejected(self):
         with pytest.raises(ValueError):
