@@ -15,7 +15,8 @@ report is a single JSON document, one entry per (lambda, n) pair, with
 wall-clock timings and an overall verdict. Exit status is 0 if every check
 of every pair passed, 1 if a check failed (the report is still written), and
 2 on a usage error, an --out path that cannot be written (checked before
-sweeping and again on writing) or an interrupt (Ctrl-C).
+sweeping and again on writing), a stdout that cannot be written, or an
+interrupt (Ctrl-C), each reported on one stderr line.
 
 Example:
 
@@ -139,28 +140,27 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
 
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(argv)
-    if config.out is not None:
-        # Imported only here: loading the CLI module would slow every start-up.
-        from grothsnp.cli import out_path_error, refuse_out, write_out
+    # Imported after parsing, so that --help and usage errors stay fast.
+    from grothsnp.cli import out_path_error, refuse_out, write_out, write_stdout
 
+    if config.out is not None:
         reason = out_path_error(config.out)
         if reason is not None:
             return refuse_out(config.out, reason, "desk_sweep.py")
     try:
         report = sweep(config)
+        status = 0 if report["ok"] else 1
+        text = json.dumps(report, indent=2) + "\n"
+        if config.out is not None:
+            reason = write_out(config.out, text)
+            if reason is not None:
+                return refuse_out(config.out, reason, "desk_sweep.py")
+            summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
+            text = f"{report['pairs']} pairs swept, {summary}; report in {config.out}\n"
+        return write_stdout(text, "desk_sweep.py") or status
     except KeyboardInterrupt:
         print("desk_sweep.py: error: interrupted", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2) + "\n"
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        reason = write_out(config.out, text)
-        if reason is not None:
-            return refuse_out(config.out, reason, "desk_sweep.py")
-        summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
-        print(f"{report['pairs']} pairs swept, {summary}; report in {config.out}")
-    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ name, the number of lattice points, and the degree range, so downstream
 plotting can be driven from the manifest alone.
 
 Exit status is 0 on success, and 2 on a usage error, an --out-dir that
-cannot be created or written, or an interrupt (Ctrl-C), each reported on one
-stderr line.
+cannot be created or written, a stdout that cannot be written, or an
+interrupt (Ctrl-C), each reported on one stderr line.
 
 Example:
 
@@ -29,7 +29,7 @@ import os
 import sys
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.cli import RunConfig, run
+from grothsnp.cli import RunConfig, run, write_stdout
 
 
 def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
@@ -92,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
         return fail(f"cannot write {exc.filename}: {exc.strerror or exc}")
     except KeyboardInterrupt:
         return fail("interrupted")
-    print(f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}")
-    return 0
+    summary = f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}\n"
+    return write_stdout(summary, "export_figure_data.py") or 0
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ objects are assembled in fixed key order, point lists are sorted, and every
 verification command takes an explicit seed, so identical invocations produce
 byte-identical files. Exit codes: 0 success or verified, 1 verification
 failure (the report still goes to the output), 2 usage error, an --out path
-that cannot be written (checked before computing and again on writing), or an
-interrupt (Ctrl-C), each reported on one stderr line.
+that cannot be written (checked before computing and again on writing), a
+stdout that cannot be written (a full disk, a closed pipe), or an interrupt
+(Ctrl-C), each reported on one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -85,9 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--n", type=int, required=True, help="number of variables")
     common.add_argument("--out", default=None, metavar="PATH", help="output file")
-    common.add_argument(
-        "--jobs", type=int, default=1, metavar="K", help="worker processes"
-    )
 
     parser = argparse.ArgumentParser(
         prog="grothsnp",
@@ -114,6 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trials", type=int, default=1000, help="seeded trial count")
     verify.add_argument("--seed", type=int, default=0, help="random seed")
+    verify.add_argument(
+        "--jobs", type=int, default=1, metavar="K", help="worker processes"
+    )
     sub.add_parser("figure-data", parents=[common], help="lattice points as CSV")
     return parser
 
@@ -136,7 +138,7 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
             lam=args.lam,
             n=args.n,
             out=args.out,
-            jobs=args.jobs,
+            jobs=getattr(args, "jobs", 1),
             brute=getattr(args, "brute", False),
             checks=checks,
             trials=getattr(args, "trials", 1000),
@@ -278,6 +280,25 @@ def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
     return 2
 
 
+def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
+    """Write text to stdout and flush it; None on success. On failure, report
+    it on one stderr line and return exit status 2."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is still buffered goes to devnull, so the flush at exit is quiet.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        reason = exc.strerror or exc
+        print(f"{prog}: error: cannot write stdout: {reason}", file=sys.stderr)
+        return 2
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -291,11 +312,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         status, text = run(config)
         if config.out is None:
-            sys.stdout.write(text)
-        else:
-            reason = write_out(config.out, text)
-            if reason is not None:
-                return refuse_out(config.out, reason)
+            return write_stdout(text) or status
+        reason = write_out(config.out, text)
+        if reason is not None:
+            return refuse_out(config.out, reason)
     except KeyboardInterrupt:
         print("grothsnp: error: interrupted", file=sys.stderr)
         return 2

@@ -1,16 +1,17 @@
 """Partitions, dominance order, and exact majorization arithmetic.
 
 Everything here is an immutable value and every function is pure. The
-arithmetic is exact, with no floats and no tolerances. `majorizes` takes
-integers and ``fractions.Fraction`` values alike, so callers compare rational
-vectors as exact integer numerators over a common denominator: majorization
-does not change when both sides are scaled by the same positive integer.
+arithmetic is exact, with no floats and no tolerances. There is one prefix-sum
+order, `majorizes`; dominance of partitions is majorization of their parts.
+It takes integers and ``fractions.Fraction`` values alike, so callers compare
+rational vectors as integer numerators over a common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Sequence, Union
 
 ExponentVector = tuple[int, ...]
@@ -80,43 +81,26 @@ class Partition:
 
 
 def dominance_leq(theta: Partition, delta: Partition) -> bool:
-    """Prefix-sum comparison of equal-size partitions (dominance order)."""
+    """Dominance order on equal-size partitions: theta is below delta."""
     if theta.size() != delta.size():
         raise ValueError("dominance undefined across sizes")
-    width = max(len(theta), len(delta))
-    acc_t = acc_d = 0
-    for r in range(1, width + 1):
-        acc_t += theta.part(r)
-        acc_d += delta.part(r)
-        if acc_t > acc_d:
-            return False
-    return True
+    return majorizes(delta.parts, theta.parts)
 
 
-def _as_decreasing_entries(mu: Union[Partition, Sequence[Rational]]) -> tuple:
-    entries = mu.parts if isinstance(mu, Partition) else tuple(mu)
-    if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-        raise ValueError(f"majorization bound must be weakly decreasing: {entries}")
-    return entries
-
-
-def majorizes(mu: Union[Partition, Sequence[Rational]], v: Sequence[Rational]) -> bool:
+def majorizes(mu: Sequence[Rational], v: Sequence[Rational]) -> bool:
     """True iff v is majorized by mu (equal sums, dominated prefix sums).
 
-    mu must already be weakly decreasing; v may be in any order and is
-    compared through its decreasing rearrangement.
+    mu must be weakly decreasing; v, in any order, is compared through its
+    decreasing rearrangement, the shorter side padded with zeros.
     """
-    bound = _as_decreasing_entries(mu)
     if any(x < 0 for x in v):
         raise ValueError("majorization requires nonnegative entries")
-    if sum(v) != sum(bound):
+    if sum(v) != sum(mu):
         raise ValueError("majorization undefined across unequal sums")
-    arranged = sorted(v, reverse=True)
-    width = max(len(bound), len(arranged))
     acc_v = acc_m = 0
-    for i in range(width):
-        acc_v += arranged[i] if i < len(arranged) else 0
-        acc_m += bound[i] if i < len(bound) else 0
+    for x, m in zip_longest(sorted(v, reverse=True), mu, fillvalue=0):
+        acc_v += x
+        acc_m += m
         if acc_v > acc_m:
             return False
     return True

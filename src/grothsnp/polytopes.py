@@ -1,25 +1,22 @@
 """Permutahedra, Rado containment, and saturation checks for Newton polytopes.
 
-Everything here is lattice-exact. Hull membership is decided by rational
-linear feasibility, lattice points of a permutahedron come from the
-majorization description of its integer points, and the two saturation
-routes (geometry sweep versus the degreewise permutahedron comparison) are
-kept independent so they can audit each other.
+Everything here is lattice-exact. By Rado's theorem the lattice points of a
+permutahedron are the orbits of the dominant weights below its own weight in
+dominance order, and its vertices are the orbit of that weight. Hull
+membership is decided by rational linear feasibility instead, so the two
+saturation routes (geometry sweep versus degreewise permutahedra) stay
+independent and can audit each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import product
+from typing import Iterator
 
 from .exactlp import convex_certificate
 from .grothendieck import grothendieck_lenart, mu_chain
-from .partitions import (
-    ExponentVector,
-    Partition,
-    dominance_leq,
-    majorizes,
-)
+from .partitions import ExponentVector, Partition, dominance_leq, partitions_of_size
 from .polynomials import SparsePolynomial
 
 
@@ -65,31 +62,38 @@ class PointCloud:
             raise ValueError("all points must have the cloud's dimension")
 
 
+def _orbit(weight: tuple[int, ...]) -> Iterator[ExponentVector]:
+    """Each distinct rearrangement of weight once, by next-permutation steps."""
+    v = sorted(weight)
+    while True:
+        yield tuple(v)
+        i = len(v) - 2
+        while i >= 0 and v[i] >= v[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(v) - 1
+        while v[j] <= v[i]:
+            j -= 1
+        v[i], v[j] = v[j], v[i]
+        v[i + 1 :] = reversed(v[i + 1 :])
+
+
 def permutahedron_vertices(p: Permutahedron) -> set[ExponentVector]:
     """The orbit of the weight under all coordinate permutations."""
-    return set(permutations(p.weight))
+    return set(_orbit(p.weight))
 
 
 def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
-    """Integer points: nonnegative vectors of the right total majorized by
-    the weight (Rado's description applied to one-point orbits).
-    """
-    total = sum(p.weight)
-    cap = p.weight[0] if p.n else 0
-    out: set[ExponentVector] = set()
-
-    def sweep(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if i == p.n:
-            if remaining == 0 and majorizes(p.weight, prefix):
-                out.add(prefix)
-            return
-        tail = p.n - i - 1
-        lo = max(0, remaining - cap * tail)
-        for x in range(lo, min(cap, remaining) + 1):
-            sweep(i + 1, remaining - x, prefix + (x,))
-
-    sweep(0, total, ())
-    return out
+    """Integer points by Rado's theorem: the orbits of the partitions with at
+    most n rows that the weight dominates (so no part exceeds its first)."""
+    weight = Partition(p.weight)
+    return {
+        point
+        for nu in partitions_of_size(weight.size(), p.n, max(p.weight, default=0))
+        if dominance_leq(nu, weight)
+        for point in _orbit(nu.padded(p.n))
+    }
 
 
 def rado_contains(theta: Partition, delta: Partition) -> bool:
@@ -136,23 +140,14 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     if not support:
         raise ValueError("zero polynomial has no Newton polytope")
     cloud = PointCloud(f.n, frozenset(support))
-    los = [min(pt[i] for pt in support) for i in range(f.n)]
-    his = [max(pt[i] for pt in support) for i in range(f.n)]
     hull_points: set[ExponentVector] = set()
     violations: list[ExponentVector] = []
-
-    def sweep(i: int, prefix: tuple[int, ...]) -> None:
-        if i == f.n:
-            if prefix in cloud.points:
-                hull_points.add(prefix)
-            elif hull_membership(prefix, cloud):
-                hull_points.add(prefix)
-                violations.append(prefix)
-            return
-        for x in range(los[i], his[i] + 1):
-            sweep(i + 1, prefix + (x,))
-
-    sweep(0, ())
+    for point in product(*(range(min(c), max(c) + 1) for c in zip(*support))):
+        if point in cloud.points:
+            hull_points.add(point)
+        elif hull_membership(point, cloud):
+            hull_points.add(point)
+            violations.append(point)
     if violations:
         first = min(violations)
         return SnpVerdict(

@@ -1,6 +1,8 @@
 """Command-line surface: golden outputs, exit codes, determinism."""
 
+import errno
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -239,6 +241,12 @@ class TestUsageErrors:
             main(["frobnicate", "--n", "2"])
         assert err.value.code == 2
 
+    def test_jobs_belongs_to_verify(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["groth", "--lambda", "2,1", "--n", "2", "--jobs", "2"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: grothsnp ")
+
 
 class TestOutputFile:
     def test_out_writes_the_same_bytes(self, capsys, tmp_path):
@@ -319,6 +327,85 @@ class TestUnwritableOut:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"export_figure_data.py: error: cannot write {target}: ")
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose every write fails with one OSError."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+STDOUT_FAILURES = [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+]
+
+
+class TestUnwritableStdout:
+    @pytest.mark.parametrize("exc", STDOUT_FAILURES)
+    def test_cli_exits_two_with_one_line(self, capsys, monkeypatch, exc):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+        status = main(["verify", "--lambda", "2,1", "--n", "3", "--trials", "5"])
+        assert status == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grothsnp: error: cannot write stdout: {exc.strerror}"
+        ]
+
+    @pytest.mark.parametrize("exc", STDOUT_FAILURES)
+    def test_desk_sweep_exits_two_with_one_line(self, capsys, monkeypatch, exc):
+        desk_sweep = load_desk_sweep(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+        status = desk_sweep.main(
+            ["--max-part", "1", "--max-rows", "1", "--n-values", "2", "--trials", "5"]
+        )
+        assert status == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"desk_sweep.py: error: cannot write stdout: {exc.strerror}"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            (["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3",
+              "--trials", "5"],
+             "grothsnp"),
+            ([str(ROOT / "scripts" / "desk_sweep.py"), "--max-part", "1",
+              "--max-rows", "1", "--n-values", "2", "--trials", "5"],
+             "desk_sweep.py"),
+            ([str(ROOT / "scripts" / "export_figure_data.py"), "--n", "2",
+              "--max-part", "1", "--out-dir"],
+             "export_figure_data.py"),
+        ],
+    )
+    def test_closed_pipe_prints_no_second_line(self, tmp_path, argv, prog):
+        # The interpreter flushes stdout once more at exit; that flush must
+        # neither print "Exception ignored" nor change the exit status. Stdout
+        # stays buffered, as by default, so the failed text is still pending.
+        if argv[-1] == "--out-dir":
+            argv = [*argv, str(tmp_path)]
+        env = env_with_src()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"{prog}: error: cannot write stdout: {os.strerror(errno.EPIPE)}"
+        ]
 
 
 def load_desk_sweep(monkeypatch):

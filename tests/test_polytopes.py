@@ -3,7 +3,7 @@
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grothsnp import (
     Partition,
@@ -22,10 +22,51 @@ from grothsnp import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
+from grothsnp.partitions import majorizes
 
 
 def perm_of(parts, n):
     return Permutahedron.of_partition(Partition(parts), n)
+
+
+def lattice_points_by_sweep(weight):
+    """Reference: sweep every composition of the weight's total with parts at
+    most its largest part, keeping those the weight majorizes."""
+    n = len(weight)
+    total = sum(weight)
+    cap = weight[0] if n else 0
+    out = set()
+
+    def sweep(i, remaining, prefix):
+        if i == n:
+            if remaining == 0 and majorizes(weight, prefix):
+                out.add(prefix)
+            return
+        tail = n - i - 1
+        lo = max(0, remaining - cap * tail)
+        for x in range(lo, min(cap, remaining) + 1):
+            sweep(i + 1, remaining - x, prefix + (x,))
+
+    sweep(0, total, ())
+    return out
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=7).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    )
+)
+@example((4, 4, 2, 2, 0, 0, 0))
+@example((1, 1, 1, 1, 1, 1, 1))
+@example(())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_orbits_match_the_references(weight):
+    """Lattice points as orbits of dominated partitions equal the composition
+    sweep with `majorizes`; vertices as the orbit of the weight equal the set
+    of all its orderings. Weights repeat parts and end in zeros."""
+    perm = Permutahedron(weight=weight, n=len(weight))
+    assert permutahedron_lattice_points(perm) == lattice_points_by_sweep(weight)
+    assert permutahedron_vertices(perm) == set(permutations(weight))
 
 
 class TestPermutahedron:
