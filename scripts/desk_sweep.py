@@ -3,12 +3,14 @@
 For each partition lambda with at most --max-rows rows and parts at most
 --max-part, and for each variable count in --n-values, this runs the full
 desk-scale battery: the two tableau models are compared coefficient by
-coefficient, the Newton polytope of every homogeneous component is checked
-against the predicted permutahedron, the support-dominance and chain-cover
-claims are tested, the randomized interior-point and vertex-decomposition
-claims are sampled, the prefix-sum lemmas are exercised on random convex
-weights, and (for n at most 3) the convex hull of the full support is
-rebuilt by brute force and compared against the union of chain polytopes.
+coefficient at every dominant content (a weakly decreasing exponent, which
+fixes its whole orbit since both models are symmetric), the Newton polytope
+of every homogeneous component is checked against the predicted
+permutahedron, the support-dominance and chain-cover claims are tested,
+the randomized interior-point and vertex-decomposition claims are sampled,
+the prefix-sum lemmas are exercised on random convex weights, and (for n at
+most 3) the convex hull of the full support is rebuilt by brute force and
+compared against the union of chain polytopes.
 
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
@@ -26,7 +28,6 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -104,7 +105,7 @@ def sweep(config: SweepConfig) -> dict:
 
 
 def parse_args(argv: list[str] | None = None) -> SweepConfig:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = battery.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-part", type=int, default=3,
                         help="largest allowed part (default 3)")
     parser.add_argument("--max-rows", type=int, default=3,
@@ -141,7 +142,7 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
 def main(argv: list[str] | None = None) -> int:
     config = parse_args(argv)
     # Imported after parsing, so that --help and usage errors stay fast.
-    from grothsnp.cli import out_path_error, refuse_out, write_out, write_stdout
+    from grothsnp.cli import out_path_error, refuse_out, write_out
 
     if config.out is not None:
         reason = out_path_error(config.out)
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                 return refuse_out(config.out, reason, "desk_sweep.py")
             summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
             text = f"{report['pairs']} pairs swept, {summary}; report in {config.out}\n"
-        return write_stdout(text, "desk_sweep.py") or status
+        return battery.write_stdout(text, "desk_sweep.py") or status
     except KeyboardInterrupt:
         print("desk_sweep.py: error: interrupted", file=sys.stderr)
         return 2

@@ -23,13 +23,13 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.cli import RunConfig, run, write_stdout
+from grothsnp.battery import ArgumentParser, write_stdout
+from grothsnp.cli import RunConfig, run
 
 
 def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
@@ -61,7 +61,7 @@ def fail(message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=3, choices=(2, 3),
                         help="number of variables, 2 or 3 (default 3)")
     parser.add_argument("--max-part", type=int, default=3,

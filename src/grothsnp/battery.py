@@ -4,12 +4,25 @@ Each check takes one (name, lambda parts, n, trials, seed) task and returns
 one record `{"name", "ok", "detail"}`. Tasks are plain tuples and the records
 plain dicts, so both travel through a worker pool unchanged, and the report
 lists them in the order the tasks were given.
+
+The cross-oracle and component-snp checks read G_lambda at dominant contents
+only. cross-oracle compares the dominant coefficients of the two tableau
+models, which decides equality of the full polynomials because both are
+symmetric; a test pins that symmetry against the full monomial expansions.
+
+The module also holds the stdout contract of every entry point (write_stdout
+and the ArgumentParser that routes --help through it). The scripts load it
+before they parse their arguments, so the contract costs them no import.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import multiprocessing
+import os
 import signal
+import sys
 from typing import Callable, Sequence
 
 from .grothendieck import (
@@ -18,7 +31,8 @@ from .grothendieck import (
     check_claim_c,
     check_lemmas_random,
     grothendieck_lenart,
-    grothendieck_setvalued,
+    grothendieck_lenart_dominant,
+    grothendieck_setvalued_dominant,
     mu_chain,
 )
 from .partitions import Partition
@@ -52,7 +66,9 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
     name, parts, n, trials, seed = task
     lam = Partition(parts)
     if name == "cross-oracle":
-        same = grothendieck_lenart(lam, n) == grothendieck_setvalued(lam, n)
+        same = grothendieck_lenart_dominant(lam, n) == grothendieck_setvalued_dominant(
+            lam, n
+        )
         return {
             "name": name,
             "ok": same,
@@ -102,3 +118,37 @@ def map_jobs(fn: Callable, tasks: Sequence, jobs: int) -> list:
         ) as pool:
             return pool.map(fn, tasks)
     return [fn(task) for task in tasks]
+
+
+def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
+    """Write text to stdout and flush it; None on success. On failure, report
+    it on one stderr line and return exit status 2."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is still buffered goes to devnull, so the flush at exit is quiet.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        reason = exc.strerror or exc
+        print(f"{prog}: error: cannot write stdout: {reason}", file=sys.stderr)
+        return 2
+    return None
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose help text on stdout goes through write_stdout:
+    a stdout that cannot take it exits 2 after one stderr line, where plain
+    argparse drops the text and exits 0, or exits 120 when the interpreter
+    fails to flush it at exit. Subparsers inherit the class."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            super().print_help(file)
+            return
+        status = write_stdout(self.format_help(), self.prog.split()[0])
+        if status is not None:
+            self.exit(status)

@@ -13,7 +13,6 @@ stdout that cannot be written (a full disk, a closed pipe), or an interrupt
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, required=True, help="number of variables")
     common.add_argument("--out", default=None, metavar="PATH", help="output file")
 
-    parser = argparse.ArgumentParser(
+    parser = battery.ArgumentParser(
         prog="grothsnp",
         description="Symmetric Grothendieck polynomials and their Newton polytopes",
     )
@@ -280,25 +279,6 @@ def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
     return 2
 
 
-def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
-    """Write text to stdout and flush it; None on success. On failure, report
-    it on one stderr line and return exit status 2."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        # What is still buffered goes to devnull, so the flush at exit is quiet.
-        with contextlib.suppress(OSError, ValueError):
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        reason = exc.strerror or exc
-        print(f"{prog}: error: cannot write stdout: {reason}", file=sys.stderr)
-        return 2
-    return None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -312,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         status, text = run(config)
         if config.out is None:
-            return write_stdout(text) or status
+            return battery.write_stdout(text) or status
         reason = write_out(config.out, text)
         if reason is not None:
             return refuse_out(config.out, reason)

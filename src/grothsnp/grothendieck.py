@@ -4,7 +4,10 @@ box-adding partition chain and the majorization checks built on it.
 The Schur-basis route expands G through signed counts of flagged strictly
 increasing skew tableaux; the set-valued route sums signed monomials over
 set-valued semistandard tableaux. The two must agree exactly, which is the
-suite's strongest oracle.
+suite's strongest oracle. Since G is symmetric, the verification battery
+compares them at dominant contents only, where each route has a branching
+count of its own; the full monomial expansions serve `groth`, the brute-force
+geometry and the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from .partitions import (
     majorizes,
 )
 from .polynomials import SparsePolynomial
-from .tableaux import count_lenart_tableaux, set_valued_contents, ssyt_contents
+from .tableaux import (
+    count_lenart_tableaux,
+    set_valued_contents,
+    set_valued_dominant_contents,
+    ssyt_contents,
+    ssyt_dominant_contents,
+)
 
 
 @dataclass(frozen=True)
@@ -196,11 +205,38 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial as the signed series over set-valued tableaux.
 
     A tableau with m labels in total contributes (-1)^(m - |lam|) times its
-    content monomial.
+    content monomial. This full expansion is the tests' reference for the
+    set-valued dominant terms; the package itself reads those only.
     """
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
     return SparsePolynomial(n, set_valued_contents(lam, n))
+
+
+# -- dominant terms -------------------------------------------------------------
+#
+# G_lambda is symmetric, so its terms at weakly decreasing exponents (dominant
+# contents) fix all others. Each model computes them by its own technique; the
+# two share no code.
+
+
+@lru_cache(maxsize=None)
+def grothendieck_lenart_dominant(lam: Partition, n: int) -> SparsePolynomial:
+    """The terms of grothendieck_lenart(lam, n) at weakly decreasing exponents:
+    sum_mu c_mu K_{mu,nu} over the Schur expansion."""
+    acc: dict[tuple[int, ...], int] = {}
+    for mu, coeff in schur_expansion(lam, n).terms:
+        for nu, count in ssyt_dominant_contents(mu, n).items():
+            acc[nu] = acc.get(nu, 0) + coeff * count
+    return SparsePolynomial(n, acc)
+
+
+def grothendieck_setvalued_dominant(lam: Partition, n: int) -> SparsePolynomial:
+    """The terms of grothendieck_setvalued(lam, n) at weakly decreasing
+    exponents, by label-by-label branching."""
+    if len(lam) > n:
+        raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
+    return SparsePolynomial(n, set_valued_dominant_contents(lam, n))
 
 
 # -- the greedy chain ---------------------------------------------------------

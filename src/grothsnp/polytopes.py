@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator
 
 from .exactlp import convex_certificate
-from .grothendieck import grothendieck_lenart, mu_chain
+from .grothendieck import grothendieck_lenart_dominant, mu_chain
 from .partitions import ExponentVector, Partition, dominance_leq, partitions_of_size
 from .polynomials import SparsePolynomial
 
@@ -84,16 +84,21 @@ def permutahedron_vertices(p: Permutahedron) -> set[ExponentVector]:
     return set(_orbit(p.weight))
 
 
-def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
-    """Integer points by Rado's theorem: the orbits of the partitions with at
-    most n rows that the weight dominates (so no part exceeds its first)."""
+def _dominated(p: Permutahedron) -> set[ExponentVector]:
+    """The partitions with at most n rows that the weight dominates (so no
+    part exceeds its first), padded to n coordinates."""
     weight = Partition(p.weight)
     return {
-        point
+        nu.padded(p.n)
         for nu in partitions_of_size(weight.size(), p.n, max(p.weight, default=0))
         if dominance_leq(nu, weight)
-        for point in _orbit(nu.padded(p.n))
     }
+
+
+def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
+    """Integer points by Rado's theorem: the orbits of the partitions with at
+    most n rows that the weight dominates."""
+    return {point for nu in _dominated(p) for point in _orbit(nu)}
 
 
 def rado_contains(theta: Partition, delta: Partition) -> bool:
@@ -165,13 +170,17 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     The polynomial has saturated Newton polytope, equal to the union of the
     chain permutahedra, exactly when the support of each homogeneous
     component matches the lattice points of the matching permutahedron and
-    no stray degrees occur.
+    no stray degrees occur. Both sides are unions of orbits, the support by
+    symmetry and the lattice points by Rado's theorem, so the check compares
+    the dominant terms in degree |lam|+k with the partitions below mu^(k). A
+    mismatch is reported at the least point of the full symmetric difference,
+    the least ascending rearrangement of a dominant mismatch.
     """
-    poly = grothendieck_lenart(lam, n)
+    dominant = grothendieck_lenart_dominant(lam, n)
     chain = mu_chain(lam, n)
     base = lam.size()
     expected_degrees = {base + k for k in range(chain.length + 1)}
-    seen_degrees = set(poly.degrees())
+    seen_degrees = set(dominant.degrees())
     if seen_degrees != expected_degrees:
         stray = sorted(seen_degrees.symmetric_difference(expected_degrees))
         return SnpVerdict(
@@ -181,10 +190,10 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     components = []
     for k, mu in enumerate(chain.mus):
         perm = Permutahedron.of_partition(mu, n)
-        points = permutahedron_lattice_points(perm)
-        supp = poly.homogeneous_component(base + k).support()
+        points = _dominated(perm)
+        supp = dominant.homogeneous_component(base + k).support()
         if supp != points:
-            first = min(points.symmetric_difference(supp))
+            first = min(tuple(sorted(nu)) for nu in points.symmetric_difference(supp))
             return SnpVerdict(
                 is_snp=False,
                 violation=first,

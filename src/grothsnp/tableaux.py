@@ -1,21 +1,34 @@
 """Backtracking fills of the three tableau families used downstream:
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
-set-valued semistandard tableaux.
+set-valued semistandard tableaux, plus two branching counts that fill no cell.
 
 Each family has one backtracking fill. It fills cells in row-major order,
 tries labels in increasing order and keeps the content of the partial filling
 in a per-label count list, so the order of fillings is deterministic, and it
 places only labels that keep the filling valid, so every leaf is a tableau of
-the family. The polynomial models use the counting functions (ssyt_contents,
-count_lenart_tableaux, set_valued_contents), which tally contents at the
-leaves without building a Tableau. The enumerate_* generators are views over
-the same fills that yield each filling as a Tableau; nothing in the package
-calls them, and perfbench/tracing.py wraps them by name.
+the family. The counting functions (ssyt_contents, count_lenart_tableaux,
+set_valued_contents) tally contents at the leaves without building a Tableau;
+the Schur expansion counts Lenart fillings, and the full monomial expansions
+of both models count SSYT and set-valued fillings.
+
+The verification battery reads the two models at weakly decreasing contents
+only, each by its own branching count: ssyt_dominant_contents counts
+Gelfand-Tsetlin patterns (the Kostka numbers of the Lenart side), and
+set_valued_dominant_contents adds one label at a time (the set-valued side).
+Both polynomials are symmetric, so these coefficients fix all others; the
+cross-oracle check thus compares dominant coefficients, and a test pins the
+symmetry and the restriction against the full fills. The enumerate_*
+generators are views over the fills that yield each filling as a Tableau;
+nothing in the package calls them, and perfbench/tracing.py wraps them by
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .partitions import ExponentVector, Partition
@@ -115,6 +128,34 @@ def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
         acc[key] = acc.get(key, 0) + 1
 
     _fill_ssyt(lam, n, leaf)
+    return acc
+
+
+def ssyt_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
+    """The Kostka numbers K_{lam,nu}: the values of ssyt_contents(lam, n) at
+    weakly decreasing contents nu. The dict is cached; do not change it."""
+    return _gelfand_tsetlin(lam.padded(n))
+
+
+@lru_cache(maxsize=None)
+def _gelfand_tsetlin(row: tuple[int, ...]) -> dict[ExponentVector, int]:
+    """Gelfand-Tsetlin patterns with top row `row`, per weakly decreasing
+    content: each lower row interlaces the one above it, and row k of the
+    pattern is the shape filled by the labels 1..k, so label k occurs
+    sum(row k) - sum(row k-1) times. The cache on rows is shared by every
+    shape, since the rows below one top row are the shapes inside it.
+    """
+    if not row:
+        return {(): 1}
+    total = sum(row)
+    acc: dict[ExponentVector, int] = {}
+    for below in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
+        last = total - sum(below)
+        for prefix, count in _gelfand_tsetlin(below).items():
+            if prefix and prefix[-1] < last:
+                continue
+            key = prefix + (last,)
+            acc[key] = acc.get(key, 0) + count
     return acc
 
 
@@ -271,6 +312,54 @@ def set_valued_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
 
     _fill_set_valued(lam, n, leaf)
     return acc
+
+
+def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
+    """The values of set_valued_contents(lam, n) at weakly decreasing contents,
+    by label-by-label branching (Buch 2002), without filling a single cell.
+
+    Label i enters a filling of shape mu in 1..i-1 as the only label of the
+    cells of a horizontal strip grown/mu, and as an extra label in any j of
+    the e cells that end a row of mu with no cell of grown below them. So
+    each (mu, content prefix) passes (-1)^j C(e, j) times its count to
+    (grown, prefix + (|grown/mu| + j,)). Only prefixes that weakly decrease
+    are kept, and only shapes inside lam that the labels still to come can
+    complete to lam; after label n, the prefixes at shape lam are the
+    dominant contents.
+    """
+    target = lam.parts
+    rows = len(target)
+    layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {(0,) * rows: {(): 1}}
+    for left in reversed(range(n)):
+        grown_layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
+        for mu, prefixes in layer.items():
+            size = sum(mu)
+            bounds = [
+                range(mu[r], min(target[r], mu[r - 1] if r else target[0]) + 1)
+                for r in range(rows)
+            ]
+            for grown in product(*bounds):
+                # Each label still to come adds at most one cell per column.
+                if any(target[r + left] > grown[r] for r in range(rows - left)):
+                    continue
+                added = sum(grown) - size
+                ends = sum(
+                    1 for r in range(rows)
+                    if mu[r] and (r + 1 == rows or grown[r + 1] < mu[r])
+                )
+                signs = [(-1) ** j * comb(ends, j) for j in range(ends + 1)]
+                acc = grown_layer.setdefault(grown, {})
+                for prefix, count in prefixes.items():
+                    cap = prefix[-1] if prefix else lam.part(1)
+                    for j in range(min(ends, cap - added) + 1):
+                        key = prefix + (added + j,)
+                        acc[key] = acc.get(key, 0) + signs[j] * count
+        layer = {}
+        for grown, acc in grown_layer.items():
+            kept = {prefix: count for prefix, count in acc.items() if count}
+            if kept:
+                layer[grown] = kept
+    return layer.get(target, {})
 
 
 def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:

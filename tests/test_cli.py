@@ -407,6 +407,52 @@ class TestUnwritableStdout:
             f"{prog}: error: cannot write stdout: {os.strerror(errno.EPIPE)}"
         ]
 
+    @pytest.mark.parametrize("exc", STDOUT_FAILURES)
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_cli_help_exits_two_with_one_line(self, capsys, monkeypatch, exc, argv):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"grothsnp: error: cannot write stdout: {exc.strerror}"
+        ]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            (["-m", "grothsnp", "--help"], "grothsnp"),
+            (["-m", "grothsnp", "verify", "--help"], "grothsnp"),
+            ([str(ROOT / "scripts" / "desk_sweep.py"), "--help"], "desk_sweep.py"),
+            ([str(ROOT / "scripts" / "export_figure_data.py"), "--help"],
+             "export_figure_data.py"),
+        ],
+    )
+    def test_help_on_a_closed_pipe(self, argv, prog, unbuffered):
+        # Buffered, argparse's help text is still pending at exit; unbuffered,
+        # its write fails at once, which argparse alone would swallow.
+        env = env_with_src()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"{prog}: error: cannot write stdout: {os.strerror(errno.EPIPE)}"
+        ]
+
 
 def load_desk_sweep(monkeypatch):
     spec = importlib.util.spec_from_file_location(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,14 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
-from grothsnp import grothendieck
+from grothsnp import battery, grothendieck
 from grothsnp.grothendieck import (
     _claim_b_mix,
     _mix,
     _prefix_sum_checker,
     _weights_with_integer_moment,
+    grothendieck_lenart_dominant,
+    grothendieck_setvalued_dominant,
     lenart_coefficient,
 )
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
@@ -156,6 +159,81 @@ def test_schur_assembly_matches_set_valued(case):
         scaled = {w: coeff * c for w, c in schur_polynomial(mu, n).items()}
         assembled = assembled + SparsePolynomial(n, scaled)
     assert assembled == grothendieck_setvalued(lam, n)
+
+
+def weakly_decreasing(exp) -> bool:
+    return all(a >= b for a, b in zip(exp, exp[1:]))
+
+
+def orbit_expansion(dominant: SparsePolynomial) -> SparsePolynomial:
+    """The symmetric polynomial whose dominant terms are `dominant`."""
+    return SparsePolynomial(
+        dominant.n,
+        {point: coeff for exp, coeff in dominant.items() for point in permutations(exp)},
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=0, max_value=4), max_size=n),
+            st.just(n),
+        )
+    )
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_dominant_terms_fix_both_models(case):
+    """Each model is symmetric in full, its full expansion restricted to
+    weakly decreasing exponents is its dominant kernel's output, and the
+    orbits of those terms rebuild the full expansion. This pins the symmetry
+    that the cross-oracle and component-snp checks rely on."""
+    parts, n = case
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    for full, dominant in (
+        (grothendieck_lenart(lam, n), grothendieck_lenart_dominant(lam, n)),
+        (grothendieck_setvalued(lam, n), grothendieck_setvalued_dominant(lam, n)),
+    ):
+        assert full.is_symmetric()
+        restricted = {exp: c for exp, c in full.items() if weakly_decreasing(exp)}
+        assert SparsePolynomial(n, restricted) == dominant
+        assert orbit_expansion(dominant) == full
+
+
+class TestDominantTerms:
+    @pytest.mark.parametrize("parts, n", [((4, 2), 6), ((3, 2, 1), 6), ((4, 2, 1), 7)])
+    def test_the_two_kernels_agree(self, parts, n):
+        lam = Partition(parts)
+        lenart = grothendieck_lenart_dominant(lam, n)
+        assert lenart == grothendieck_setvalued_dominant(lam, n)
+        assert all(weakly_decreasing(exp) for exp, _ in lenart.items())
+        assert lenart.degrees()[-1] == lam.size() + mu_chain(lam, n).length
+
+    def test_one_box_two_variables(self):
+        expected = SparsePolynomial(2, {(1, 0): 1, (1, 1): -1})
+        assert grothendieck_lenart_dominant(Partition((1,)), 2) == expected
+        assert grothendieck_setvalued_dominant(Partition((1,)), 2) == expected
+
+    def test_rows_beyond_n_error(self):
+        with pytest.raises(ValueError):
+            grothendieck_lenart_dominant(Partition((1, 1, 1)), 2)
+        with pytest.raises(ValueError):
+            grothendieck_setvalued_dominant(Partition((1, 1, 1)), 2)
+
+    def test_cross_oracle_reports_a_disagreement(self, monkeypatch):
+        lam = Partition((2, 1))
+        terms = dict(grothendieck_setvalued_dominant(lam, 3).items())
+        terms[(1, 1, 1)] += 1
+        monkeypatch.setattr(
+            battery,
+            "grothendieck_setvalued_dominant",
+            lambda lam, n: SparsePolynomial(n, terms),
+        )
+        record = battery.run_check(("cross-oracle", lam.parts, 3, 1, 0))
+        assert record == {
+            "name": "cross-oracle",
+            "ok": False,
+            "detail": "tableau models disagree",
+        }
 
 
 class TestMuChain:

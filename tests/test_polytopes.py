@@ -22,6 +22,8 @@ from grothsnp import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
+from grothsnp import polytopes
+from grothsnp.grothendieck import grothendieck_lenart_dominant
 from grothsnp.partitions import majorizes
 
 
@@ -244,6 +246,59 @@ class TestFastRoute:
                     union |= permutahedron_lattice_points(p)
                 assert brute.hull_lattice_points == frozenset(union)
 
+
+
+def full_route(poly, lam, n):
+    """(violation, detail) of the degreewise check run on the full monomial
+    support: each homogeneous component against all lattice points of its
+    chain permutahedron."""
+    chain = mu_chain(lam, n)
+    base = lam.size()
+    expected_degrees = {base + k for k in range(chain.length + 1)}
+    seen_degrees = set(poly.degrees())
+    if seen_degrees != expected_degrees:
+        stray = sorted(seen_degrees.symmetric_difference(expected_degrees))
+        return None, f"degree set mismatch at degrees {stray}"
+    for k, mu in enumerate(chain.mus):
+        points = permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
+        supp = poly.homogeneous_component(base + k).support()
+        if supp != points:
+            first = min(points.symmetric_difference(supp))
+            return first, f"support/polytope mismatch in degree {base + k} at {first}"
+    return None, ""
+
+
+def broken_cases():
+    """(lam, n, dominant exponent, new coefficient): every dominant term of a
+    few small cases set to zero, and stray terms added inside and outside the
+    degree range."""
+    for parts, n in [((3, 1), 3), ((2, 2, 1), 4), ((2, 1), 4)]:
+        lam = Partition(parts)
+        for exp, _ in grothendieck_lenart_dominant(lam, n).items():
+            yield lam, n, exp, 0
+    yield Partition((2, 1)), 3, (4, 0, 0), 1
+    yield Partition((2, 1)), 3, (5, 3, 0), -1
+
+
+@pytest.mark.parametrize("lam, n, exp, coeff", list(broken_cases()))
+def test_fast_route_failures_match_the_full_route(monkeypatch, lam, n, exp, coeff):
+    """A dominant coefficient changed in the Lenart kernel makes the fast
+    check fail with the violation and detail that the full-support check
+    gives on the polynomial with the whole orbit changed."""
+    dominant = dict(grothendieck_lenart_dominant(lam, n).items())
+    dominant[exp] = coeff
+    monkeypatch.setattr(
+        polytopes,
+        "grothendieck_lenart_dominant",
+        lambda lam, n: SparsePolynomial(n, dominant),
+    )
+    full = dict(grothendieck_lenart(lam, n).items())
+    for point in permutations(exp):
+        full[point] = coeff
+    violation, detail = full_route(SparsePolynomial(n, full), lam, n)
+    verdict = snp_check_symmetric_fast(lam, n)
+    assert not verdict.is_snp
+    assert (verdict.violation, verdict.detail) == (violation, detail)
 
 
 @given(
