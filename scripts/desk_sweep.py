@@ -18,7 +18,8 @@ wall-clock timings and an overall verdict. Exit status is 0 if every check
 of every pair passed, 1 if a check failed (the report is still written), and
 2 on a usage error, an --out path that cannot be written (checked before
 sweeping and again on writing), a stdout that cannot be written, or an
-interrupt (Ctrl-C), each reported on one stderr line.
+interrupt (Ctrl-C), each reported on one stderr line by the helpers of
+grothsnp.battery, which also runs the checks.
 
 Example:
 
@@ -28,38 +29,11 @@ Example:
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 import time
-from dataclasses import dataclass
 
 from grothsnp import battery, partitions_in_box
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    max_part: int
-    max_rows: int
-    n_values: tuple[int, ...]
-    trials: int
-    seed: int
-    jobs: int
-    out: str | None
-
-    def __post_init__(self) -> None:
-        if self.max_part < 0 or self.max_rows < 0:
-            raise ValueError("box dimensions must be nonnegative")
-        # The box always holds the empty partition, so each n gives a pair.
-        if not self.n_values:
-            raise ValueError("--n-values names no variable count; nothing to sweep")
-        if len(set(self.n_values)) < len(self.n_values):
-            raise ValueError("--n-values repeats a variable count; name each n once")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError("every n must be a positive integer")
-        if self.trials < 1:
-            raise ValueError("trials must be a positive integer")
-        if self.jobs < 1:
-            raise ValueError("jobs must be a positive integer")
 
 
 def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
@@ -79,23 +53,23 @@ def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
     }
 
 
-def sweep(config: SweepConfig) -> dict:
+def sweep(args: argparse.Namespace) -> dict:
     tasks = [
-        (lam.parts, n, config.trials, config.seed)
-        for n in config.n_values
-        for lam in partitions_in_box(config.max_rows, config.max_part)
+        (lam.parts, n, args.trials, args.seed)
+        for n in args.n_values
+        for lam in partitions_in_box(args.max_rows, args.max_part)
         if len(lam.parts) <= n
     ]
-    results = battery.map_jobs(run_battery, tasks, config.jobs)
+    results = battery.map_jobs(run_battery, tasks, args.jobs)
 
     failures = [entry for entry in results if not entry["ok"]]
     return {
         "config": {
-            "max_part": config.max_part,
-            "max_rows": config.max_rows,
-            "n_values": list(config.n_values),
-            "trials": config.trials,
-            "seed": config.seed,
+            "max_part": args.max_part,
+            "max_rows": args.max_rows,
+            "n_values": list(args.n_values),
+            "trials": args.trials,
+            "seed": args.seed,
         },
         "pairs": len(results),
         "failures": len(failures),
@@ -104,7 +78,9 @@ def sweep(config: SweepConfig) -> dict:
     }
 
 
-def parse_args(argv: list[str] | None = None) -> SweepConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed and validated arguments, --n-values as a tuple of ints; a
+    bad value exits 2 with usage and one error line."""
     parser = battery.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-part", type=int, default=3,
                         help="largest allowed part (default 3)")
@@ -122,46 +98,44 @@ def parse_args(argv: list[str] | None = None) -> SweepConfig:
                         help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)
     try:
-        n_values = tuple(int(tok) for tok in args.n_values.split(",") if tok.strip())
+        args.n_values = tuple(int(tok) for tok in args.n_values.split(",") if tok.strip())
     except ValueError:
         parser.error(f"could not parse --n-values {args.n_values!r}")
-    try:
-        return SweepConfig(
-            max_part=args.max_part,
-            max_rows=args.max_rows,
-            n_values=n_values,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            out=args.out,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.max_part < 0 or args.max_rows < 0:
+        parser.error("box dimensions must be nonnegative")
+    # The box always holds the empty partition, so each n gives a pair.
+    if not args.n_values:
+        parser.error("--n-values names no variable count; nothing to sweep")
+    if len(set(args.n_values)) < len(args.n_values):
+        parser.error("--n-values repeats a variable count; name each n once")
+    if any(n < 1 for n in args.n_values):
+        parser.error("every n must be a positive integer")
+    if args.trials < 1:
+        parser.error("trials must be a positive integer")
+    if args.jobs < 1:
+        parser.error("jobs must be a positive integer")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(argv)
-    # Imported after parsing, so that --help and usage errors stay fast.
-    from grothsnp.cli import out_path_error, refuse_out, write_out
-
-    if config.out is not None:
-        reason = out_path_error(config.out)
+    args = parse_args(argv)
+    if args.out is not None:
+        reason = battery.out_path_error(args.out)
         if reason is not None:
-            return refuse_out(config.out, reason, "desk_sweep.py")
+            return battery.refuse_out(args.out, reason, "desk_sweep.py")
     try:
-        report = sweep(config)
+        report = sweep(args)
         status = 0 if report["ok"] else 1
         text = json.dumps(report, indent=2) + "\n"
-        if config.out is not None:
-            reason = write_out(config.out, text)
+        if args.out is not None:
+            reason = battery.write_out(args.out, text)
             if reason is not None:
-                return refuse_out(config.out, reason, "desk_sweep.py")
+                return battery.refuse_out(args.out, reason, "desk_sweep.py")
             summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
-            text = f"{report['pairs']} pairs swept, {summary}; report in {config.out}\n"
+            text = f"{report['pairs']} pairs swept, {summary}; report in {args.out}\n"
         return battery.write_stdout(text, "desk_sweep.py") or status
     except KeyboardInterrupt:
-        print("desk_sweep.py: error: interrupted", file=sys.stderr)
-        return 2
+        return battery.fail("interrupted", "desk_sweep.py")
 
 
 if __name__ == "__main__":

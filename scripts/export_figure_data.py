@@ -1,10 +1,10 @@
 """Batch-export plot-ready lattice point data for low-dimensional examples.
 
 For every partition in the requested box (at most --n rows, parts at most
---max-part) this writes one CSV through the same code path as the
-``figure-data`` subcommand: one line per lattice point of each polytope in
-the partition chain, columns ``x,y,z,degree``, with ``-`` in unused
-coordinate columns when n = 2. Each chain contributes its base polytope at
+--max-part) this writes one CSV from ``grothsnp.cli.figure_data``, the
+function behind the ``figure-data`` subcommand: one line per lattice point
+of each polytope in the partition chain, columns ``x,y,z,degree``, with
+``-`` in unused coordinate columns when n = 2. Each chain contributes its base polytope at
 the degree of the starting partition and one polytope per added box above
 it, so the union of rows plots the full stack of nested permutahedra.
 
@@ -14,7 +14,8 @@ plotting can be driven from the manifest alone.
 
 Exit status is 0 on success, and 2 on a usage error, an --out-dir that
 cannot be created or written, a stdout that cannot be written, or an
-interrupt (Ctrl-C), each reported on one stderr line.
+interrupt (Ctrl-C), each reported on one stderr line by the helpers of
+grothsnp.battery.
 
 Example:
 
@@ -25,18 +26,15 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.battery import ArgumentParser, write_stdout
-from grothsnp.cli import RunConfig, run
+from grothsnp.battery import ArgumentParser, fail, write_stdout
+from grothsnp.cli import figure_data
 
 
 def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     """Write one CSV and return its manifest entry."""
-    status, text = run(RunConfig(command="figure-data", lam=lam, n=n))
-    if status != 0:
-        raise RuntimeError(f"figure export failed for {lam.parts} with n={n}")
+    text = figure_data(lam, n)
     label = "-".join(str(part) for part in lam.parts) or "empty"
     filename = f"lam_{label}_n{n}.csv"
     with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as handle:
@@ -52,12 +50,6 @@ def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
         "degree_min": degrees[0],
         "degree_max": degrees[-1],
     }
-
-
-def fail(message: str) -> int:
-    """Report an error on one stderr line; returns exit status 2."""
-    print(f"export_figure_data.py: error: {message}", file=sys.stderr)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,9 +81,11 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(manifest, handle, indent=2)
             handle.write("\n")
     except OSError as exc:
-        return fail(f"cannot write {exc.filename}: {exc.strerror or exc}")
+        return fail(
+            f"cannot write {exc.filename}: {exc.strerror or exc}", "export_figure_data.py"
+        )
     except KeyboardInterrupt:
-        return fail("interrupted")
+        return fail("interrupted", "export_figure_data.py")
     summary = f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}\n"
     return write_stdout(summary, "export_figure_data.py") or 0
 

@@ -10,16 +10,18 @@ only. cross-oracle compares the dominant coefficients of the two tableau
 models, which decides equality of the full polynomials because both are
 symmetric; a test pins that symmetry against the full monomial expansions.
 
-The module also holds the stdout contract of every entry point (write_stdout
-and the ArgumentParser that routes --help through it). The scripts load it
-before they parse their arguments, so the contract costs them no import.
+The module also holds the exit-2 contract of every entry point: `fail`
+prints the one `<prog>: error: <message>` stderr line, write_stdout and the
+ArgumentParser that routes --help through it report an unwritable stdout, and
+out_path_error, write_out and refuse_out check and write an --out file. The
+scripts load it before they parse their arguments, so the contract costs them
+no import.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import multiprocessing
 import os
 import signal
 import sys
@@ -80,14 +82,15 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
     if name == "claim-a":
         res = check_claim_a(lam, n)
         return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "claim-b":
-        res = check_claim_b(mu_chain(lam, n), trials, seed)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "claim-c":
-        res = check_claim_c(mu_chain(lam, n), trials, seed)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "lemmas":
-        res = check_lemmas_random(mu_chain(lam, n), trials, seed)
+    # Built per call, so each check runs what its module-level name holds
+    # then; a tracer or a test may have rebound it.
+    randomized = {
+        "claim-b": check_claim_b,
+        "claim-c": check_claim_c,
+        "lemmas": check_lemmas_random,
+    }
+    if name in randomized:
+        res = randomized[name](mu_chain(lam, n), trials, seed)
         return {"name": name, "ok": res.ok, "detail": res.detail}
     if name == "brute-snp":
         verdict = snp_check_bruteforce(grothendieck_lenart(lam, n))
@@ -113,11 +116,19 @@ def map_jobs(fn: Callable, tasks: Sequence, jobs: int) -> list:
     """fn applied to each task, results in task order: in a pool of at most
     jobs workers when jobs > 1 and there are two tasks or more, else here."""
     if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # here, so that a serial run never loads it
+
         with multiprocessing.Pool(
             min(jobs, len(tasks)), initializer=ignore_sigint
         ) as pool:
             return pool.map(fn, tasks)
     return [fn(task) for task in tasks]
+
+
+def fail(message: str, prog: str = "grothsnp") -> int:
+    """Report an error on one stderr line; returns exit status 2."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
@@ -133,10 +144,34 @@ def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        reason = exc.strerror or exc
-        print(f"{prog}: error: cannot write stdout: {reason}", file=sys.stderr)
-        return 2
+        return fail(f"cannot write stdout: {exc.strerror or exc}", prog)
     return None
+
+
+def out_path_error(path: str) -> str | None:
+    """Why a file cannot be created at path, or None if its directory is a
+    writable directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    if not os.access(parent, os.W_OK):
+        return f"directory {parent} is not writable"
+    return None
+
+
+def write_out(path: str, text: str) -> str | None:
+    """Write text to path; the reason on failure, None on success."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    return None
+
+
+def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
+    """Report an unwritable --out on one stderr line; returns exit status 2."""
+    return fail(f"cannot write --out {path}: {reason}", prog)
 
 
 class ArgumentParser(argparse.ArgumentParser):

@@ -1,22 +1,22 @@
 """Command-line front end: compute, verify, and export.
 
-Subcommands mirror the library surface. All output is deterministic: JSON
-objects are assembled in fixed key order, point lists are sorted, and every
-verification command takes an explicit seed, so identical invocations produce
-byte-identical files. Exit codes: 0 success or verified, 1 verification
-failure (the report still goes to the output), 2 usage error, an --out path
-that cannot be written (checked before computing and again on writing), a
-stdout that cannot be written (a full disk, a closed pipe), or an interrupt
-(Ctrl-C), each reported on one stderr line.
+Subcommands mirror the library surface. Each subparser names its handler,
+and run() hands it the parsed argparse namespace. All output is
+deterministic: JSON objects are assembled in fixed key order, point lists are
+sorted, and every verification command takes an explicit seed, so identical
+invocations produce byte-identical files. Exit codes: 0 success or verified,
+1 verification failure (the report still goes to the output), 2 usage error,
+an --out path that cannot be written (checked before computing and again on
+writing), a stdout that cannot be written (a full disk, a closed pipe), or an
+interrupt (Ctrl-C), each reported on one stderr line by the helpers in
+grothsnp.battery.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import battery
@@ -28,35 +28,6 @@ from .polytopes import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
-
-COMMANDS = ("expand", "groth", "chain", "newton", "snp", "verify", "figure-data")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully validated invocation."""
-
-    command: str
-    lam: Partition
-    n: int
-    out: str | None = None
-    jobs: int = 1
-    brute: bool = False
-    checks: tuple[str, ...] = ()
-    trials: int = 1000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if len(self.lam) > self.n:
-            raise ValueError(f"lambda has {len(self.lam)} rows but n = {self.n}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
 
 def _parse_partition(text: str) -> Partition:
@@ -92,17 +63,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Symmetric Grothendieck polynomials and their Newton polytopes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("expand", parents=[common], help="Schur expansion JSON")
-    sub.add_parser("groth", parents=[common], help="monomial-level polynomial JSON")
-    sub.add_parser("chain", parents=[common], help="greedy box-adding chain JSON")
-    sub.add_parser("newton", parents=[common], help="per-degree polytope JSON")
-    snp = sub.add_parser("snp", parents=[common], help="saturation verdict JSON")
+
+    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, parents=[common], help=help_text)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    command("expand", _run_expand, "Schur expansion JSON")
+    command("groth", _run_groth, "monomial-level polynomial JSON")
+    command("chain", _run_chain, "greedy box-adding chain JSON")
+    command("newton", _run_newton, "per-degree polytope JSON")
+    snp = command("snp", _run_snp, "saturation verdict JSON")
     snp.add_argument(
         "--brute",
         action="store_true",
         help="force the bounding-box sweep with the hull oracle",
     )
-    verify = sub.add_parser("verify", parents=[common], help="run checks, report JSON")
+    verify = command("verify", _run_verify, "run checks, report JSON")
     verify.add_argument("--all", action="store_true", help="run the full battery")
     verify.add_argument(
         "--claim", choices=("a", "b", "c"), default=None, help="run one claim check"
@@ -115,190 +92,149 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--jobs", type=int, default=1, metavar="K", help="worker processes"
     )
-    sub.add_parser("figure-data", parents=[common], help="lattice points as CSV")
+    command("figure-data", _run_figure_data, "lattice points as CSV")
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    checks: tuple[str, ...] = ()
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse the values argparse cannot check by itself as usage errors
+    (exit 2); the first one found is reported."""
+    if args.command == "figure-data" and args.n > 3:
+        parser.error("figure export limited to n ≤ 3")
+    if args.n < 1:
+        parser.error("n must be at least 1")
+    if len(args.lam) > args.n:
+        parser.error(f"lambda has {len(args.lam)} rows but n = {args.n}")
     if args.command == "verify":
-        if args.all or (args.claim is None and not args.lemmas):
-            checks = battery.CHECKS
-        else:
-            picked = []
-            if args.claim is not None:
-                picked.append(f"claim-{args.claim}")
-            if args.lemmas:
-                picked.append("lemmas")
-            checks = tuple(picked)
-    try:
-        return RunConfig(
-            command=args.command,
-            lam=args.lam,
-            n=args.n,
-            out=args.out,
-            jobs=getattr(args, "jobs", 1),
-            brute=getattr(args, "brute", False),
-            checks=checks,
-            trials=getattr(args, "trials", 1000),
-            seed=getattr(args, "seed", 0),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+        if args.jobs < 1:
+            parser.error("jobs must be at least 1")
+        if args.trials < 1:
+            parser.error("trials must be at least 1")
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _run_expand(config: RunConfig) -> tuple[int, str]:
-    return 0, _dump_json(schur_expansion(config.lam, config.n).to_json_dict())
+def _run_expand(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _dump_json(schur_expansion(args.lam, args.n).to_json_dict())
 
 
-def _run_groth(config: RunConfig) -> tuple[int, str]:
-    return 0, _dump_json(grothendieck_lenart(config.lam, config.n).to_json_dict())
+def _run_groth(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _dump_json(grothendieck_lenart(args.lam, args.n).to_json_dict())
 
 
-def _run_chain(config: RunConfig) -> tuple[int, str]:
-    return 0, _dump_json(mu_chain(config.lam, config.n).to_json_dict())
+def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _dump_json(mu_chain(args.lam, args.n).to_json_dict())
 
 
-def _run_newton(config: RunConfig) -> tuple[int, str]:
-    chain = mu_chain(config.lam, config.n)
-    base = config.lam.size()
+def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
+    chain = mu_chain(args.lam, args.n)
+    base = args.lam.size()
     components = []
     for k, mu in enumerate(chain.mus):
-        perm = Permutahedron.of_partition(mu, config.n)
+        perm = Permutahedron.of_partition(mu, args.n)
         entry = {"degree": base + k}
         entry.update(perm.to_json_dict())
         components.append(entry)
     payload = {
-        "lambda": list(config.lam.parts),
-        "n": config.n,
+        "lambda": list(args.lam.parts),
+        "n": args.n,
         "components": components,
     }
     return 0, _dump_json(payload)
 
 
-def _run_snp(config: RunConfig) -> tuple[int, str]:
+def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
+    verdict = (
+        snp_check_bruteforce(grothendieck_lenart(args.lam, args.n))
+        if args.brute
+        else snp_check_symmetric_fast(args.lam, args.n)
+    )
     payload = {
-        "lambda": list(config.lam.parts),
-        "n": config.n,
-        "method": "brute" if config.brute else "fast",
+        "lambda": list(args.lam.parts),
+        "n": args.n,
+        "method": "brute" if args.brute else "fast",
+        "snp": verdict.is_snp,
+        "violation": list(verdict.violation) if verdict.violation else None,
     }
-    if config.brute:
-        verdict = snp_check_bruteforce(grothendieck_lenart(config.lam, config.n))
-        payload["snp"] = verdict.is_snp
-        payload["violation"] = list(verdict.violation) if verdict.violation else None
+    if args.brute:
         payload["hull_lattice_points"] = [
             list(pt) for pt in sorted(verdict.hull_lattice_points)
         ]
     else:
-        verdict = snp_check_symmetric_fast(config.lam, config.n)
-        payload["snp"] = verdict.is_snp
-        payload["violation"] = list(verdict.violation) if verdict.violation else None
         payload["components"] = [
-            {"degree": config.lam.size() + k, "weight": list(perm.weight)}
+            {"degree": args.lam.size() + k, "weight": list(perm.weight)}
             for k, perm in enumerate(verdict.components)
         ]
     payload["detail"] = verdict.detail
     return (0 if verdict.is_snp else 1), _dump_json(payload)
 
 
-def _run_verify(config: RunConfig) -> tuple[int, str]:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+    if args.all or (args.claim is None and not args.lemmas):
+        names = battery.CHECKS
+    else:
+        names = [] if args.claim is None else [f"claim-{args.claim}"]
+        if args.lemmas:
+            names.append("lemmas")
     tasks = [
-        (name, config.lam.parts, config.n, config.trials, config.seed)
-        for name in battery.checks_for(config.n, config.checks)
+        (name, args.lam.parts, args.n, args.trials, args.seed)
+        for name in battery.checks_for(args.n, names)
     ]
-    results = battery.map_jobs(battery.run_check, tasks, config.jobs)
+    results = battery.map_jobs(battery.run_check, tasks, args.jobs)
     all_ok = all(entry["ok"] for entry in results)
     payload = {
-        "lambda": list(config.lam.parts),
-        "n": config.n,
-        "trials": config.trials,
-        "seed": config.seed,
+        "lambda": list(args.lam.parts),
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
         "checks": results,
         "ok": all_ok,
     }
     return (0 if all_ok else 1), _dump_json(payload)
 
 
-def _run_figure_data(config: RunConfig) -> tuple[int, str]:
-    chain = mu_chain(config.lam, config.n)
-    base = config.lam.size()
+def figure_data(lam: Partition, n: int) -> str:
+    """The lattice points of every polytope in the chain of lam as CSV lines
+    x,y,z,degree, with "-" in the coordinate columns beyond n <= 3."""
+    chain = mu_chain(lam, n)
+    base = lam.size()
     lines = []
     for k, mu in enumerate(chain.mus):
-        perm = Permutahedron.of_partition(mu, config.n)
+        perm = Permutahedron.of_partition(mu, n)
         for pt in sorted(permutahedron_lattice_points(perm)):
-            coords = [str(pt[i]) if i < config.n else "-" for i in range(3)]
+            coords = [str(pt[i]) if i < n else "-" for i in range(3)]
             lines.append(",".join(coords + [str(base + k)]))
-    return 0, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "expand": _run_expand,
-    "groth": _run_groth,
-    "chain": _run_chain,
-    "newton": _run_newton,
-    "snp": _run_snp,
-    "verify": _run_verify,
-    "figure-data": _run_figure_data,
-}
+def _run_figure_data(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, figure_data(args.lam, args.n)
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one config; returns (exit status, serialized output)."""
-    return _HANDLERS[config.command](config)
-
-
-def out_path_error(path: str) -> str | None:
-    """Why a file cannot be created at path, or None if its directory is a
-    writable directory."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        return f"no directory {parent}"
-    if not os.access(parent, os.W_OK):
-        return f"directory {parent} is not writable"
-    return None
-
-
-def write_out(path: str, text: str) -> str | None:
-    """Write text to path; the reason on failure, None on success."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        return exc.strerror or str(exc)
-    return None
-
-
-def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
-    """Report an unwritable --out on one stderr line; returns exit status 2."""
-    print(f"{prog}: error: cannot write --out {path}: {reason}", file=sys.stderr)
-    return 2
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed invocation; returns (exit status, serialized output)."""
+    return args.handler(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "figure-data" and args.n > 3:
-        parser.error("figure export limited to n ≤ 3")
-    config = _config_from_args(parser, args)
-    if config.out is not None:
-        reason = out_path_error(config.out)
+    _check_args(parser, args)
+    if args.out is not None:
+        reason = battery.out_path_error(args.out)
         if reason is not None:
-            return refuse_out(config.out, reason)
+            return battery.refuse_out(args.out, reason)
     try:
-        status, text = run(config)
-        if config.out is None:
+        status, text = run(args)
+        if args.out is None:
             return battery.write_stdout(text) or status
-        reason = write_out(config.out, text)
+        reason = battery.write_out(args.out, text)
         if reason is not None:
-            return refuse_out(config.out, reason)
+            return battery.refuse_out(args.out, reason)
     except KeyboardInterrupt:
-        print("grothsnp: error: interrupted", file=sys.stderr)
-        return 2
+        return battery.fail("interrupted")
     return status
 
 

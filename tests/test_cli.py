@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from grothsnp.cli import RunConfig, main
-from grothsnp.partitions import Partition
+from grothsnp.cli import main
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -247,6 +246,38 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("usage: grothsnp ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["expand", "--lambda", "", "--n", "0"], "n must be at least 1"),
+            (["expand", "--lambda", "3,1,1", "--n", "2"], "lambda has 3 rows but n = 2"),
+            (["verify", "--lambda", "3,1", "--n", "3", "--jobs", "0"],
+             "jobs must be at least 1"),
+            (["verify", "--lambda", "3,1", "--n", "3", "--trials", "0"],
+             "trials must be at least 1"),
+            # Several bad values: the first in the order figure-data n, n,
+            # rows, jobs, trials is the one reported.
+            (["figure-data", "--lambda", "1,1,1,1,1", "--n", "4"],
+             "figure export limited to n ≤ 3"),
+            (["figure-data", "--lambda", "1", "--n", "0"], "n must be at least 1"),
+            (["verify", "--lambda", "3,1,1", "--n", "2", "--jobs", "0"],
+             "lambda has 3 rows but n = 2"),
+            (["verify", "--lambda", "3,1", "--n", "3", "--jobs", "0", "--trials", "0"],
+             "jobs must be at least 1"),
+        ],
+        ids=[
+            "n=0", "rows>n", "jobs=0", "trials=0",
+            "figure-n-first", "n-before-rows", "rows-before-jobs", "jobs-before-trials",
+        ],
+    )
+    def test_validation_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: grothsnp ")
+        assert stderr.splitlines()[-1] == f"grothsnp: error: {message}"
+
 
 class TestOutputFile:
     def test_out_writes_the_same_bytes(self, capsys, tmp_path):
@@ -276,7 +307,7 @@ class TestUnwritableOut:
     def test_missing_directory_is_refused_before_computing(
         self, capsys, tmp_path, monkeypatch
     ):
-        def no_run(config):
+        def no_run(args):
             raise AssertionError("computed before checking --out")
 
         monkeypatch.setattr("grothsnp.cli.run", no_run)
@@ -358,7 +389,7 @@ class TestUnwritableStdout:
 
     @pytest.mark.parametrize("exc", STDOUT_FAILURES)
     def test_desk_sweep_exits_two_with_one_line(self, capsys, monkeypatch, exc):
-        desk_sweep = load_desk_sweep(monkeypatch)
+        desk_sweep = load_desk_sweep()
         monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
         status = desk_sweep.main(
             ["--max-part", "1", "--max-rows", "1", "--n-values", "2", "--trials", "5"]
@@ -454,20 +485,19 @@ class TestUnwritableStdout:
         ]
 
 
-def load_desk_sweep(monkeypatch):
+def load_desk_sweep():
     spec = importlib.util.spec_from_file_location(
         "desk_sweep", ROOT / "scripts" / "desk_sweep.py"
     )
     module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "desk_sweep", module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
 class TestDeskSweepBattery:
     @pytest.mark.parametrize("n", [3, 4])
-    def test_pair_runs_the_verify_battery(self, capsys, monkeypatch, n):
-        desk_sweep = load_desk_sweep(monkeypatch)
+    def test_pair_runs_the_verify_battery(self, capsys, n):
+        desk_sweep = load_desk_sweep()
         swept = desk_sweep.run_battery(((2, 1), n, 30, 7))["checks"]
         _, out = run_cli(
             capsys,
@@ -481,7 +511,7 @@ class TestDeskSweepBattery:
         def forced_failure(task):
             return {"name": task[0], "ok": False, "detail": "forced"}
 
-        desk_sweep = load_desk_sweep(monkeypatch)
+        desk_sweep = load_desk_sweep()
         monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
         status = desk_sweep.main(
             ["--max-part", "1", "--max-rows", "2", "--n-values", "2", "--trials", "5"]
@@ -492,17 +522,34 @@ class TestDeskSweepBattery:
         assert report["pairs"] == 3
         assert report["failures"] == report["pairs"]
 
-    @pytest.mark.parametrize("n_values", ["", ",", "2,2", "3,2,3"])
-    def test_empty_sweep_is_a_usage_error(self, n_values):
-        # A repeated n would sweep its pairs twice; it is refused like an
-        # empty sweep, before any check runs.
-        reason = (
-            "--n-values repeats a variable count; name each n once"
-            if n_values.strip(",")
-            else "--n-values names no variable count; nothing to sweep"
-        )
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            pytest.param(["--n-values", n_values], reason, id=n_values)
+            for n_values, reason in [
+                ("", "--n-values names no variable count; nothing to sweep"),
+                (",", "--n-values names no variable count; nothing to sweep"),
+                # A repeated n would sweep its pairs twice; it is refused
+                # like an empty sweep, before any check runs.
+                ("2,2", "--n-values repeats a variable count; name each n once"),
+                ("3,2,3", "--n-values repeats a variable count; name each n once"),
+                ("0", "every n must be a positive integer"),
+                ("x", "could not parse --n-values 'x'"),
+            ]
+        ]
+        + [
+            pytest.param(["--max-part", "-1"], "box dimensions must be nonnegative",
+                         id="max-part=-1"),
+            pytest.param(["--max-rows", "-1"], "box dimensions must be nonnegative",
+                         id="max-rows=-1"),
+            pytest.param(["--trials", "0"], "trials must be a positive integer",
+                         id="trials=0"),
+            pytest.param(["--jobs", "0"], "jobs must be a positive integer", id="jobs=0"),
+        ],
+    )
+    def test_empty_sweep_is_a_usage_error(self, argv, reason):
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", n_values],
+            [sys.executable, str(ROOT / "scripts" / "desk_sweep.py"), *argv],
             capture_output=True,
             text=True,
             env=env_with_src(),
@@ -519,7 +566,7 @@ def interrupted():
 
 class TestInterrupt:
     def test_cli_interrupt_exits_two_with_one_line(self, capsys, monkeypatch):
-        monkeypatch.setattr("grothsnp.cli.run", lambda config: interrupted())
+        monkeypatch.setattr("grothsnp.cli.run", lambda args: interrupted())
         status = main(["verify", "--lambda", "2,1", "--n", "2"])
         captured = capsys.readouterr()
         assert status == 2
@@ -527,8 +574,8 @@ class TestInterrupt:
         assert captured.err.splitlines() == ["grothsnp: error: interrupted"]
 
     def test_desk_sweep_interrupt_exits_two_with_one_line(self, capsys, monkeypatch):
-        desk_sweep = load_desk_sweep(monkeypatch)
-        monkeypatch.setattr(desk_sweep, "sweep", lambda config: interrupted())
+        desk_sweep = load_desk_sweep()
+        monkeypatch.setattr(desk_sweep, "sweep", lambda args: interrupted())
         status = desk_sweep.main(["--n-values", "2"])
         captured = capsys.readouterr()
         assert status == 2
@@ -589,21 +636,6 @@ class TestInterrupt:
         assert err.splitlines() == [f"{prog}: error: interrupted"]
 
 
-class TestRunConfig:
-    def test_validation(self):
-        lam = Partition((3, 1))
-        with pytest.raises(ValueError):
-            RunConfig(command="nope", lam=lam, n=3)
-        with pytest.raises(ValueError):
-            RunConfig(command="expand", lam=lam, n=0)
-        with pytest.raises(ValueError):
-            RunConfig(command="expand", lam=lam, n=1)
-        with pytest.raises(ValueError):
-            RunConfig(command="expand", lam=lam, n=3, jobs=0)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", lam=lam, n=3, trials=0)
-
-
 class TestEntryPoint:
     def test_installed_console_script(self):
         proc = subprocess.run(
@@ -613,3 +645,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"mus": [[1, 0], [1, 1]], "rows": [2]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-m", "grothsnp", "chain", "--lambda", "1", "--n", "2"],
+            [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
+        ],
+    )
+    def test_no_multiprocessing_import_without_a_pool(self, argv):
+        # -X importtime lists on stderr every module the run imports.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv],
+            capture_output=True,
+            text=True,
+            env=env_with_src(),
+        )
+        assert proc.returncode == 0
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "grothsnp.battery" in imported
+        assert "multiprocessing" not in imported
