@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, filterfalse, islice, repeat
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -295,9 +296,15 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
 
 
 def _random_numerators(rng: random.Random, count: int) -> list[int]:
-    """Numerators of convex weights over their sum (at most 10**4), never all zero."""
-    scale = max(1, 10**4 // max(count, 1))
-    raws = [rng.randint(0, scale) for _ in range(count)]
+    """Numerators of convex weights over their sum (at most 10**4), never all zero.
+
+    Each numerator is randint(0, scale) drawn as CPython draws it: getrandbits
+    of the bound's bit length, redrawn while not below the bound. So a seed
+    gives the same numerators as a randint loop, without its Python frames.
+    """
+    bound = max(1, 10**4 // max(count, 1)) + 1
+    draws = map(rng.getrandbits, repeat(bound.bit_length()))
+    raws = list(islice(filterfalse(bound.__le__, draws), count))
     if sum(raws) == 0:
         raws[rng.randrange(count)] = 1
     return raws
@@ -319,24 +326,34 @@ def _claim_b_mix(
     matching mix shape/D of the chain shapes.
 
     Each chain shape k yields a point of its permutahedron, a convex mix of
-    1-3 shuffles with weights over a total t_k; the chain weights share the
-    total W. Everything is scaled by D = W * lcm(t_0..t_N), so the mixes are
-    integer vectors.
+    1-3 shuffles (spots) with weights r_ks over a total t_k; the chain weights
+    a_k share the total W. Scaled by D = W * L, L = lcm(t_0..t_N), the point
+    is one integer mix of all spots with coefficients a_k * (L // t_k) * r_ks.
+    Spot counts and swaps make the getrandbits draws of randint(1, 3) and
+    random.shuffle, so a seed gives the same trials as those calls.
     """
-    points = []
-    totals = []
+    getrandbits = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(len(padded[0]) - 1, 0, -1)]
+    spots = []
+    spot_weights = []
     for w in padded:
-        spots = []
-        for _ in range(rng.randint(1, 3)):
-            shuffled = list(w)
-            rng.shuffle(shuffled)
-            spots.append(shuffled)
-        raws = _random_numerators(rng, len(spots))
-        points.append(_mix(raws, spots))
-        totals.append(sum(raws))
+        count = getrandbits(2)
+        while count == 3:
+            count = getrandbits(2)
+        for _ in range(count + 1):
+            spot = list(w)
+            for i, k in steps:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                spot[i], spot[j] = spot[j], spot[i]
+            spots.append(spot)
+        spot_weights.append(_random_numerators(rng, count + 1))
     weights = _random_numerators(rng, len(padded))
+    totals = [sum(raws) for raws in spot_weights]
     common = lcm(*totals)
-    point = _mix([a * (common // t) for a, t in zip(weights, totals)], points)
+    scales = [a * (common // t) for a, t in zip(weights, totals)]
+    point = _mix([c * r for c, rs in zip(scales, spot_weights) for r in rs], spots)
     shape = _mix([a * common for a in weights], padded)
     return point, shape, sum(weights) * common
 
@@ -432,9 +449,10 @@ def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckR
     is base + (b_1+...+b_r) with b_i the final surplus of row i.
 
     Both sides of the first identity are compared after scaling by the
-    denominator. The chain data and the weight-independent second identity
-    are computed once, here; each check runs the first identity and then
-    reports the second."""
+    denominator; its closed form is a prefix sum of the tails of the
+    numerators, so a check takes O(N + n). The chain data and the
+    weight-independent second identity are computed once, here; each check
+    runs the first identity and then reports the second."""
     n = chain.n
     padded = [mu.padded(n) for mu in chain.mus]
     base_prefix = [0] * (n + 1)
@@ -448,12 +466,12 @@ def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckR
 
     def check(numerators: Sequence[int], denominator: int) -> CheckResult:
         mixed = _mix(numerators, padded)
+        # sum_k min(k, l)*c_k = t_1 + ... + t_l with tails t_j = c_j + ... + c_N
+        tails = list(accumulate(reversed(numerators[1 : chain.length + 1])))[::-1]
+        moments = [0, *accumulate(tails)]
         direct = 0
         for r in range(1, n + 1):
-            last = lasts[r - 1]
-            closed = base_prefix[r] * denominator + sum(
-                min(k, last) * numerators[k] for k in range(1, chain.length + 1)
-            )
+            closed = base_prefix[r] * denominator + moments[lasts[r - 1]]
             direct += mixed[r - 1]
             if direct != closed:
                 return CheckResult(

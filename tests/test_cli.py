@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -206,12 +207,6 @@ class TestFigureData:
             "7": 3,
         }
 
-    def test_too_many_variables_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["figure-data", "--lambda", "1,0", "--n", "4"])
-        assert err.value.code == 2
-        assert "figure export limited to n" in capsys.readouterr().err
-
 
 class TestUsageErrors:
     def test_malformed_lambda(self, capsys):
@@ -223,12 +218,6 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["expand", "--lambda", "a,b", "--n", "3"])
         assert err.value.code == 2
-
-    def test_more_rows_than_variables(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["expand", "--lambda", "3,1,1", "--n", "2"])
-        assert err.value.code == 2
-        assert "rows" in capsys.readouterr().err
 
     def test_missing_n(self):
         with pytest.raises(SystemExit) as err:
@@ -255,6 +244,8 @@ class TestUsageErrors:
              "jobs must be at least 1"),
             (["verify", "--lambda", "3,1", "--n", "3", "--trials", "0"],
              "trials must be at least 1"),
+            (["figure-data", "--lambda", "1,0", "--n", "4"],
+             "figure export limited to n ≤ 3"),
             # Several bad values: the first in the order figure-data n, n,
             # rows, jobs, trials is the one reported.
             (["figure-data", "--lambda", "1,1,1,1,1", "--n", "4"],
@@ -266,7 +257,7 @@ class TestUsageErrors:
              "jobs must be at least 1"),
         ],
         ids=[
-            "n=0", "rows>n", "jobs=0", "trials=0",
+            "n=0", "rows>n", "jobs=0", "trials=0", "figure-n>3",
             "figure-n-first", "n-before-rows", "rows-before-jobs", "jobs-before-trials",
         ],
     )
@@ -638,10 +629,20 @@ class TestInterrupt:
 
 class TestEntryPoint:
     def test_installed_console_script(self):
+        # The [project.scripts] target, read without tomllib (Python 3.10 has none).
+        section = (ROOT / "pyproject.toml").read_text().split("\n[project.scripts]\n")[1]
+        entry = re.search(r'^grothsnp = "([\w.]+):(\w+)"$', section.split("\n[")[0], re.M)
+        module, func = entry.groups()
+        # What the installed wrapper does: argv[0] is the script name.
+        wrapper = (
+            f"import sys; from {module} import {func}; "
+            f"sys.argv[0] = 'grothsnp'; sys.exit({func}())"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "grothsnp", "chain", "--lambda", "1,0", "--n", "2"],
+            [sys.executable, "-c", wrapper, "chain", "--lambda", "1,0", "--n", "2"],
             capture_output=True,
             text=True,
+            env=env_with_src(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"mus": [[1, 0], [1, 1]], "rows": [2]}

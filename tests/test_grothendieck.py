@@ -25,6 +25,7 @@ from grothsnp import (
 )
 from grothsnp import battery, grothendieck
 from grothsnp.grothendieck import (
+    _chain_prefix_identity,
     _claim_b_mix,
     _mix,
     _prefix_sum_checker,
@@ -374,11 +375,16 @@ class TestClaimC:
 # denominator must equal these exactly, and the generators stay in lockstep.
 
 
-def _reference_weights(rng, count):
+def _reference_numerators(rng, count):
     scale = max(1, 10**4 // max(count, 1))
     raws = [rng.randint(0, scale) for _ in range(count)]
     if sum(raws) == 0:
         raws[rng.randrange(count)] = 1
+    return raws
+
+
+def _reference_weights(rng, count):
+    raws = _reference_numerators(rng, count)
     total = sum(raws)
     return tuple(Fraction(a, total) for a in raws)
 
@@ -418,7 +424,11 @@ def _scaled_down(numerators, denominator):
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
-DIFFERENTIAL_CASES = [((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5)]
+# n = 4 shuffles at bound 4, a power of two that rejects half of its draws;
+# n = 6 brings bound 6.
+DIFFERENTIAL_CASES = [
+    ((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5), ((3, 1), 4), ((1,), 6),
+]
 
 
 class TestIntegerPath:
@@ -459,6 +469,127 @@ class TestIntegerPath:
         assert check_claim_c(chain, 5, 11).detail == (
             "trial 0: mix (Fraction(3, 1), Fraction(38095, 23703), "
             "Fraction(9311, 23703)) escapes chain shape at K=1"
+        )
+
+
+ALL_ONES = (1 << 32) - 1
+
+
+def _forced_rejection_script(seed):
+    """Raw getrandbits values: all ones, which every bound rejects, before each
+    draw of a seeded stream that is zero half the time. Every draw site ends
+    on an accepted stream value, so the next one starts with a rejection."""
+    source = random.Random(seed)
+    while True:
+        yield ALL_ONES
+        yield 0 if source.random() < 0.5 else source.getrandbits(32)
+
+
+class ScriptedRandom(random.Random):
+    """A generator whose getrandbits replays a script, masked to the bits asked
+    for. It counts its draws and records each bound at which _randbelow, the
+    sampler under randint, randrange and shuffle, had to redraw."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = script
+        self.draws = 0
+        self.rejected = set()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return next(self.script) & ((1 << k) - 1)
+
+    def _randbelow(self, n):
+        before = self.draws
+        r = self._randbelow_with_getrandbits(n)
+        if self.draws - before > 1:
+            self.rejected.add(n)
+        return r
+
+
+class TestStreamLockstep:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
+    def test_numerators_match_randint(self, count):
+        rng = ScriptedRandom(_forced_rejection_script(count))
+        reference = ScriptedRandom(_forced_rejection_script(count))
+        for _ in range(200):
+            raws = grothendieck._random_numerators(rng, count)
+            assert raws == _reference_numerators(reference, count)
+            assert rng.draws == reference.draws
+        # randint(0, scale) draws below scale + 1; only the all-zero branch,
+        # randrange(count), draws below count
+        assert {10**4 // count + 1, count} <= reference.rejected
+
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    def test_claim_b_mix_matches_randint_and_shuffle(self, parts, n):
+        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
+        rng = ScriptedRandom(_forced_rejection_script(n))
+        reference = ScriptedRandom(_forced_rejection_script(n))
+        for _ in range(60):
+            point, shape, denominator = _claim_b_mix(rng, padded)
+            ref_point, ref_shape = _reference_claim_b_trial(reference, padded)
+            assert _scaled_down(point, denominator) == ref_point
+            assert _scaled_down(shape, denominator) == ref_shape
+            assert rng.draws == reference.draws
+        # every shuffle bound, the spot count's bound 3, and the all-zero
+        # branch of a one-spot mix (randrange(1)) redrew at least once
+        assert {1, 3, *range(2, n + 1)} <= reference.rejected
+
+
+def _reference_prefix_sum_check(chain, numerators, denominator):
+    """The first identity with its O(nN) closed form, then the second."""
+    n = chain.n
+    padded = [mu.padded(n) for mu in chain.mus]
+    base_prefix = [0] * (n + 1)
+    for r in range(1, n + 1):
+        base_prefix[r] = base_prefix[r - 1] + chain.lam.part(r)
+    mixed = grothendieck._mix(numerators, padded)
+    direct = 0
+    for r in range(1, n + 1):
+        last = max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
+        closed = base_prefix[r] * denominator + sum(
+            min(k, last) * numerators[k] for k in range(1, chain.length + 1)
+        )
+        direct += mixed[r - 1]
+        if direct != closed:
+            return False, (
+                f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
+                f"!= {Fraction(closed, denominator)}"
+            )
+    second = _chain_prefix_identity(chain, padded, base_prefix)
+    return second.ok, second.detail
+
+
+class TestLemmaClosedForm:
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    @pytest.mark.parametrize("offset", [0, 1, -1], ids=["sum=D", "sum<D", "sum>D"])
+    def test_tail_sums_match_the_quadratic_form(self, parts, n, offset):
+        chain = mu_chain(Partition(parts), n)
+        check = _prefix_sum_checker(chain)
+        rng = random.Random(23)
+        for _ in range(50):
+            numerators = [rng.randint(2, 50) for _ in range(chain.length + 1)]
+            denominator = sum(numerators) + offset
+            res = check(numerators, denominator)
+            assert (res.ok, res.detail) == _reference_prefix_sum_check(
+                chain, numerators, denominator
+            )
+
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    def test_planted_wrong_mix(self, parts, n, monkeypatch):
+        def bumped(numerators, vectors):
+            mixed = _mix(numerators, vectors)
+            mixed[-1] += 1
+            return mixed
+
+        monkeypatch.setattr(grothendieck, "_mix", bumped)
+        chain = mu_chain(Partition(parts), n)
+        numerators = list(range(1, chain.length + 2))
+        res = _prefix_sum_checker(chain)(numerators, sum(numerators))
+        assert not res.ok
+        assert (res.ok, res.detail) == _reference_prefix_sum_check(
+            chain, numerators, sum(numerators)
         )
 
 
