@@ -7,10 +7,11 @@ coefficient at every dominant content (a weakly decreasing exponent, which
 fixes its whole orbit since both models are symmetric), the Newton polytope
 of every homogeneous component is checked against the predicted
 permutahedron, the support-dominance and chain-cover claims are tested,
-the randomized interior-point and vertex-decomposition claims are sampled,
-the prefix-sum lemmas are exercised on random convex weights, and (for n at
-most 3) the convex hull of the full support is rebuilt by brute force and
-compared against the union of chain polytopes.
+the Minkowski-sum claim (b) is sampled over --trials seeded trials, the
+chain-mix claim (c) and the prefix-sum lemmas are checked exactly at the
+vertices of their weight polytopes, which decides them for all weights,
+and (for n at most 3) the convex hull of the full support is rebuilt by
+brute force and compared against the union of chain polytopes.
 
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
@@ -89,9 +90,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--n-values", type=str, default="2,3",
                         help="comma-separated variable counts (default 2,3)")
     parser.add_argument("--trials", type=int, default=200,
-                        help="randomized trials per sampled check (default 200)")
+                        help="seeded trials of claim b; claim c and the lemmas "
+                             "are exact (default 200)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized checks (default 0)")
+                        help="seed of claim b's trials (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--out", type=str, default=None,

@@ -87,8 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--lemmas", action="store_true", help="run the prefix-sum identities"
     )
-    verify.add_argument("--trials", type=int, default=1000, help="seeded trial count")
-    verify.add_argument("--seed", type=int, default=0, help="random seed")
+    verify.add_argument(
+        "--trials",
+        type=int,
+        default=1000,
+        help="seeded trials of claim b (claim c and the lemmas are exact)",
+    )
+    verify.add_argument("--seed", type=int, default=0, help="seed of claim b's trials")
     verify.add_argument(
         "--jobs", type=int, default=1, metavar="K", help="worker processes"
     )

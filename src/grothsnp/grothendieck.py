@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, filterfalse, islice, repeat
 from math import lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .partitions import (
     Partition,
@@ -358,41 +358,16 @@ def _claim_b_mix(
     return point, shape, sum(weights) * common
 
 
-def _weights_with_integer_moment(
-    rng: random.Random, top: int
-) -> tuple[tuple[int, ...], int, int]:
-    """Convex weights c_0..c_top whose index-average sum(k*c_k) is an integer.
-
-    Returns (numerators, D, K) with c_k = numerators[k] / D and K the
-    integer moment. Random weights over a total T are drawn first and scaled
-    by D = T * lcm(1..top); surplus fractional moment is then shed by
-    shifting mass from high indices to index 0, which preserves convexity.
-    The scaled surplus stays a multiple of lcm(1..top), so every shift of
-    surplus/j is an exact integer.
-    """
-    if top == 0:
-        return (1,), 1, 0
-    raws = _random_numerators(rng, top + 1)
-    scale = lcm(*range(1, top + 1))
-    denominator = sum(raws) * scale
-    c = [a * scale for a in raws]
-    moment = sum(k * c[k] for k in range(top + 1))
-    target = moment // denominator
-    excess = moment - target * denominator
-    j = top
-    while excess > 0:
-        while c[j] == 0:
-            j -= 1
-        shift = min(c[j], excess // j)
-        c[j] -= shift
-        c[0] += shift
-        excess -= shift * j
-    return tuple(c), denominator, target
-
-
 def check_claim_b(chain: MuChain, trials: int, seed: int) -> CheckResult:
     """Convex mixes of points drawn from the chain's permutahedra are majorized
-    by the matching mix of the chain shapes themselves.
+    by the matching mix of the chain shapes themselves, over `trials` trials
+    seeded by `seed`.
+
+    This is the Minkowski-sum fact P(a) + P(b) = P(a + b) for dominant
+    weights. By the vertex argument of check_claim_c its exact form reduces
+    to "a rearrangement of mu^(k) is majorized by mu^(k)", which holds
+    trivially; so it stays sampled, and its trials exercise _mix and
+    majorizes rather than the chain.
     """
     rng = random.Random(seed)
     padded = [mu.padded(chain.n) for mu in chain.mus]
@@ -407,94 +382,75 @@ def check_claim_b(chain: MuChain, trials: int, seed: int) -> CheckResult:
     return CheckResult(True)
 
 
+def _moment_vertices(top: int, surplus: int) -> Iterator[tuple[int, int, int, int]]:
+    """The vertices of Q_K = {c >= 0, sum c = 1, sum k*c_k = K} on indices
+    0..top, K = surplus, each as (i, j, a, b) for c = (a*e_i + b*e_j)/(a + b).
+
+    Two equality rows leave at most two nonzero coordinates at a vertex: e_K
+    itself, as (K, K, 1, 0), and for i < K < j the mix of e_i and e_j with
+    a = j - K and b = K - i, whose moment is K.
+    """
+    yield surplus, surplus, 1, 0
+    for i in range(surplus):
+        for j in range(surplus + 1, top + 1):
+            yield i, j, j - surplus, surplus - i
+
+
 def check_claim_c(chain: MuChain, trials: int, seed: int) -> CheckResult:
     """A convex mix of chain shapes with integer surplus K is majorized by the
-    K-th chain shape.
+    K-th chain shape, for all such weights; trials and seed are ignored.
+
+    The weights with surplus K form the polytope Q_K of _moment_vertices. A
+    mix of weakly decreasing vectors is weakly decreasing, so its prefix sums,
+    and with them majorization by the K-th shape, are linear in the weights.
+    A linear inequality holds on a polytope iff it holds at its vertices, so
+    each vertex is checked, in integers scaled by its denominator a + b.
     """
-    rng = random.Random(seed)
     padded = [mu.padded(chain.n) for mu in chain.mus]
-    for trial in range(trials):
-        weights, denominator, surplus = _weights_with_integer_moment(rng, chain.length)
-        mixed = _mix(weights, padded)
-        if not majorizes([denominator * x for x in padded[surplus]], mixed):
-            return CheckResult(
-                False,
-                f"trial {trial}: mix {_as_fractions(mixed, denominator)} "
-                f"escapes chain shape at K={surplus}",
-            )
+    for surplus in range(chain.length + 1):
+        for i, j, a, b in _moment_vertices(chain.length, surplus):
+            mixed = _mix((a, b), (padded[i], padded[j]))
+            if not majorizes([(a + b) * x for x in padded[surplus]], mixed):
+                return CheckResult(
+                    False,
+                    f"vertex K={surplus}, i={i}, j={j}: mix "
+                    f"{_as_fractions(mixed, a + b)} escapes chain shape at K={surplus}",
+                )
     return CheckResult(True)
 
 
 def check_lemmas_random(chain: MuChain, trials: int, seed: int) -> CheckResult:
-    """Run the prefix-sum identities against seeded random convex weights."""
-    rng = random.Random(seed)
-    check = _prefix_sum_checker(chain)
-    for trial in range(trials):
-        raws = _random_numerators(rng, chain.length + 1)
-        res = check(raws, sum(raws))
-        if not res:
-            return CheckResult(False, f"trial {trial}: {res.detail}")
-    return CheckResult(True)
+    """The prefix-sum identities along the chain, for all convex weights c;
+    trials and seed are ignored.
 
-
-def _prefix_sum_checker(chain: MuChain) -> Callable[[Sequence[int], int], CheckResult]:
-    """Closed forms for prefix sums along the chain, as a check of the convex
-    weights c_k = numerators[k] / denominator.
-
-    First identity: for each row r, the weighted mix of chain shapes has
-    prefix sum base + sum_k min(k, l)*c_k where l is the index of the last
-    box placed in rows 1..r (the steps landing there form a prefix of the
-    chain because the receiving rows weakly increase). Second identity: for
-    r strictly north of the row receiving box k, the k-th shape's prefix sum
-    is base + (b_1+...+b_r) with b_i the final surplus of row i.
-
-    Both sides of the first identity are compared after scaling by the
-    denominator; its closed form is a prefix sum of the tails of the
-    numerators, so a check takes O(N + n). The chain data and the
-    weight-independent second identity are computed once, here; each check
-    runs the first identity and then reports the second."""
+    First identity: for each row r, the mix of chain shapes with weights c
+    has prefix sum base_r + sum_k min(k, l)*c_k, where base_r is the base
+    shape's prefix sum and l the index of the last box placed in rows 1..r
+    (the steps landing there form a prefix of the chain because the
+    receiving rows weakly increase). Both sides are affine in c, so it holds
+    for every c iff it holds at the N+1 unit vectors: the k-th shape's
+    prefix sum at row r is base_r + min(k, l). Second identity: for r
+    strictly north of the row receiving box k, the k-th shape's prefix sum
+    is base_r + (b_1+...+b_r), with b_i the final surplus of row i.
+    """
     n = chain.n
-    padded = [mu.padded(n) for mu in chain.mus]
-    base_prefix = [0] * (n + 1)
-    for r in range(1, n + 1):
-        base_prefix[r] = base_prefix[r - 1] + chain.lam.part(r)
+    base = list(accumulate(chain.lam.padded(n)))
+    grown = list(accumulate(chain.extra_boxes()))
     lasts = [
-        max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
+        max((k for k, row in enumerate(chain.rows, start=1) if row <= r), default=0)
         for r in range(1, n + 1)
     ]
-    second = _chain_prefix_identity(chain, padded, base_prefix)
-
-    def check(numerators: Sequence[int], denominator: int) -> CheckResult:
-        mixed = _mix(numerators, padded)
-        # sum_k min(k, l)*c_k = t_1 + ... + t_l with tails t_j = c_j + ... + c_N
-        tails = list(accumulate(reversed(numerators[1 : chain.length + 1])))[::-1]
-        moments = [0, *accumulate(tails)]
-        direct = 0
-        for r in range(1, n + 1):
-            closed = base_prefix[r] * denominator + moments[lasts[r - 1]]
-            direct += mixed[r - 1]
+    for k, mu in enumerate(chain.mus):
+        north = chain.rows[k - 1] if k else 1
+        for r, direct in enumerate(accumulate(mu.padded(n)), start=1):
+            closed = base[r - 1] + min(k, lasts[r - 1])
             if direct != closed:
                 return CheckResult(
-                    False,
-                    f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
-                    f"!= {Fraction(closed, denominator)}",
+                    False, f"first identity at k={k}, row {r}: {direct} != {closed}"
                 )
-        return second
-
-    return check
-
-
-def _chain_prefix_identity(
-    chain: MuChain, padded: Sequence[tuple[int, ...]], base_prefix: Sequence[int]
-) -> CheckResult:
-    """The second identity of _prefix_sum_checker."""
-    surplus = chain.extra_boxes()
-    for k in range(1, chain.length + 1):
-        for r in range(1, chain.rows[k - 1]):
-            direct = sum(padded[k][:r])
-            closed = base_prefix[r] + sum(surplus[:r])
-            if direct != closed:
+            closed = base[r - 1] + grown[r - 1]
+            if r < north and direct != closed:
                 return CheckResult(
-                    False, f"chain prefix sum at k={k}, row {r}: {direct} != {closed}"
+                    False, f"second identity at k={k}, row {r}: {direct} != {closed}"
                 )
     return CheckResult(True)

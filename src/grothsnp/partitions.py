@@ -12,11 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from operator import index
 from typing import Iterator, Sequence, Union
 
 ExponentVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 Rational = Union[int, Fraction]
+
+
+def _integer_part(p) -> int:
+    """p as an int if it is an integer (has __index__); a float or a string
+    is refused rather than truncated or parsed."""
+    try:
+        return index(p)
+    except TypeError:
+        raise ValueError(f"partition parts must be integers: {p!r}") from None
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(int(p) for p in self.parts)
+        cleaned = tuple(map(_integer_part, self.parts))
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
         if any(p < 0 for p in cleaned):

@@ -167,14 +167,15 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
 def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     """Degreewise saturation check against the greedy chain's permutahedra.
 
-    The polynomial has saturated Newton polytope, equal to the union of the
-    chain permutahedra, exactly when the support of each homogeneous
-    component matches the lattice points of the matching permutahedron and
-    no stray degrees occur. Both sides are unions of orbits, the support by
-    symmetry and the lattice points by Rado's theorem, so the check compares
-    the dominant terms in degree |lam|+k with the partitions below mu^(k). A
-    mismatch is reported at the least point of the full symmetric difference,
-    the least ascending rearrangement of a dominant mismatch.
+    Each homogeneous component has saturated Newton polytope, the matching
+    chain permutahedron, exactly when its support matches that
+    permutahedron's lattice points, and no stray degrees occur; with claim c
+    this makes the whole Newton polytope saturated. Both sides are unions
+    of orbits, the support by symmetry and the lattice points by Rado's
+    theorem, so the check compares the dominant terms in degree |lam|+k with
+    the partitions below mu^(k). A mismatch is reported at the least point
+    of the full symmetric difference, the least ascending rearrangement of a
+    dominant mismatch.
     """
     dominant = grothendieck_lenart_dominant(lam, n)
     chain = mu_chain(lam, n)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from grothsnp import MuChain, Partition, battery, mu_chain
 from grothsnp.cli import main
 
 
@@ -151,6 +152,30 @@ class TestVerify:
         )
         assert status == 0
         assert [c["name"] for c in json.loads(out)["checks"]] == ["lemmas"]
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["chain", "planted-chain"])
+    def test_trials_and_seed_leave_claim_c_and_lemmas_alone(
+        self, capsys, monkeypatch, planted
+    ):
+        if planted:
+            # (3,2,1) with its row-3 box moved to row 1, so both checks fail
+            chain = mu_chain(Partition((3, 1)), 3)
+            bad = object.__new__(MuChain)
+            for name in ("lam", "n", "rows"):
+                object.__setattr__(bad, name, getattr(chain, name))
+            mus = chain.mus[:2] + (Partition((4, 2)),) + chain.mus[3:]
+            object.__setattr__(bad, "mus", mus)
+            monkeypatch.setattr(battery, "mu_chain", lambda lam, n: bad)
+        records = []
+        for trials, seed in (("1", "0"), ("1000", "0"), ("1", "7"), ("1000", "7")):
+            status, out = run_cli(
+                capsys, "verify", "--lambda", "3,1", "--n", "3",
+                "--claim", "c", "--lemmas", "--trials", trials, "--seed", seed,
+            )
+            assert status == (1 if planted else 0)
+            records.append(json.loads(out)["checks"])
+        assert all(checks == records[0] for checks in records)
+        assert [c["ok"] for c in records[0]] == [not planted] * 2
 
     def test_brute_snp_is_skipped_beyond_three_variables(self, capsys):
         status, out = run_cli(

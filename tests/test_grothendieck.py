@@ -24,12 +24,11 @@ from grothsnp import (
     schur_polynomial,
 )
 from grothsnp import battery, grothendieck
+from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
-    _chain_prefix_identity,
     _claim_b_mix,
     _mix,
-    _prefix_sum_checker,
-    _weights_with_integer_moment,
+    _moment_vertices,
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
     lenart_coefficient,
@@ -358,21 +357,69 @@ class TestClaimC:
         assert majorizes(padded[1], mixed)
 
     def test_weight_sampler_hits_integer_moments(self):
+        # the Fraction reference sampler that the vertex check replaced
         rng = random.Random(99)
         for _ in range(300):
-            numerators, denominator, target = _weights_with_integer_moment(rng, 5)
-            weights = [Fraction(c, denominator) for c in numerators]
+            weights, target = _reference_integer_moment(rng, 5)
             assert sum(weights) == 1
             assert all(w >= 0 for w in weights)
             moment = sum(k * w for k, w in enumerate(weights))
             assert moment == target
             assert 0 <= target <= 5
 
+    @pytest.mark.parametrize("top", range(7))
+    def test_enumerated_points_are_the_vertices(self, top):
+        """Brute force over the basic solutions of the two equality rows: a
+        vertex of Q_K has at most two nonzero coordinates, found by solving
+        sum c = 1, sum k c_k = K on one index or a pair of them."""
+        for surplus in range(top + 1):
+            basic = {_unit_vector(top, surplus)}
+            for i in range(top + 1):
+                for j in range(i + 1, top + 1):
+                    c_j = Fraction(surplus - i, j - i)
+                    if 0 <= c_j <= 1:
+                        c = list(_unit_vector(top, i))
+                        c[i], c[j] = 1 - c_j, c_j
+                        basic.add(tuple(c))
+            assert set(_vertex_weights(top, surplus)) == basic
 
-# Fraction references for the randomized claims: each trial is computed with
+    @pytest.mark.parametrize("top", range(7))
+    def test_vertices_certify_every_drawn_weight(self, top):
+        """Every enumerated point lies in Q_K, and every weight vector drawn by
+        the Fraction reference sampler is a convex mix of its Q_K's points."""
+        vertices = {}
+        for surplus in range(top + 1):
+            vertices[surplus] = _vertex_weights(top, surplus)
+            for c in vertices[surplus]:
+                assert min(c) >= 0 and sum(c) == 1
+                assert sum(k * x for k, x in enumerate(c)) == surplus
+        rng = random.Random(top)
+        for _ in range(60):
+            weights, surplus = _reference_integer_moment(rng, top)
+            assert convex_certificate(vertices[surplus], weights) is not None
+
+
+def _unit_vector(top, k):
+    return tuple(Fraction(int(i == k)) for i in range(top + 1))
+
+
+def _vertex_weights(top, surplus):
+    """The points of _moment_vertices as Fraction weight vectors."""
+    points = []
+    for i, j, a, b in _moment_vertices(top, surplus):
+        c = [Fraction(0)] * (top + 1)
+        c[i] += Fraction(a, a + b)
+        c[j] += Fraction(b, a + b)
+        points.append(tuple(c))
+    return points
+
+
+# Fraction references for the claims: each claim-b trial is computed with
 # Fraction weights and convex_combination, drawing from a second generator
 # with the same seed in the same order. The integer mixes divided by their
 # denominator must equal these exactly, and the generators stay in lockstep.
+# The claim-c sampler, whose seeded trials the exact vertex check replaced,
+# stays here as the reference that the vertices must cover.
 
 
 def _reference_numerators(rng, count):
@@ -420,6 +467,39 @@ def _reference_integer_moment(rng, top):
     return tuple(c), target
 
 
+def _reference_claim_c(chain, trials, seed):
+    """Whether every sampled mix with integer surplus K is majorized by the
+    K-th chain shape, in Fractions."""
+    padded = [mu.padded(chain.n) for mu in chain.mus]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        weights, surplus = _reference_integer_moment(rng, chain.length)
+        if not majorizes(padded[surplus], convex_combination(weights, padded)):
+            return False
+    return True
+
+
+def _planted(chain, k, parts):
+    """The chain with shape k replaced by Partition(parts), built without the
+    checks of MuChain, which would refuse it."""
+    planted = object.__new__(MuChain)
+    mus = chain.mus[:k] + (Partition(parts),) + chain.mus[k + 1 :]
+    for name, value in (("lam", chain.lam), ("n", chain.n), ("mus", mus), ("rows", chain.rows)):
+        object.__setattr__(planted, name, value)
+    return planted
+
+
+def _box_moved_to_row_one(chain, k, row):
+    """_planted with one box of shape k moved from row to row 1, or None
+    where that box is not a corner."""
+    parts = list(chain.mus[k].padded(chain.n)) + [0]
+    if parts[row - 1] <= parts[row]:
+        return None
+    parts[row - 1] -= 1
+    parts[0] += 1
+    return _planted(chain, k, tuple(parts))
+
+
 def _scaled_down(numerators, denominator):
     return tuple(Fraction(x, denominator) for x in numerators)
 
@@ -445,20 +525,19 @@ class TestIntegerPath:
 
     @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
     def test_claim_c_weights_and_mixes_equal_the_fraction_ones(self, parts, n):
+        # each vertex's integer mix over a + b is the Fraction mix of its
+        # weights, and is majorized by the K-th shape in Fractions too
         padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
         top = len(padded) - 1
-        rng, reference = random.Random(7), random.Random(7)
-        for _ in range(150):
-            numerators, denominator, target = _weights_with_integer_moment(rng, top)
-            ref_weights, ref_target = _reference_integer_moment(reference, top)
-            assert _scaled_down(numerators, denominator) == ref_weights
-            assert target == ref_target
-            mixed = _scaled_down(_mix(numerators, padded), denominator)
-            assert mixed == convex_combination(ref_weights, padded)
-            assert rng.getstate() == reference.getstate()
+        for surplus in range(top + 1):
+            vertices = _moment_vertices(top, surplus)
+            for (i, j, a, b), weights in zip(vertices, _vertex_weights(top, surplus)):
+                mixed = _scaled_down(_mix((a, b), (padded[i], padded[j])), a + b)
+                assert mixed == convex_combination(weights, padded)
+                assert majorizes(padded[surplus], mixed)
 
     def test_failure_details_keep_the_fraction_format(self, monkeypatch):
-        # Reference strings printed by the Fraction implementation.
+        # Reference string printed by the Fraction implementation.
         monkeypatch.setattr(grothendieck, "majorizes", lambda mu, v: False)
         chain = mu_chain(LAM310, 3)
         assert check_claim_b(chain, 5, 11).detail == (
@@ -466,9 +545,14 @@ class TestIntegerPath:
             "Fraction(9358268187, 3206237710), Fraction(4571741951, 3206237710)) "
             "escapes bound (Fraction(3, 1), Fraction(4073, 2158), Fraction(2759, 2158))"
         )
+
+    def test_claim_c_failure_names_its_vertex(self):
+        # (3,2,1) with its row-3 box moved to row 1: the half-half mix of
+        # (3,1) and (4,2) escapes (3,2)
+        chain = _box_moved_to_row_one(mu_chain(LAM310, 3), 2, 3)
         assert check_claim_c(chain, 5, 11).detail == (
-            "trial 0: mix (Fraction(3, 1), Fraction(38095, 23703), "
-            "Fraction(9311, 23703)) escapes chain shape at K=1"
+            "vertex K=1, i=0, j=2: mix (Fraction(7, 2), Fraction(3, 2), "
+            "Fraction(0, 1)) escapes chain shape at K=1"
         )
 
 
@@ -537,70 +621,44 @@ class TestStreamLockstep:
         assert {1, 3, *range(2, n + 1)} <= reference.rejected
 
 
-def _reference_prefix_sum_check(chain, numerators, denominator):
-    """The first identity with its O(nN) closed form, then the second."""
-    n = chain.n
-    padded = [mu.padded(n) for mu in chain.mus]
-    base_prefix = [0] * (n + 1)
-    for r in range(1, n + 1):
-        base_prefix[r] = base_prefix[r - 1] + chain.lam.part(r)
-    mixed = grothendieck._mix(numerators, padded)
-    direct = 0
-    for r in range(1, n + 1):
+def _reference_first_identity(chain, weights):
+    """Whether the mix of the chain shapes with Fraction weights has prefix sum
+    base + sum_k min(k, l)*c_k at every row, by convex_combination."""
+    mixed = convex_combination(weights, [mu.padded(chain.n) for mu in chain.mus])
+    for r in range(1, chain.n + 1):
         last = max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
-        closed = base_prefix[r] * denominator + sum(
-            min(k, last) * numerators[k] for k in range(1, chain.length + 1)
-        )
-        direct += mixed[r - 1]
-        if direct != closed:
-            return False, (
-                f"mixed prefix sum at row {r}: {Fraction(direct, denominator)} "
-                f"!= {Fraction(closed, denominator)}"
-            )
-    second = _chain_prefix_identity(chain, padded, base_prefix)
-    return second.ok, second.detail
+        closed = sum(chain.lam.parts[:r]) + sum(min(k, last) * c for k, c in enumerate(weights))
+        if sum(mixed[:r]) != closed:
+            return False
+    return True
 
 
 class TestLemmaClosedForm:
     @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    @pytest.mark.parametrize("offset", [0, 1, -1], ids=["sum=D", "sum<D", "sum>D"])
-    def test_tail_sums_match_the_quadratic_form(self, parts, n, offset):
+    def test_planted_wrong_mix(self, parts, n):
+        # One box too many in row 1 of shape k breaks every mix through it.
+        # The last shape also fixes the final surplus of the second identity,
+        # which an earlier shape may then fail first.
         chain = mu_chain(Partition(parts), n)
-        check = _prefix_sum_checker(chain)
-        rng = random.Random(23)
-        for _ in range(50):
-            numerators = [rng.randint(2, 50) for _ in range(chain.length + 1)]
-            denominator = sum(numerators) + offset
-            res = check(numerators, denominator)
-            assert (res.ok, res.detail) == _reference_prefix_sum_check(
-                chain, numerators, denominator
-            )
-
-    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    def test_planted_wrong_mix(self, parts, n, monkeypatch):
-        def bumped(numerators, vectors):
-            mixed = _mix(numerators, vectors)
-            mixed[-1] += 1
-            return mixed
-
-        monkeypatch.setattr(grothendieck, "_mix", bumped)
-        chain = mu_chain(Partition(parts), n)
-        numerators = list(range(1, chain.length + 2))
-        res = _prefix_sum_checker(chain)(numerators, sum(numerators))
-        assert not res.ok
-        assert (res.ok, res.detail) == _reference_prefix_sum_check(
-            chain, numerators, sum(numerators)
-        )
+        uniform = [Fraction(1, chain.length + 1)] * (chain.length + 1)
+        assert _reference_first_identity(chain, uniform)
+        for k, mu in enumerate(chain.mus):
+            planted = _planted(chain, k, (mu.part(1) + 1, *mu.parts[1:]))
+            res = check_lemmas_random(planted, 1, 0)
+            assert not res.ok
+            if k < chain.length:
+                assert res.detail.startswith(f"first identity at k={k}, row 1: ")
+            assert not _reference_first_identity(planted, uniform)
 
 
 class TestLemmas:
     def test_unit_weight_on_the_base(self):
         chain = mu_chain(LAM310, 3)
-        assert _prefix_sum_checker(chain)((1, 0, 0, 0), 1)
+        assert _reference_first_identity(chain, (1, 0, 0, 0))
 
     def test_uniform_weights(self):
         chain = mu_chain(LAM310, 3)
-        assert _prefix_sum_checker(chain)((1, 1, 1, 1), 4)
+        assert _reference_first_identity(chain, (Fraction(1, 4),) * 4)
 
     def test_row_one_prefix_is_rigid(self):
         # every chain shape keeps the first row of the base shape
@@ -612,31 +670,53 @@ class TestLemmas:
         assert check_lemmas_random(mu_chain(Partition((4, 2, 1)), 4), 200, 17)
 
     def test_weights_over_different_denominators(self):
-        # 1/3, 1/4, 1/6, 1/4 over their common denominator 12
         chain = mu_chain(LAM310, 3)
-        assert _prefix_sum_checker(chain)((4, 3, 2, 3), 12)
+        weights = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
+        assert _reference_first_identity(chain, weights)
 
-    def test_first_identity_failure_keeps_its_trial_and_text(self, monkeypatch):
-        # Breaks the mix of the third trial only; the expected string was
-        # printed by the implementation that rebuilt all chain data per trial.
-        calls = [0]
+    def test_first_identity_failure_names_its_shape_and_row(self):
+        chain = _box_moved_to_row_one(mu_chain(LAM310, 3), 2, 3)
+        res = check_lemmas_random(chain, 10, 5)
+        assert res.detail == "first identity at k=2, row 1: 4 != 3"
 
-        def bumped(numerators, vectors):
-            calls[0] += 1
-            mixed = _mix(numerators, vectors)
-            if calls[0] == 3:
-                mixed[1] += 1
-            return mixed
-
-        monkeypatch.setattr(grothendieck, "_mix", bumped)
-        res = check_lemmas_random(mu_chain(LAM310, 4), 10, 5)
-        assert res.detail == "trial 2: mixed prefix sum at row 2: 15781/3258 != 2630/543"
-
-    def test_second_identity_failure_keeps_its_trial_and_text(self, monkeypatch):
+    def test_second_identity_failure_names_its_shape_and_row(self, monkeypatch):
         chain = mu_chain(LAM310, 4)
         monkeypatch.setattr(MuChain, "extra_boxes", lambda self: (0,) * self.n)
         res = check_lemmas_random(chain, 10, 5)
-        assert res.detail == "trial 0: chain prefix sum at k=2, row 2: 5 != 4"
+        assert res.detail == "second identity at k=2, row 2: 5 != 4"
+
+
+def _planted_chains():
+    """Each chain of a small box with one box of one shape moved to row 1,
+    over every corner of every shape."""
+    for lam in partitions_in_box(3, 3):
+        for n in range(max(1, len(lam)), 6):
+            chain = mu_chain(lam, n)
+            for k in range(chain.length + 1):
+                for row in range(2, n + 1):
+                    planted = _box_moved_to_row_one(chain, k, row)
+                    if planted is not None:
+                        yield planted
+
+
+class TestPlantedDefects:
+    def test_vertex_check_fails_wherever_the_sampler_does(self):
+        sampled = vertex = 0
+        for chain in _planted_chains():
+            caught = not check_claim_c(chain, 1, 0)
+            if not _reference_claim_c(chain, 100, 3):
+                assert caught, (chain.mus, chain.n)
+                sampled += 1
+            vertex += caught
+        # 349 of the 393 planted chains; at 100 trials the sampler misses
+        # none of the vertex check's either
+        assert sampled == vertex == 349
+
+    def test_lemma_check_fails_on_every_planted_chain(self):
+        planted = list(_planted_chains())
+        assert len(planted) == 393
+        for chain in planted:
+            assert not check_lemmas_random(chain, 1, 0), (chain.mus, chain.n)
 
 
 class TestCaching:

@@ -1,5 +1,6 @@
 """Partitions, dominance, majorization, and exact convex mixes."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,12 @@ class TestPartitionType:
     def test_rejects_negative_parts(self):
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", Fraction(2)])
+    def test_rejects_non_integer_parts(self, bad):
+        # no truncation to (2, 1) and no parsing of "3"
+        with pytest.raises(ValueError, match=f"must be integers: {re.escape(repr(bad))}"):
+            Partition((bad, 1))
 
     def test_size_and_rows(self):
         lam = Partition((3, 1, 0))
