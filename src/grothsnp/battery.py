@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import signal
 import sys
 from typing import Callable, Sequence
 
@@ -58,8 +57,11 @@ CHECKS = (
 
 def checks_for(n: int, names: Sequence[str] = CHECKS) -> tuple[str, ...]:
     """The checks among names that run in n variables: brute-snp only for
-    n <= 3, since it runs one exact simplex per bounding-box point outside
-    the support."""
+    n <= 3. brute-snp sweeps the bounding box of the support, and its
+    0/+-1 valid inequalities leave no point for the exact simplex on any
+    partition in a 3 x 3 box for n <= 5, at under a second each; the cap
+    stays because perfbench/oracles.py expects brute-snp exactly for
+    n <= 3."""
     return tuple(name for name in names if name != "brute-snp" or n <= 3)
 
 
@@ -109,6 +111,8 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
 def ignore_sigint() -> None:
     """Pool worker initializer: leave Ctrl-C to the parent, which reports it
     once and terminates the pool, so workers print no tracebacks."""
+    import signal  # here, like multiprocessing: only pool workers need it
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 

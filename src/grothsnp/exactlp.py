@@ -16,9 +16,11 @@ So no artificial column can ever enter, and none is stored.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vector = Sequence
 
@@ -27,6 +29,8 @@ def _integral(vectors: Sequence[Vector]) -> list[list[int]]:
     """The vectors scaled to integers: every entry times the lcm of all the
     denominators. int entries are used as they are; any other entry is read
     through Fraction first."""
+    from fractions import Fraction
+
     rows = [[x if type(x) is int else Fraction(x) for x in v] for v in vectors]
     scale = lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
     return [
@@ -119,4 +123,6 @@ def convex_certificate(
     for i, coord in enumerate(goal):
         if sum(w * p[i] for w, p in zip(weights, pts)) != d * coord:
             raise RuntimeError("simplex returned an invalid certificate")
+    from fractions import Fraction
+
     return tuple(Fraction(w, d) for w in weights)

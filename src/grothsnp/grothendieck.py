@@ -13,20 +13,13 @@ geometry and the tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, filterfalse, islice, repeat
 from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .partitions import (
-    Partition,
-    RationalVector,
-    dominance_leq,
-    majorizes,
-)
+from .partitions import Frozen, Partition, dominance_leq, majorizes
 from .polynomials import SparsePolynomial
 from .tableaux import (
     count_lenart_tableaux,
@@ -36,42 +29,46 @@ from .tableaux import (
     ssyt_dominant_contents,
 )
 
+if TYPE_CHECKING:
+    from .partitions import RationalVector
 
-@dataclass(frozen=True)
-class CheckResult:
+
+class CheckResult(Frozen):
     """Outcome of a verification run; falsy results carry a witness message."""
 
-    ok: bool
-    detail: str = ""
+    __slots__ = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: str = "") -> None:
+        super().__init__(ok, detail)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(Frozen):
     """Schur coefficients of a symmetric Grothendieck polynomial.
 
     Stored as (shape, coefficient) pairs sorted by (size, parts); every
     coefficient is nonzero and carries the sign (-1)^(extra boxes).
     """
 
-    lam: Partition
-    n: int
-    terms: tuple[tuple[Partition, int], ...]
+    __slots__ = ("lam", "n", "terms")
 
-    def __post_init__(self) -> None:
-        base = self.lam.size()
-        for mu, coeff in self.terms:
+    def __init__(
+        self, lam: Partition, n: int, terms: tuple[tuple[Partition, int], ...]
+    ) -> None:
+        super().__init__(lam, n, terms)
+        base = lam.size()
+        for mu, coeff in terms:
             if coeff == 0:
                 raise ValueError("expansion must not store zero coefficients")
-            if len(mu) > self.n or not mu.contains(self.lam):
+            if len(mu) > n or not mu.contains(lam):
                 raise ValueError(f"shape {mu.parts} outside the admissible range")
-            if any(mu.part(i) > self.lam.part(i) + i - 1 for i in range(1, len(mu) + 1)):
+            if any(mu.part(i) > lam.part(i) + i - 1 for i in range(1, len(mu) + 1)):
                 raise ValueError(f"shape {mu.parts} violates the row growth bound")
             if coeff * (-1) ** (mu.size() - base) <= 0:
                 raise ValueError(f"coefficient sign broken at {mu.parts}")
-        if self.coefficient(self.lam) != 1:
+        if self.coefficient(lam) != 1:
             raise ValueError("leading coefficient must be 1")
 
     def coefficient(self, mu: Partition) -> int:
@@ -90,8 +87,7 @@ class SchurExpansion:
         }
 
 
-@dataclass(frozen=True)
-class MuChain:
+class MuChain(Frozen):
     """The greedy chain of partitions obtained by repeatedly adding one box.
 
     Step k adds a box to the northmost row r (within 1..n) whose surplus over
@@ -100,12 +96,16 @@ class MuChain:
     receiving box k (1-based).
     """
 
-    lam: Partition
-    n: int
-    mus: tuple[Partition, ...]
-    rows: tuple[int, ...]
+    __slots__ = ("lam", "n", "mus", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        lam: Partition,
+        n: int,
+        mus: tuple[Partition, ...],
+        rows: tuple[int, ...],
+    ) -> None:
+        super().__init__(lam, n, mus, rows)
         if len(self.lam) > self.n:
             raise ValueError("base shape has more rows than the ambient allows")
         if len(self.mus) != len(self.rows) + 1 or self.mus[0] != self.lam:
@@ -316,6 +316,8 @@ def _mix(numerators: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[in
 
 
 def _as_fractions(numerators: Sequence[int], denominator: int) -> RationalVector:
+    from fractions import Fraction
+
     return tuple(Fraction(x, denominator) for x in numerators)
 
 

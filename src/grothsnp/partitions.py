@@ -9,15 +9,66 @@ rational vectors as integer numerators over a common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
-from operator import index
-from typing import Iterator, Sequence, Union
+from operator import attrgetter, index
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rational = Union[int, Fraction]
+    RationalVector = tuple[Fraction, ...]
 
 ExponentVector = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
-Rational = Union[int, Fraction]
+
+
+class Frozen:
+    """Base of the package's immutable values, each a class whose __slots__
+    name its fields and whose __init__ passes their values, in that order,
+    to Frozen.__init__.
+
+    A value equals another of the same class with an equal field tuple, hashes
+    as that tuple, and prints as Name(field=value, ...): the rules of a frozen
+    dataclass, without importing dataclasses. Pickling and copying rebuild it
+    through __init__ from the field tuple, since their default restores slots
+    through setattr, which a value refuses.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The field tuple through one attrgetter, which returns a bare value,
+        # not a 1-tuple, when it reads a single field.
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 def _integer_part(p) -> int:
@@ -29,24 +80,23 @@ def _integer_part(p) -> int:
         raise ValueError(f"partition parts must be integers: {p!r}") from None
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing tuple of nonnegative integers, trailing zeros stripped.
 
     Equality and hashing see only the stripped form, so (3,1,0) == (3,1).
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(map(_integer_part, self.parts))
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        cleaned = tuple(map(_integer_part, parts))
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
         if any(p < 0 for p in cleaned):
-            raise ValueError(f"partition parts must be nonnegative: {self.parts}")
+            raise ValueError(f"partition parts must be nonnegative: {parts}")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
-        object.__setattr__(self, "parts", cleaned)
+            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        super().__init__(cleaned)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -125,6 +175,8 @@ def convex_combination(
     Fraction form is the tests' reference, and perfbench/tracing.py wraps it
     by name.
     """
+    from fractions import Fraction
+
     coeffs = tuple(Fraction(w) for w in weights)
     if len(coeffs) != len(vectors):
         raise ValueError("one weight per vector required")

@@ -10,29 +10,34 @@ independent and can audit each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import Iterator
 
 from .exactlp import convex_certificate
 from .grothendieck import grothendieck_lenart_dominant, mu_chain
-from .partitions import ExponentVector, Partition, dominance_leq, partitions_of_size
+from .partitions import (
+    ExponentVector,
+    Frozen,
+    Partition,
+    dominance_leq,
+    partitions_of_size,
+)
 from .polynomials import SparsePolynomial
 
 
-@dataclass(frozen=True)
-class Permutahedron:
+class Permutahedron(Frozen):
     """Convex hull of all coordinate permutations of a weakly decreasing weight."""
 
-    weight: tuple[int, ...]
-    n: int
+    __slots__ = ("weight", "n")
 
-    def __post_init__(self) -> None:
-        if len(self.weight) != self.n:
+    def __init__(self, weight: tuple[int, ...], n: int) -> None:
+        super().__init__(weight, n)
+        if len(weight) != n:
             raise ValueError("weight must have exactly n coordinates")
-        if any(x < 0 for x in self.weight):
+        if any(x < 0 for x in weight):
             raise ValueError("weight coordinates must be nonnegative")
-        if any(a < b for a, b in zip(self.weight, self.weight[1:])):
+        if any(a < b for a, b in zip(weight, weight[1:])):
             raise ValueError("weight must be weakly decreasing")
 
     @classmethod
@@ -50,15 +55,14 @@ class Permutahedron:
         }
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Frozen):
     """A finite set of points of one common dimension."""
 
-    n: int
-    points: frozenset
+    __slots__ = ("n", "points")
 
-    def __post_init__(self) -> None:
-        if any(len(p) != self.n for p in self.points):
+    def __init__(self, n: int, points: frozenset) -> None:
+        super().__init__(n, points)
+        if any(len(p) != n for p in points):
             raise ValueError("all points must have the cloud's dimension")
 
 
@@ -117,8 +121,7 @@ def hull_membership(q, cloud: PointCloud) -> bool:
     return convex_certificate(sorted(cloud.points), tuple(q)) is not None
 
 
-@dataclass(frozen=True)
-class SnpVerdict:
+class SnpVerdict(Frozen):
     """Outcome of a saturation check.
 
     violation holds the lexicographically least offending lattice point when
@@ -127,29 +130,49 @@ class SnpVerdict:
     fast route (one permutahedron per homogeneous degree).
     """
 
-    is_snp: bool
-    violation: ExponentVector | None = None
-    hull_lattice_points: frozenset = field(default_factory=frozenset)
-    components: tuple[Permutahedron, ...] = ()
-    detail: str = ""
+    __slots__ = ("is_snp", "violation", "hull_lattice_points", "components", "detail")
+
+    def __init__(
+        self,
+        is_snp: bool,
+        violation: ExponentVector | None = None,
+        hull_lattice_points: frozenset = frozenset(),
+        components: tuple[Permutahedron, ...] = (),
+        detail: str = "",
+    ) -> None:
+        super().__init__(is_snp, violation, hull_lattice_points, components, detail)
 
 
 def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     """Sweep the bounding box of the support and test every integer point.
 
-    A point inside the hull (decided exactly) but outside the support is a
-    saturation violation. The verdict records all hull lattice points, so a
-    passing result doubles as a full Newton polytope description.
+    A box point outside the support is first held against the valid
+    inequalities <d, x> <= max <d, p> over the support, one for each d in
+    {-1,0,1}^n other than 0. A point that breaks one lies outside the hull;
+    the rest go to the exact simplex, and a point it puts inside the hull is
+    a saturation violation. The filter uses no symmetry and no permutahedra,
+    so this route stays independent of snp_check_symmetric_fast. The verdict
+    records all hull lattice points, so a passing result doubles as a full
+    Newton polytope description.
     """
     support = f.support()
     if not support:
         raise ValueError("zero polynomial has no Newton polytope")
     cloud = PointCloud(f.n, frozenset(support))
+    # <d, x> <= h holds on the whole hull when h is the largest <d, p> over
+    # the support.
+    inequalities = [
+        (d, max(sum(map(mul, d, p)) for p in support))
+        for d in product((-1, 0, 1), repeat=f.n)
+        if any(d)
+    ]
     hull_points: set[ExponentVector] = set()
     violations: list[ExponentVector] = []
     for point in product(*(range(min(c), max(c) + 1) for c in zip(*support))):
         if point in cloud.points:
             hull_points.add(point)
+        elif any(sum(map(mul, d, point)) > h for d, h in inequalities):
+            continue  # outside the hull, no simplex needed
         elif hull_membership(point, cloud):
             hull_points.add(point)
             violations.append(point)

@@ -25,17 +25,15 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .partitions import ExponentVector, Partition
+from .partitions import ExponentVector, Frozen, Partition
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Frozen):
     """A filling of the skew diagram outer/inner by nonempty label sets.
 
     entries[r] lists the cells of row r (0-based) left to right, covering
@@ -43,17 +41,21 @@ class Tableau:
     sorted tuple of positive integers (singletons for ordinary tableaux).
     """
 
-    outer: Partition
-    inner: Partition
-    entries: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("outer", "inner", "entries")
 
-    def __post_init__(self) -> None:
-        if not self.outer.contains(self.inner):
+    def __init__(
+        self,
+        outer: Partition,
+        inner: Partition,
+        entries: tuple[tuple[tuple[int, ...], ...], ...],
+    ) -> None:
+        super().__init__(outer, inner, entries)
+        if not outer.contains(inner):
             raise ValueError("inner shape must fit inside outer shape")
-        if len(self.entries) != len(self.outer):
+        if len(entries) != len(outer):
             raise ValueError("one entry row per outer row required")
-        for r, row in enumerate(self.entries):
-            expected = self.outer.part(r + 1) - self.inner.part(r + 1)
+        for r, row in enumerate(entries):
+            expected = outer.part(r + 1) - inner.part(r + 1)
             if len(row) != expected:
                 raise ValueError(f"row {r + 1} must have {expected} cells")
             for labels in row:

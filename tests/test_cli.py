@@ -677,10 +677,14 @@ class TestEntryPoint:
         [
             ["-m", "grothsnp", "chain", "--lambda", "1", "--n", "2"],
             [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
+            ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"],
         ],
     )
     def test_no_multiprocessing_import_without_a_pool(self, argv):
-        # -X importtime lists on stderr every module the run imports.
+        # -X importtime lists on stderr every module the run imports. Neither
+        # dataclasses (which loads inspect) nor fractions is part of start-up:
+        # the value types are __slots__ classes, and Fraction is imported by
+        # the few functions that build one.
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", *argv],
             capture_output=True,
@@ -695,3 +699,5 @@ class TestEntryPoint:
         }
         assert "grothsnp.battery" in imported
         assert "multiprocessing" not in imported
+        assert "dataclasses" not in imported
+        assert "fractions" not in imported

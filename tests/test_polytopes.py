@@ -214,6 +214,93 @@ class TestBruteForce:
         assert verdict.hull_lattice_points == frozenset({(0, 0)})
 
 
+def sweep_n3_pairs():
+    """The (lambda, n) pairs of the benchmark's desk sweep: every partition
+    in a 3 x 3 box, for n = 2 and 3."""
+    return [
+        (lam, n) for n in (2, 3) for lam in partitions_in_box(3, 3) if len(lam) <= n
+    ]
+
+
+def reference_bruteforce(f):
+    """(is_snp, violation, hull lattice points) with no filter: hull
+    membership decided for every box point outside the support."""
+    support = f.support()
+    cloud = PointCloud(f.n, frozenset(support))
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*support)))
+    hull = {p for p in box if p in support or hull_membership(p, cloud)}
+    violations = hull - support
+    return not violations, min(violations, default=None), frozenset(hull)
+
+
+def filtered_bruteforce(f):
+    """The same triple from snp_check_bruteforce."""
+    verdict = snp_check_bruteforce(f)
+    return verdict.is_snp, verdict.violation, verdict.hull_lattice_points
+
+
+@pytest.fixture
+def lp_queries(monkeypatch):
+    """The target of every exact-simplex call the brute-force sweep makes."""
+    targets = []
+    certificate = polytopes.convex_certificate
+
+    def counting(points, target):
+        targets.append(tuple(target))
+        return certificate(points, target)
+
+    monkeypatch.setattr(polytopes, "convex_certificate", counting)
+    return targets
+
+
+class TestBruteForcePrefilter:
+    def test_survivors_reach_the_simplex(self, lp_queries):
+        # The facets through (0, 0) have normals (2, -1) and (-1, 2), which are
+        # not 0/+-1 vectors: (0, 1) and (1, 0) pass every 0/+-1 inequality,
+        # and the simplex rejects both.
+        cloud = {(0, 0), (1, 1), (1, 2), (2, 1)}
+        verdict = snp_check_bruteforce(SparsePolynomial(2, dict.fromkeys(cloud, 1)))
+        assert sorted(lp_queries) == [(0, 1), (1, 0)]
+        assert verdict.is_snp
+        assert verdict.hull_lattice_points == frozenset(cloud)
+
+    def test_violation_is_found_through_the_simplex(self, lp_queries):
+        verdict = snp_check_bruteforce(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1}))
+        assert lp_queries == [(1, 1)]
+        assert verdict.violation == (1, 1)
+        assert verdict.detail == "lattice point (1, 1) lies in the hull but not the support"
+
+    def test_no_simplex_call_on_the_desk_sweep(self, lp_queries):
+        pairs = sweep_n3_pairs()
+        assert len(pairs) == 30
+        for lam, n in pairs:
+            assert snp_check_bruteforce(grothendieck_lenart(lam, n)).is_snp
+        assert lp_queries == []
+
+    def test_desk_sweep_matches_the_unfiltered_reference(self):
+        for lam, n in sweep_n3_pairs():
+            f = grothendieck_lenart(lam, n)
+            assert filtered_bruteforce(f) == reference_bruteforce(f), (lam, n)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.sets(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_prefilter_keeps_the_unfiltered_verdict(cloud):
+    """On random clouds, about half of them unsaturated, the filtered sweep
+    gives the verdict, the least violation and the hull lattice points of
+    the reference that asks the simplex about every box point."""
+    f = SparsePolynomial(len(next(iter(cloud))), dict.fromkeys(cloud, 1))
+    assert filtered_bruteforce(f) == reference_bruteforce(f)
+
+
 class TestFastRoute:
     def test_displayed_case_lists_four_polytopes(self):
         verdict = snp_check_symmetric_fast(Partition((3, 1)), 3)
