@@ -31,10 +31,9 @@ Example:
 from __future__ import annotations
 
 import argparse
-import json
 import time
 
-from grothsnp import battery, partitions_in_box
+from grothsnp import battery
 
 
 def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
@@ -55,6 +54,8 @@ def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
 
 
 def sweep(args: argparse.Namespace) -> dict:
+    from grothsnp import partitions_in_box  # after parsing: --help needs no math
+
     tasks = [
         (lam.parts, n, args.trials, args.seed)
         for n in args.n_values
@@ -128,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = sweep(args)
         status = 0 if report["ok"] else 1
+        import json
+
         text = json.dumps(report, indent=2) + "\n"
         if args.out is not None:
             reason = battery.write_out(args.out, text)

@@ -1,58 +1,53 @@
 """Exact arithmetic for symmetric Grothendieck polynomials and the
-saturation of their Newton polytopes."""
+saturation of their Newton polytopes.
 
-from .grothendieck import (
-    CheckResult,
-    MuChain,
-    SchurExpansion,
-    check_claim_a,
-    check_claim_b,
-    check_claim_c,
-    check_lemmas_random,
-    grothendieck_lenart,
-    grothendieck_setvalued,
-    mu_chain,
-    schur_expansion,
-    schur_polynomial,
-)
-from .partitions import Partition, partitions_in_box, partitions_of_size
-from .polynomials import SparsePolynomial
-from .polytopes import (
-    Permutahedron,
-    PointCloud,
-    SnpVerdict,
-    hull_membership,
-    permutahedron_lattice_points,
-    permutahedron_vertices,
-    rado_contains,
-    snp_check_bruteforce,
-    snp_check_symmetric_fast,
-)
+The names below load with their home module on first use (PEP 562), so
+importing the package, or running `python -m grothsnp --help`, compiles no
+math layer; `from grothsnp import X` works as before.
+"""
 
-__all__ = [
-    "CheckResult",
-    "MuChain",
-    "Partition",
-    "Permutahedron",
-    "PointCloud",
-    "SchurExpansion",
-    "SnpVerdict",
-    "SparsePolynomial",
-    "check_claim_a",
-    "check_claim_b",
-    "check_claim_c",
-    "check_lemmas_random",
-    "grothendieck_lenart",
-    "grothendieck_setvalued",
-    "hull_membership",
-    "mu_chain",
-    "partitions_in_box",
-    "partitions_of_size",
-    "permutahedron_lattice_points",
-    "permutahedron_vertices",
-    "rado_contains",
-    "schur_expansion",
-    "schur_polynomial",
-    "snp_check_bruteforce",
-    "snp_check_symmetric_fast",
-]
+_HOMES = {
+    "CheckResult": "grothendieck",
+    "MuChain": "grothendieck",
+    "Partition": "partitions",
+    "Permutahedron": "polytopes",
+    "PointCloud": "polytopes",
+    "SchurExpansion": "grothendieck",
+    "SnpVerdict": "polytopes",
+    "SparsePolynomial": "polynomials",
+    "check_claim_a": "grothendieck",
+    "check_claim_b": "grothendieck",
+    "check_claim_c": "grothendieck",
+    "check_lemmas_random": "grothendieck",
+    "grothendieck_lenart": "grothendieck",
+    "grothendieck_setvalued": "grothendieck",
+    "hull_membership": "polytopes",
+    "mu_chain": "grothendieck",
+    "partitions_in_box": "partitions",
+    "partitions_of_size": "partitions",
+    "permutahedron_lattice_points": "polytopes",
+    "permutahedron_vertices": "polytopes",
+    "rado_contains": "polytopes",
+    "schur_expansion": "grothendieck",
+    "schur_polynomial": "grothendieck",
+    "snp_check_bruteforce": "polytopes",
+    "snp_check_symmetric_fast": "polytopes",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # An import statement's machinery, which -X importtime reports;
+    # importlib.import_module bypasses that report.
+    module = __import__(f"{__name__}.{home}", fromlist=[name])
+    value = getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

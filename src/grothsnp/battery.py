@@ -14,8 +14,10 @@ The module also holds the exit-2 contract of every entry point: `fail`
 prints the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable stdout, and
 out_path_error, write_out and refuse_out check and write an --out file. The
-scripts load it before they parse their arguments, so the contract costs them
-no import.
+scripts load it before they parse their arguments, so it imports only the
+standard library when loaded, and `--help` compiles no math layer: run_check
+imports the math layers when it is first called, and map_jobs before it
+forks a pool.
 """
 
 from __future__ import annotations
@@ -25,24 +27,6 @@ import contextlib
 import os
 import sys
 from typing import Callable, Sequence
-
-from .grothendieck import (
-    check_claim_a,
-    check_claim_b,
-    check_claim_c,
-    check_lemmas_random,
-    grothendieck_lenart,
-    grothendieck_lenart_dominant,
-    grothendieck_setvalued_dominant,
-    mu_chain,
-)
-from .partitions import Partition
-from .polytopes import (
-    Permutahedron,
-    permutahedron_lattice_points,
-    snp_check_bruteforce,
-    snp_check_symmetric_fast,
-)
 
 CHECKS = (
     "cross-oracle",
@@ -67,6 +51,26 @@ def checks_for(n: int, names: Sequence[str] = CHECKS) -> tuple[str, ...]:
 
 def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
     """The record of one check; task is (name, lambda parts, n, trials, seed)."""
+    # Looked up per call, so each check runs what its home module holds
+    # then; a tracer or a test may have rebound it.
+    from .grothendieck import (
+        check_claim_a,
+        check_claim_b,
+        check_claim_c,
+        check_lemmas_random,
+        grothendieck_lenart,
+        grothendieck_lenart_dominant,
+        grothendieck_setvalued_dominant,
+        mu_chain,
+    )
+    from .partitions import Partition
+    from .polytopes import (
+        Permutahedron,
+        permutahedron_lattice_points,
+        snp_check_bruteforce,
+        snp_check_symmetric_fast,
+    )
+
     name, parts, n, trials, seed = task
     lam = Partition(parts)
     if name == "cross-oracle":
@@ -84,8 +88,6 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
     if name == "claim-a":
         res = check_claim_a(lam, n)
         return {"name": name, "ok": res.ok, "detail": res.detail}
-    # Built per call, so each check runs what its module-level name holds
-    # then; a tracer or a test may have rebound it.
     randomized = {
         "claim-b": check_claim_b,
         "claim-c": check_claim_c,
@@ -121,6 +123,10 @@ def map_jobs(fn: Callable, tasks: Sequence, jobs: int) -> list:
     jobs workers when jobs > 1 and there are two tasks or more, else here."""
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # here, so that a serial run never loads it
+
+        # The workers fork from here: the layers run_check imports load once,
+        # now, rather than once in every worker.
+        from . import grothendieck, polytopes  # noqa: F401
 
         with multiprocessing.Pool(
             min(jobs, len(tasks)), initializer=ignore_sigint

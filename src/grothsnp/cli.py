@@ -9,28 +9,25 @@ invocations produce byte-identical files. Exit codes: 0 success or verified,
 an --out path that cannot be written (checked before computing and again on
 writing), a stdout that cannot be written (a full disk, a closed pipe), or an
 interrupt (Ctrl-C), each reported on one stderr line by the helpers in
-grothsnp.battery.
+grothsnp.battery. Each handler imports the layers it uses, so `--help`
+loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import battery
-from .grothendieck import grothendieck_lenart, mu_chain, schur_expansion
-from .partitions import Partition
-from .polytopes import (
-    Permutahedron,
-    permutahedron_lattice_points,
-    snp_check_bruteforce,
-    snp_check_symmetric_fast,
-)
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 
 def _parse_partition(text: str) -> Partition:
+    from .partitions import Partition
+
     if text.strip() == "":
         return Partition(())
     try:
@@ -51,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambda",
         dest="lam",
         type=_parse_partition,
-        default=Partition(()),
+        default="",  # argparse runs a string default through _parse_partition
         metavar="PARTS",
         help="partition as a comma-separated weakly decreasing list, e.g. 3,1,0",
     )
@@ -101,6 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# snp --brute holds each point of the support's bounding box against up to
+# 3^n inequalities, and no exponent of G_lambda exceeds lambda_1 (a variable
+# appears at most once per column of a set-valued tableau), so
+# (lambda_1 + 1)^n * 3^n bounds its work before G_lambda is expanded. Just
+# under the limit, (3,1) at n = 6 sweeps in about 1.3 s on a 2-vCPU shared
+# host; (2,1) at n = 8, 14 times over it, took 27 s.
+BRUTE_WORK_LIMIT = 3_000_000
+
+
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Refuse the values argparse cannot check by itself as usage errors
     (exit 2); the first one found is reported."""
@@ -110,6 +116,13 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         parser.error("n must be at least 1")
     if len(args.lam) > args.n:
         parser.error(f"lambda has {len(args.lam)} rows but n = {args.n}")
+    if args.command == "snp" and args.brute:
+        work = (args.lam.part(1) + 1) ** args.n * 3**args.n
+        if work > BRUTE_WORK_LIMIT:
+            parser.error(
+                f"snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ {BRUTE_WORK_LIMIT:,}, "
+                f"got {work:,}; drop --brute for the degreewise check"
+            )
     if args.command == "verify":
         if args.jobs < 1:
             parser.error("jobs must be at least 1")
@@ -118,22 +131,33 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, str]:
+    from .grothendieck import schur_expansion
+
     return 0, _dump_json(schur_expansion(args.lam, args.n).to_json_dict())
 
 
 def _run_groth(args: argparse.Namespace) -> tuple[int, str]:
+    from .grothendieck import grothendieck_lenart
+
     return 0, _dump_json(grothendieck_lenart(args.lam, args.n).to_json_dict())
 
 
 def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
+    from .grothendieck import mu_chain
+
     return 0, _dump_json(mu_chain(args.lam, args.n).to_json_dict())
 
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
+    from .grothendieck import mu_chain
+    from .polytopes import Permutahedron
+
     chain = mu_chain(args.lam, args.n)
     base = args.lam.size()
     components = []
@@ -151,6 +175,9 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
+    from .grothendieck import grothendieck_lenart
+    from .polytopes import snp_check_bruteforce, snp_check_symmetric_fast
+
     verdict = (
         snp_check_bruteforce(grothendieck_lenart(args.lam, args.n))
         if args.brute
@@ -203,6 +230,9 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 def figure_data(lam: Partition, n: int) -> str:
     """The lattice points of every polytope in the chain of lam as CSV lines
     x,y,z,degree, with "-" in the coordinate columns beyond n <= 3."""
+    from .grothendieck import mu_chain
+    from .polytopes import Permutahedron, permutahedron_lattice_points
+
     chain = mu_chain(lam, n)
     base = lam.size()
     lines = []

@@ -14,7 +14,6 @@ from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .exactlp import convex_certificate
 from .grothendieck import grothendieck_lenart_dominant, mu_chain
 from .partitions import (
     ExponentVector,
@@ -118,6 +117,8 @@ def hull_membership(q, cloud: PointCloud) -> bool:
         raise ValueError("query point dimension does not match the cloud")
     if tuple(q) in cloud.points:
         return True
+    from .exactlp import convex_certificate  # here: only the simplex needs it
+
     return convex_certificate(sorted(cloud.points), tuple(q)) is not None
 
 

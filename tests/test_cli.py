@@ -4,6 +4,7 @@ import errno
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -116,6 +117,40 @@ class TestSnp:
         assert doc["snp"] is True
         assert len(doc["hull_lattice_points"]) == 34
 
+    def test_brute_route_within_the_work_limit(self, capsys):
+        # (3+1)^5 * 3^5 = 248,832: the size of the CI run.
+        status, out = run_cli(capsys, "snp", "--lambda", "3,1", "--n", "5", "--brute")
+        assert status == 0
+        assert json.loads(out)["snp"] is True
+
+    @pytest.mark.parametrize(
+        "parts, n, work",
+        [("2,1", 8, "43,046,721"), ("2,1", 7, "4,782,969"),
+         ("3,1", 7, "35,831,808"), ("4,2,1", 6, "11,390,625")],
+    )
+    def test_brute_route_refuses_oversized_inputs(self, capsys, monkeypatch, parts, n, work):
+        def no_expansion(lam, n):
+            raise AssertionError("G_lambda expanded before the refusal")
+
+        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_lenart", no_expansion)
+        with pytest.raises(SystemExit) as err:
+            main(["snp", "--lambda", parts, "--n", str(n), "--brute"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: grothsnp ")
+        assert captured.err.splitlines()[-1] == (
+            "grothsnp: error: snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ 3,000,000, "
+            f"got {work}; drop --brute for the degreewise check"
+        )
+        assert sum(line.startswith("grothsnp: error:")
+                   for line in captured.err.splitlines()) == 1
+
+    def test_fast_route_has_no_work_limit(self, capsys):
+        status, out = run_cli(capsys, "snp", "--lambda", "2,1", "--n", "8")
+        assert status == 0
+        assert json.loads(out)["snp"] is True
+
 
 class TestVerify:
     def test_all_checks_pass_on_the_smallest_case(self, capsys):
@@ -165,7 +200,7 @@ class TestVerify:
                 object.__setattr__(bad, name, getattr(chain, name))
             mus = chain.mus[:2] + (Partition((4, 2)),) + chain.mus[3:]
             object.__setattr__(bad, "mus", mus)
-            monkeypatch.setattr(battery, "mu_chain", lambda lam, n: bad)
+            monkeypatch.setattr("grothsnp.grothendieck.mu_chain", lambda lam, n: bad)
         records = []
         for trials, seed in (("1", "0"), ("1000", "0"), ("1", "7"), ("1000", "7")):
             status, out = run_cli(
@@ -652,6 +687,29 @@ class TestInterrupt:
         assert err.splitlines() == [f"{prog}: error: interrupted"]
 
 
+MATH_LAYERS = {
+    f"grothsnp.{name}"
+    for name in ("partitions", "polynomials", "tableaux", "grothendieck", "polytopes", "exactlp")
+}
+
+
+def run_importtime(argv):
+    """The finished child and the names of the modules it imported, which
+    -X importtime lists on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True,
+        text=True,
+        env=env_with_src(),
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, imported
+
+
 class TestEntryPoint:
     def test_installed_console_script(self):
         # The [project.scripts] target, read without tomllib (Python 3.10 has none).
@@ -681,23 +739,62 @@ class TestEntryPoint:
         ],
     )
     def test_no_multiprocessing_import_without_a_pool(self, argv):
-        # -X importtime lists on stderr every module the run imports. Neither
-        # dataclasses (which loads inspect) nor fractions is part of start-up:
-        # the value types are __slots__ classes, and Fraction is imported by
-        # the few functions that build one.
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *argv],
-            capture_output=True,
-            text=True,
-            env=env_with_src(),
-        )
+        # Neither dataclasses (which loads inspect) nor fractions is part of
+        # start-up: the value types are __slots__ classes, and Fraction is
+        # imported by the few functions that build one.
+        proc, imported = run_importtime(argv)
         assert proc.returncode == 0
-        imported = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")
-        }
         assert "grothsnp.battery" in imported
         assert "multiprocessing" not in imported
         assert "dataclasses" not in imported
         assert "fractions" not in imported
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-m", "grothsnp", "--help"],
+            ["-m", "grothsnp", "snp", "--help"],
+            [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
+        ],
+        ids=["grothsnp", "grothsnp-snp", "desk_sweep"],
+    )
+    def test_help_loads_no_math_layer(self, argv):
+        proc, imported = run_importtime(argv)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ")
+        assert {name for name in imported if name.split(".")[0] == "grothsnp"} <= {
+            "grothsnp", "grothsnp.__main__", "grothsnp.cli", "grothsnp.battery"
+        }
+        assert not imported & MATH_LAYERS
+
+    def test_verify_without_brute_snp_loads_no_simplex(self):
+        argv = ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"]
+        proc, imported = run_importtime(argv)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["ok"] is True
+        assert MATH_LAYERS - imported == {"grothsnp.exactlp"}
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the parent's modules only when forked",
+    )
+    def test_pool_workers_inherit_the_check_layers(self):
+        # A worker's imports show up on the stderr it shares with the parent:
+        # the layers are imported once, in the parent, before the pool forks.
+        argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3",
+                "--trials", "5", "--jobs", "2"]
+        proc, _ = run_importtime(argv)
+        assert proc.returncode == 0
+        for layer in ("grothsnp.grothendieck", "grothsnp.polytopes"):
+            lines = [line for line in proc.stderr.splitlines()
+                     if line.startswith("import time:")
+                     and line.rsplit("|", 1)[1].strip() == layer]
+            assert len(lines) == 1, layer
+
+    def test_verify_with_brute_snp_in_a_child(self):
+        argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3", "--trials", "5"]
+        proc, _ = run_importtime(argv)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["ok"] is True
+        assert doc["checks"][-1] == {"name": "brute-snp", "ok": True, "detail": ""}

@@ -224,7 +224,7 @@ class TestDominantTerms:
         terms = dict(grothendieck_setvalued_dominant(lam, 3).items())
         terms[(1, 1, 1)] += 1
         monkeypatch.setattr(
-            battery,
+            grothendieck,
             "grothendieck_setvalued_dominant",
             lambda lam, n: SparsePolynomial(n, terms),
         )

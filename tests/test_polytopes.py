@@ -22,7 +22,7 @@ from grothsnp import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
-from grothsnp import polytopes
+from grothsnp import exactlp, polytopes
 from grothsnp.grothendieck import grothendieck_lenart_dominant
 from grothsnp.partitions import majorizes
 
@@ -243,13 +243,13 @@ def filtered_bruteforce(f):
 def lp_queries(monkeypatch):
     """The target of every exact-simplex call the brute-force sweep makes."""
     targets = []
-    certificate = polytopes.convex_certificate
+    certificate = exactlp.convex_certificate
 
     def counting(points, target):
         targets.append(tuple(target))
         return certificate(points, target)
 
-    monkeypatch.setattr(polytopes, "convex_certificate", counting)
+    monkeypatch.setattr(exactlp, "convex_certificate", counting)
     return targets
 
 
