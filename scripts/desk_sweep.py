@@ -40,10 +40,7 @@ def run_battery(task: tuple[tuple[int, ...], int, int, int]) -> dict:
     """Run every applicable check for one (lambda, n) pair."""
     parts, n, trials, seed = task
     started = time.perf_counter()
-    checks = [
-        battery.run_check((name, parts, n, trials, seed))
-        for name in battery.checks_for(n)
-    ]
+    checks = battery.run_checks(parts, n, trials, seed)
     return {
         "lambda": list(parts),
         "n": n,
@@ -82,7 +79,8 @@ def sweep(args: argparse.Namespace) -> dict:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The parsed and validated arguments, --n-values as a tuple of ints; a
-    bad value exits 2 with usage and one error line."""
+    bad value exits 2 with usage and one error line, a box too large for
+    brute-snp with the one error line alone."""
     parser = battery.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-part", type=int, default=3,
                         help="largest allowed part (default 3)")
@@ -117,30 +115,28 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         parser.error("trials must be a positive integer")
     if args.jobs < 1:
         parser.error("jobs must be a positive integer")
+    # The largest lambda of the box that fits in n rows, for each n with brute-snp.
+    boxes = [
+        args.max_part * min(args.max_rows, n) + n * (n - 1) // 2
+        for n in args.n_values
+        if n <= battery.BRUTE_SNP_MAX_N
+    ]
+    battery.refuse_fill("brute-snp", max(boxes, default=0), "desk_sweep.py")
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.out is not None:
-        reason = battery.out_path_error(args.out)
-        if reason is not None:
-            return battery.refuse_out(args.out, reason, "desk_sweep.py")
-    try:
-        report = sweep(args)
-        status = 0 if report["ok"] else 1
+
+    def produce() -> tuple[int, str, str]:
         import json
 
-        text = json.dumps(report, indent=2) + "\n"
-        if args.out is not None:
-            reason = battery.write_out(args.out, text)
-            if reason is not None:
-                return battery.refuse_out(args.out, reason, "desk_sweep.py")
-            summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
-            text = f"{report['pairs']} pairs swept, {summary}; report in {args.out}\n"
-        return battery.write_stdout(text, "desk_sweep.py") or status
-    except KeyboardInterrupt:
-        return battery.fail("interrupted", "desk_sweep.py")
+        report = sweep(args)
+        summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
+        note = f"{report['pairs']} pairs swept, {summary}; report in {args.out}\n"
+        return (0 if report["ok"] else 1), json.dumps(report, indent=2) + "\n", note
+
+    return battery.deliver(produce, args.out, "desk_sweep.py")
 
 
 if __name__ == "__main__":

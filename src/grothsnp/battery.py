@@ -1,9 +1,10 @@
 """The verification battery, shared by `grothsnp verify` and the desk sweep.
 
-Each check takes one (name, lambda parts, n, trials, seed) task and returns
-one record `{"name", "ok", "detail"}`. Tasks are plain tuples and the records
-plain dicts, so both travel through a worker pool unchanged, and the report
-lists them in the order the tasks were given.
+run_checks builds one (name, lambda parts, n, trials, seed) task per check
+and maps run_check over them, which returns one record `{"name", "ok",
+"detail"}` per task. Tasks are plain tuples and the records plain dicts, so
+both travel through a worker pool unchanged, and the report lists them in
+the order the checks were named.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -12,18 +13,21 @@ symmetric; a test pins that symmetry against the full monomial expansions.
 
 The module also holds the exit-2 contract of every entry point: `fail`
 prints the one `<prog>: error: <message>` stderr line, write_stdout and the
-ArgumentParser that routes --help through it report an unwritable stdout, and
-out_path_error, write_out and refuse_out check and write an --out file. The
-scripts load it before they parse their arguments, so it imports only the
+ArgumentParser that routes --help through it report an unwritable or closed
+stdout, refuse_fill refuses a shape too large to fill, and deliver runs an
+entry point's work: it checks the --out directory first, writes the report to
+--out or stdout, and turns Ctrl-C into one line.
+The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
-imports the math layers when it is first called, and map_jobs before it
-forks a pool.
+imports the math layers when it is first called, and map_jobs before it forks
+a pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 from typing import Callable, Sequence
@@ -37,16 +41,24 @@ CHECKS = (
     "lemmas",
     "brute-snp",
 )
+BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_checks
+
+# groth, snp --brute and the brute-snp check expand G_lambda monomial by
+# monomial, and tableaux._fill_ssyt fills each shape of its Schur expansion
+# with one recursive call per box. The largest shape, the top of the chain,
+# has at most |lambda| + n(n-1)/2 boxes. Python stops a recursion at 1000
+# frames by default, so a run that may fill more than FILL_BOX_LIMIT boxes is
+# refused up front rather than end in a RecursionError; the margin is left to
+# the frames of the callers (a test run, a pool worker).
+FILL_BOX_LIMIT = 800
 
 
-def checks_for(n: int, names: Sequence[str] = CHECKS) -> tuple[str, ...]:
-    """The checks among names that run in n variables: brute-snp only for
-    n <= 3. brute-snp sweeps the bounding box of the support, and its
-    0/+-1 valid inequalities leave no point for the exact simplex on any
-    partition in a 3 x 3 box for n <= 5, at under a second each; the cap
-    stays because perfbench/oracles.py expects brute-snp exactly for
-    n <= 3."""
-    return tuple(name for name in names if name != "brute-snp" or n <= 3)
+def refuse_fill(what: str, boxes: int, prog: str = "grothsnp") -> None:
+    """Exit 2 after one stderr line if `what` may fill a shape of more than
+    FILL_BOX_LIMIT boxes."""
+    if boxes > FILL_BOX_LIMIT:
+        bound = f"|lambda| + n(n-1)/2 ≤ {FILL_BOX_LIMIT} boxes"
+        raise SystemExit(fail(f"{what} limited to {bound}, got {boxes:,}", prog))
 
 
 def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
@@ -85,16 +97,14 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
     if name == "component-snp":
         verdict = snp_check_symmetric_fast(lam, n)
         return {"name": name, "ok": verdict.is_snp, "detail": verdict.detail}
-    if name == "claim-a":
-        res = check_claim_a(lam, n)
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    randomized = {
-        "claim-b": check_claim_b,
-        "claim-c": check_claim_c,
-        "lemmas": check_lemmas_random,
+    claims = {
+        "claim-a": lambda: check_claim_a(lam, n),
+        "claim-b": lambda: check_claim_b(mu_chain(lam, n), trials, seed),
+        "claim-c": lambda: check_claim_c(mu_chain(lam, n)),
+        "lemmas": lambda: check_lemmas_random(mu_chain(lam, n)),
     }
-    if name in randomized:
-        res = randomized[name](mu_chain(lam, n), trials, seed)
+    if name in claims:
+        res = claims[name]()
         return {"name": name, "ok": res.ok, "detail": res.detail}
     if name == "brute-snp":
         verdict = snp_check_bruteforce(grothendieck_lenart(lam, n))
@@ -108,6 +118,30 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
             detail = "hull lattice points differ from the chain polytopes"
         return {"name": name, "ok": ok, "detail": detail}
     raise ValueError(f"unknown check {name!r}")
+
+
+def run_checks(
+    parts: tuple[int, ...],
+    n: int,
+    trials: int,
+    seed: int,
+    names: Sequence[str] = CHECKS,
+    jobs: int = 1,
+) -> list[dict]:
+    """The records of the checks among names that run in n variables, in the
+    order of names, each from one run_check task, mapped by map_jobs.
+
+    brute-snp runs only for n <= BRUTE_SNP_MAX_N. It sweeps the bounding box
+    of the support, and its 0/+-1 valid inequalities leave no point for the
+    exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
+    second each; the cap stays at 3 because perfbench/oracles.py expects
+    brute-snp exactly for n <= 3."""
+    tasks = [
+        (name, parts, n, trials, seed)
+        for name in names
+        if name != "brute-snp" or n <= BRUTE_SNP_MAX_N
+    ]
+    return map_jobs(run_check, tasks, jobs)
 
 
 def ignore_sigint() -> None:
@@ -144,6 +178,8 @@ def fail(message: str, prog: str = "grothsnp") -> int:
 def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
     """Write text to stdout and flush it; None on success. On failure, report
     it on one stderr line and return exit status 2."""
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        return fail(f"cannot write stdout: {os.strerror(errno.EBADF)}", prog)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -158,30 +194,37 @@ def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
     return None
 
 
-def out_path_error(path: str) -> str | None:
-    """Why a file cannot be created at path, or None if its directory is a
-    writable directory."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        return f"no directory {parent}"
-    if not os.access(parent, os.W_OK):
-        return f"directory {parent} is not writable"
-    return None
-
-
-def write_out(path: str, text: str) -> str | None:
-    """Write text to path; the reason on failure, None on success."""
+def deliver(
+    produce: Callable[[], tuple[int, str, str | None]],
+    out: str | None,
+    prog: str = "grothsnp",
+) -> int:
+    """Run one entry point's work under the exit-2 contract; returns its exit
+    status. produce() returns (status, report, note). With out, the report
+    goes to that file, whose directory is checked before produce runs, and
+    the note, if any, to stdout; without out, the report goes to stdout. An
+    unwritable --out or stdout, or Ctrl-C, ends in one stderr line and 2."""
+    refusal = f"cannot write --out {out}: "
+    if out is not None:
+        parent = os.path.dirname(os.path.abspath(out))
+        if not os.path.isdir(parent):
+            return fail(refusal + f"no directory {parent}", prog)
+        if not os.access(parent, os.W_OK):
+            return fail(refusal + f"directory {parent} is not writable", prog)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        return exc.strerror or str(exc)
-    return None
-
-
-def refuse_out(path: str, reason: str, prog: str = "grothsnp") -> int:
-    """Report an unwritable --out on one stderr line; returns exit status 2."""
-    return fail(f"cannot write --out {path}: {reason}", prog)
+        status, text, note = produce()
+        if out is not None:
+            try:
+                with open(out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                return fail(refusal + (exc.strerror or str(exc)), prog)
+            if note is None:
+                return status
+            text = note
+        return write_stdout(text, prog) or status
+    except KeyboardInterrupt:
+        return fail("interrupted", prog)
 
 
 class ArgumentParser(argparse.ArgumentParser):

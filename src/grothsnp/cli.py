@@ -5,9 +5,10 @@ and run() hands it the parsed argparse namespace. All output is
 deterministic: JSON objects are assembled in fixed key order, point lists are
 sorted, and every verification command takes an explicit seed, so identical
 invocations produce byte-identical files. Exit codes: 0 success or verified,
-1 verification failure (the report still goes to the output), 2 usage error,
-an --out path that cannot be written (checked before computing and again on
-writing), a stdout that cannot be written (a full disk, a closed pipe), or an
+1 verification failure (the report still goes to the output), 2 usage error
+(a shape too large to fill among them, see battery.FILL_BOX_LIMIT), an --out
+path that cannot be written (checked before computing and again on writing),
+a stdout that cannot be written (a full disk, a closed pipe or fd), or an
 interrupt (Ctrl-C), each reported on one stderr line by the helpers in
 grothsnp.battery. Each handler imports the layers it uses, so `--help`
 loads none of them.
@@ -128,6 +129,17 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error("jobs must be at least 1")
         if args.trials < 1:
             parser.error("trials must be at least 1")
+    boxes = args.lam.size() + args.n * (args.n - 1) // 2
+    if args.command == "groth":
+        battery.refuse_fill("groth", boxes)
+    if args.command == "snp" and args.brute:
+        battery.refuse_fill("snp --brute", boxes)
+    if (
+        args.command == "verify"
+        and args.n <= battery.BRUTE_SNP_MAX_N
+        and "brute-snp" in _verify_names(args)
+    ):
+        battery.refuse_fill("verify brute-snp", boxes)
 
 
 def _dump_json(obj) -> str:
@@ -203,18 +215,21 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if verdict.is_snp else 1), _dump_json(payload)
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _verify_names(args: argparse.Namespace) -> Sequence[str]:
+    """The checks verify selects: the whole battery unless --claim or
+    --lemmas narrows it."""
     if args.all or (args.claim is None and not args.lemmas):
-        names = battery.CHECKS
-    else:
-        names = [] if args.claim is None else [f"claim-{args.claim}"]
-        if args.lemmas:
-            names.append("lemmas")
-    tasks = [
-        (name, args.lam.parts, args.n, args.trials, args.seed)
-        for name in battery.checks_for(args.n, names)
-    ]
-    results = battery.map_jobs(battery.run_check, tasks, args.jobs)
+        return battery.CHECKS
+    names = [] if args.claim is None else [f"claim-{args.claim}"]
+    if args.lemmas:
+        names.append("lemmas")
+    return names
+
+
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+    results = battery.run_checks(
+        args.lam.parts, args.n, args.trials, args.seed, _verify_names(args), args.jobs
+    )
     all_ok = all(entry["ok"] for entry in results)
     payload = {
         "lambda": list(args.lam.parts),
@@ -257,20 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_args(parser, args)
-    if args.out is not None:
-        reason = battery.out_path_error(args.out)
-        if reason is not None:
-            return battery.refuse_out(args.out, reason)
-    try:
-        status, text = run(args)
-        if args.out is None:
-            return battery.write_stdout(text) or status
-        reason = battery.write_out(args.out, text)
-        if reason is not None:
-            return battery.refuse_out(args.out, reason)
-    except KeyboardInterrupt:
-        return battery.fail("interrupted")
-    return status
+    return battery.deliver(lambda: (*run(args), None), args.out)
 
 
 if __name__ == "__main__":

@@ -398,9 +398,9 @@ def _moment_vertices(top: int, surplus: int) -> Iterator[tuple[int, int, int, in
             yield i, j, j - surplus, surplus - i
 
 
-def check_claim_c(chain: MuChain, trials: int, seed: int) -> CheckResult:
+def check_claim_c(chain: MuChain) -> CheckResult:
     """A convex mix of chain shapes with integer surplus K is majorized by the
-    K-th chain shape, for all such weights; trials and seed are ignored.
+    K-th chain shape, for all such weights.
 
     The weights with surplus K form the polytope Q_K of _moment_vertices. A
     mix of weakly decreasing vectors is weakly decreasing, so its prefix sums,
@@ -421,9 +421,8 @@ def check_claim_c(chain: MuChain, trials: int, seed: int) -> CheckResult:
     return CheckResult(True)
 
 
-def check_lemmas_random(chain: MuChain, trials: int, seed: int) -> CheckResult:
-    """The prefix-sum identities along the chain, for all convex weights c;
-    trials and seed are ignored.
+def check_lemmas_random(chain: MuChain) -> CheckResult:
+    """The prefix-sum identities along the chain, for all convex weights c.
 
     First identity: for each row r, the mix of chain shapes with weights c
     has prefix sum base_r + sum_k min(k, l)*c_k, where base_r is the base

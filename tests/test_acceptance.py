@@ -142,8 +142,8 @@ def test_a6_claims_b_c_and_lemmas():
     for parts, n in [((3, 1, 0), 3), ((4, 2, 1, 0), 4)]:
         chain = mu_chain(Partition(parts), n)
         assert check_claim_b(chain, 1000, 2024), parts
-        assert check_claim_c(chain, 1000, 2025), parts
-        assert check_lemmas_random(chain, 1000, 2026), parts
+        assert check_claim_c(chain), parts
+        assert check_lemmas_random(chain), parts
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(

@@ -536,13 +536,160 @@ class TestUnwritableStdout:
         ]
 
 
-def load_desk_sweep():
-    spec = importlib.util.spec_from_file_location(
-        "desk_sweep", ROOT / "scripts" / "desk_sweep.py"
+def no_expansion(lam, n):
+    raise AssertionError("G_lambda expanded before the refusal")
+
+
+class TestFillLimit:
+    """Shapes whose box-by-box fill would pass Python's recursion limit."""
+
+    @pytest.mark.parametrize(
+        "argv, what, boxes",
+        [
+            (["groth", "--lambda", "1000", "--n", "1"], "groth", "1,000"),
+            (["groth", "--lambda", "500,490", "--n", "2"], "groth", "991"),
+            (["snp", "--brute", "--lambda", "1000", "--n", "1"], "snp --brute", "1,000"),
+            (["verify", "--lambda", "1000", "--n", "1"], "verify brute-snp", "1,000"),
+            # The refusal comes before the --out check, which would fail here.
+            (["verify", "--lambda", "798", "--n", "3", "--out"], "verify brute-snp", "801"),
+        ],
+        ids=["groth-1000", "groth-500,490", "snp-brute", "verify", "verify-n3"],
     )
+    def test_refused_before_filling(self, capsys, monkeypatch, tmp_path, argv, what, boxes):
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "missing" / "report.json")]
+        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_lenart", no_expansion)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"grothsnp: error: {what} limited to |lambda| + n(n-1)/2 ≤ 800 boxes, got {boxes}"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["groth", "--lambda", "800", "--n", "1"],
+            ["snp", "--brute", "--lambda", "800", "--n", "1"],
+            ["verify", "--lambda", "800", "--n", "1", "--trials", "5"],
+            ["verify", "--lambda", "1000", "--n", "1", "--claim", "a", "--lemmas"],
+            ["expand", "--lambda", "1000", "--n", "1"],
+            ["chain", "--lambda", "1000", "--n", "1"],
+            ["newton", "--lambda", "1000", "--n", "1"],
+            ["figure-data", "--lambda", "1000", "--n", "1"],
+            ["snp", "--lambda", "1000", "--n", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_runs_within_the_limit_or_without_a_fill(self, capsys, argv):
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        assert out
+
+    def test_desk_sweep_refuses_the_box(self, capsys):
+        desk_sweep = load_desk_sweep()
+        with pytest.raises(SystemExit) as err:
+            desk_sweep.main(["--max-part", "1000", "--max-rows", "1", "--n-values", "1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "desk_sweep.py: error: brute-snp limited to |lambda| + n(n-1)/2 ≤ 800 boxes, "
+            "got 1,000"
+        ]
+
+    def test_desk_sweep_box_without_brute_snp_is_accepted(self):
+        args = load_desk_sweep().parse_args(
+            ["--max-part", "1000", "--max-rows", "1", "--n-values", "4"]
+        )
+        assert args.n_values == (4,)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+BAD_FD = os.strerror(errno.EBADF)
+CLOSED_STDOUT = f"grothsnp: error: cannot write stdout: {BAD_FD}"
+
+
+class TestClosedStdout:
+    """With fd 1 closed at start-up (`>&-`), sys.stdout is None."""
+
+    def test_cli_exits_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        status = main(["verify", "--lambda", "2,1", "--n", "3", "--trials", "5"])
+        assert status == 2
+        assert capsys.readouterr().err.splitlines() == [CLOSED_STDOUT]
+
+    def test_cli_help_exits_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [CLOSED_STDOUT]
+
+    def test_cli_out_needs_no_stdout(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "chain.json"
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["chain", "--lambda", "1", "--n", "2", "--out", str(target)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(target.read_text(encoding="utf-8"))["rows"] == [2]
+
+    def test_desk_sweep_exits_two_with_one_line(self, capsys, monkeypatch, tmp_path):
+        desk_sweep = load_desk_sweep()
+        target = tmp_path / "sweep.json"
+        monkeypatch.setattr(sys, "stdout", None)
+        status = desk_sweep.main(
+            ["--max-part", "1", "--n-values", "2", "--trials", "5", "--out", str(target)]
+        )
+        assert status == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"desk_sweep.py: error: cannot write stdout: {BAD_FD}"
+        ]
+        assert json.loads(target.read_text(encoding="utf-8"))["ok"] is True
+
+    def test_figure_export_exits_two_with_one_line(self, capsys, monkeypatch, tmp_path):
+        export = load_script("export_figure_data")
+        monkeypatch.setattr(sys, "stdout", None)
+        status = export.main(["--n", "2", "--max-part", "1", "--out-dir", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"export_figure_data.py: error: cannot write stdout: {BAD_FD}"
+        ]
+        assert (tmp_path / "manifest.json").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, status, err",
+        [
+            (["-m", "grothsnp", "--help"], 2, CLOSED_STDOUT),
+            (["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3", "--trials", "5"],
+             2, CLOSED_STDOUT),
+            (["-m", "grothsnp", "chain", "--lambda", "1", "--n", "2", "--out"], 0, None),
+        ],
+        ids=["help", "verify", "chain-out"],
+    )
+    def test_in_a_child(self, tmp_path, argv, status, err):
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "chain.json")]
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env_with_src(),
+            preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == status
+        assert proc.stderr.splitlines() == ([err] if err else [])
+
+
+def load_desk_sweep():
+    return load_script("desk_sweep")
 
 
 class TestDeskSweepBattery:
@@ -609,6 +756,46 @@ class TestDeskSweepBattery:
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: desk_sweep.py ")
         assert proc.stderr.splitlines()[-1] == f"desk_sweep.py: error: {reason}"
+
+
+SWEEP_ARGV = ["--max-part", "2", "--max-rows", "2", "--n-values", "2,3", "--trials", "5"]
+
+
+def without_seconds(report: str) -> str:
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', report)
+
+
+class TestDeskSweepOut:
+    def test_file_is_the_stdout_report(self, capsys, tmp_path):
+        desk_sweep = load_desk_sweep()
+        target = tmp_path / "sweep.json"
+        assert desk_sweep.main([*SWEEP_ARGV, "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert desk_sweep.main(SWEEP_ARGV) == 0
+        streamed = capsys.readouterr().out
+        assert json.loads(streamed)["ok"] is True
+        assert without_seconds(target.read_text(encoding="utf-8")) == without_seconds(
+            streamed
+        )
+
+    def test_stdout_is_one_summary_line(self, capsys, tmp_path):
+        desk_sweep = load_desk_sweep()
+        target = tmp_path / "sweep.json"
+        status = desk_sweep.main([*SWEEP_ARGV, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.out == f"12 pairs swept, all checks passed; report in {target}\n"
+        assert captured.err == ""
+
+    def test_directory_as_out_is_refused(self, capsys, tmp_path):
+        desk_sweep = load_desk_sweep()
+        status = desk_sweep.main([*SWEEP_ARGV, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"desk_sweep.py: error: cannot write --out {tmp_path}: ")
 
 
 def interrupted():

@@ -345,8 +345,8 @@ class TestClaimB:
 
 class TestClaimC:
     def test_seeded_trials(self):
-        assert check_claim_c(mu_chain(LAM310, 3), 200, 13)
-        assert check_claim_c(mu_chain(Partition((4, 2, 1)), 4), 200, 13)
+        assert check_claim_c(mu_chain(LAM310, 3))
+        assert check_claim_c(mu_chain(Partition((4, 2, 1)), 4))
 
     def test_half_half_weights_give_the_middle_shape(self):
         chain = mu_chain(LAM310, 3)
@@ -550,7 +550,7 @@ class TestIntegerPath:
         # (3,2,1) with its row-3 box moved to row 1: the half-half mix of
         # (3,1) and (4,2) escapes (3,2)
         chain = _box_moved_to_row_one(mu_chain(LAM310, 3), 2, 3)
-        assert check_claim_c(chain, 5, 11).detail == (
+        assert check_claim_c(chain).detail == (
             "vertex K=1, i=0, j=2: mix (Fraction(7, 2), Fraction(3, 2), "
             "Fraction(0, 1)) escapes chain shape at K=1"
         )
@@ -644,7 +644,7 @@ class TestLemmaClosedForm:
         assert _reference_first_identity(chain, uniform)
         for k, mu in enumerate(chain.mus):
             planted = _planted(chain, k, (mu.part(1) + 1, *mu.parts[1:]))
-            res = check_lemmas_random(planted, 1, 0)
+            res = check_lemmas_random(planted)
             assert not res.ok
             if k < chain.length:
                 assert res.detail.startswith(f"first identity at k={k}, row 1: ")
@@ -667,7 +667,7 @@ class TestLemmas:
             assert mu.part(1) == 3
 
     def test_seeded_random_weights(self):
-        assert check_lemmas_random(mu_chain(Partition((4, 2, 1)), 4), 200, 17)
+        assert check_lemmas_random(mu_chain(Partition((4, 2, 1)), 4))
 
     def test_weights_over_different_denominators(self):
         chain = mu_chain(LAM310, 3)
@@ -676,13 +676,13 @@ class TestLemmas:
 
     def test_first_identity_failure_names_its_shape_and_row(self):
         chain = _box_moved_to_row_one(mu_chain(LAM310, 3), 2, 3)
-        res = check_lemmas_random(chain, 10, 5)
+        res = check_lemmas_random(chain)
         assert res.detail == "first identity at k=2, row 1: 4 != 3"
 
     def test_second_identity_failure_names_its_shape_and_row(self, monkeypatch):
         chain = mu_chain(LAM310, 4)
         monkeypatch.setattr(MuChain, "extra_boxes", lambda self: (0,) * self.n)
-        res = check_lemmas_random(chain, 10, 5)
+        res = check_lemmas_random(chain)
         assert res.detail == "second identity at k=2, row 2: 5 != 4"
 
 
@@ -703,7 +703,7 @@ class TestPlantedDefects:
     def test_vertex_check_fails_wherever_the_sampler_does(self):
         sampled = vertex = 0
         for chain in _planted_chains():
-            caught = not check_claim_c(chain, 1, 0)
+            caught = not check_claim_c(chain)
             if not _reference_claim_c(chain, 100, 3):
                 assert caught, (chain.mus, chain.n)
                 sampled += 1
@@ -716,7 +716,7 @@ class TestPlantedDefects:
         planted = list(_planted_chains())
         assert len(planted) == 393
         for chain in planted:
-            assert not check_lemmas_random(chain, 1, 0), (chain.mus, chain.n)
+            assert not check_lemmas_random(chain), (chain.mus, chain.n)
 
 
 class TestCaching:
