@@ -10,8 +10,9 @@ permutahedron, the support-dominance and chain-cover claims are tested,
 the Minkowski-sum claim (b) is sampled over --trials seeded trials, the
 chain-mix claim (c) and the prefix-sum lemmas are checked exactly at the
 vertices of their weight polytopes, which decides them for all weights,
-and (for n at most 3) the convex hull of the full support is rebuilt by
-brute force and compared against the union of chain polytopes.
+and the convex hull of the full support is rebuilt by brute force and
+compared against the union of chain polytopes wherever grothsnp.battery
+runs that sweep: for n at most 3, within the work bound of snp --brute.
 
 Every check is exact rational arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
@@ -79,8 +80,7 @@ def sweep(args: argparse.Namespace) -> dict:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The parsed and validated arguments, --n-values as a tuple of ints; a
-    bad value exits 2 with usage and one error line, a box too large for
-    brute-snp with the one error line alone."""
+    bad value exits 2 with usage and one error line."""
     parser = battery.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-part", type=int, default=3,
                         help="largest allowed part (default 3)")
@@ -115,13 +115,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         parser.error("trials must be a positive integer")
     if args.jobs < 1:
         parser.error("jobs must be a positive integer")
-    # The largest lambda of the box that fits in n rows, for each n with brute-snp.
-    boxes = [
-        args.max_part * min(args.max_rows, n) + n * (n - 1) // 2
-        for n in args.n_values
-        if n <= battery.BRUTE_SNP_MAX_N
-    ]
-    battery.refuse_fill("brute-snp", max(boxes, default=0), "desk_sweep.py")
     return args
 
 

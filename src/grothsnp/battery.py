@@ -4,7 +4,10 @@ run_checks builds one (name, lambda parts, n, trials, seed) task per check
 and maps run_check over them, which returns one record `{"name", "ok",
 "detail"}` per task. Tasks are plain tuples and the records plain dicts, so
 both travel through a worker pool unchanged, and the report lists them in
-the order the checks were named.
+the order the checks were named. This module alone decides where the
+brute-force sweep runs: run_checks skips brute-snp above BRUTE_SNP_MAX_N
+variables or past BRUTE_WORK_LIMIT, the work bound at which snp --brute is
+refused.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -14,9 +17,9 @@ symmetric; a test pins that symmetry against the full monomial expansions.
 The module also holds the exit-2 contract of every entry point: `fail`
 prints the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable or closed
-stdout, refuse_fill refuses a shape too large to fill, and deliver runs an
-entry point's work: it checks the --out directory first, writes the report to
---out or stdout, and turns Ctrl-C into one line.
+stdout, and deliver runs an entry point's work: it checks the --out
+directory first, writes the report to --out or stdout, and turns Ctrl-C into
+one line.
 The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
 imports the math layers when it is first called, and map_jobs before it forks
@@ -43,22 +46,18 @@ CHECKS = (
 )
 BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_checks
 
-# groth, snp --brute and the brute-snp check expand G_lambda monomial by
-# monomial, and tableaux._fill_ssyt fills each shape of its Schur expansion
-# with one recursive call per box. The largest shape, the top of the chain,
-# has at most |lambda| + n(n-1)/2 boxes. Python stops a recursion at 1000
-# frames by default, so a run that may fill more than FILL_BOX_LIMIT boxes is
-# refused up front rather than end in a RecursionError; the margin is left to
-# the frames of the callers (a test run, a pool worker).
-FILL_BOX_LIMIT = 800
+# The brute-force sweep (snp --brute, brute-snp) holds each point of the
+# support's bounding box against up to 3^n inequalities, and no exponent of
+# G_lambda exceeds lambda_1 (a variable appears at most once per column of a
+# set-valued tableau), so (lambda_1 + 1)^n * 3^n bounds its work before
+# G_lambda is expanded. Just under the limit, (3,1) at n = 6 sweeps in about
+# 1.3 s on a 2-vCPU shared host; (2,1) at n = 8, 14 times over it, took 27 s.
+BRUTE_WORK_LIMIT = 3_000_000
 
 
-def refuse_fill(what: str, boxes: int, prog: str = "grothsnp") -> None:
-    """Exit 2 after one stderr line if `what` may fill a shape of more than
-    FILL_BOX_LIMIT boxes."""
-    if boxes > FILL_BOX_LIMIT:
-        bound = f"|lambda| + n(n-1)/2 ≤ {FILL_BOX_LIMIT} boxes"
-        raise SystemExit(fail(f"{what} limited to {bound}, got {boxes:,}", prog))
+def brute_work(parts: Sequence[int], n: int) -> int:
+    """The bound (lambda_1 + 1)^n * 3^n on the brute-force sweep's work."""
+    return (max(parts, default=0) + 1) ** n * 3**n
 
 
 def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
@@ -131,15 +130,17 @@ def run_checks(
     """The records of the checks among names that run in n variables, in the
     order of names, each from one run_check task, mapped by map_jobs.
 
-    brute-snp runs only for n <= BRUTE_SNP_MAX_N. It sweeps the bounding box
-    of the support, and its 0/+-1 valid inequalities leave no point for the
-    exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
+    brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound
+    within BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding
+    box of the support, and its 0/+-1 valid inequalities leave no point for
+    the exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
     second each; the cap stays at 3 because perfbench/oracles.py expects
     brute-snp exactly for n <= 3."""
+    brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
     tasks = [
         (name, parts, n, trials, seed)
         for name in names
-        if name != "brute-snp" or n <= BRUTE_SNP_MAX_N
+        if name != "brute-snp" or brute
     ]
     return map_jobs(run_check, tasks, jobs)
 

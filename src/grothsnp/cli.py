@@ -6,10 +6,10 @@ deterministic: JSON objects are assembled in fixed key order, point lists are
 sorted, and every verification command takes an explicit seed, so identical
 invocations produce byte-identical files. Exit codes: 0 success or verified,
 1 verification failure (the report still goes to the output), 2 usage error
-(a shape too large to fill among them, see battery.FILL_BOX_LIMIT), an --out
-path that cannot be written (checked before computing and again on writing),
-a stdout that cannot be written (a full disk, a closed pipe or fd), or an
-interrupt (Ctrl-C), each reported on one stderr line by the helpers in
+(snp --brute past the work bound battery.BRUTE_WORK_LIMIT among them), an
+--out path that cannot be written (checked before computing and again on
+writing), a stdout that cannot be written (a full disk, a closed pipe or fd),
+or an interrupt (Ctrl-C), each reported on one stderr line by the helpers in
 grothsnp.battery. Each handler imports the layers it uses, so `--help`
 loads none of them.
 """
@@ -99,15 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# snp --brute holds each point of the support's bounding box against up to
-# 3^n inequalities, and no exponent of G_lambda exceeds lambda_1 (a variable
-# appears at most once per column of a set-valued tableau), so
-# (lambda_1 + 1)^n * 3^n bounds its work before G_lambda is expanded. Just
-# under the limit, (3,1) at n = 6 sweeps in about 1.3 s on a 2-vCPU shared
-# host; (2,1) at n = 8, 14 times over it, took 27 s.
-BRUTE_WORK_LIMIT = 3_000_000
-
-
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Refuse the values argparse cannot check by itself as usage errors
     (exit 2); the first one found is reported."""
@@ -118,10 +109,11 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     if len(args.lam) > args.n:
         parser.error(f"lambda has {len(args.lam)} rows but n = {args.n}")
     if args.command == "snp" and args.brute:
-        work = (args.lam.part(1) + 1) ** args.n * 3**args.n
-        if work > BRUTE_WORK_LIMIT:
+        work = battery.brute_work(args.lam.parts, args.n)
+        limit = battery.BRUTE_WORK_LIMIT
+        if work > limit:
             parser.error(
-                f"snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ {BRUTE_WORK_LIMIT:,}, "
+                f"snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ {limit:,}, "
                 f"got {work:,}; drop --brute for the degreewise check"
             )
     if args.command == "verify":
@@ -129,17 +121,6 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error("jobs must be at least 1")
         if args.trials < 1:
             parser.error("trials must be at least 1")
-    boxes = args.lam.size() + args.n * (args.n - 1) // 2
-    if args.command == "groth":
-        battery.refuse_fill("groth", boxes)
-    if args.command == "snp" and args.brute:
-        battery.refuse_fill("snp --brute", boxes)
-    if (
-        args.command == "verify"
-        and args.n <= battery.BRUTE_SNP_MAX_N
-        and "brute-snp" in _verify_names(args)
-    ):
-        battery.refuse_fill("verify brute-snp", boxes)
 
 
 def _dump_json(obj) -> str:

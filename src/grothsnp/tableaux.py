@@ -78,17 +78,10 @@ def _entries(row_lengths: Sequence[int], cells: Sequence[tuple[int, ...]]) -> tu
 # -- semistandard Young tableaux ---------------------------------------------
 
 
-def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
-    """Backtrack over the SSYT of shape lam with entries in 1..n.
-
-    Cells are filled in row-major order, labels tried in increasing order.
-    Rows weakly increase, columns strictly increase, so a cell with b cells
-    below it holds at most n - b; every partial filling within these bounds
-    completes. At each complete filling leaf(values, counts) is called with
-    the row-major labels and the content (counts[i] is the multiplicity of
-    label i+1); both lists are live.
-    """
-    shape = lam.parts
+def _straight_layout(shape: Sequence[int], n: int) -> tuple[list[int], ...]:
+    """The row-major cells of a straight shape in 1..n as three lists: left[i]
+    and up[i] index the cell left of and above cell i (-1 if none), and
+    cap[i] = n - (cells below cell i) is the largest label it can hold."""
     left: list[int] = []
     up: list[int] = []
     cap: list[int] = []
@@ -97,28 +90,50 @@ def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], No
             left.append(len(left) - 1 if c > 0 else -1)
             up.append(len(up) - shape[r - 1] if r > 0 else -1)
             cap.append(n - sum(1 for below in shape[r + 1 :] if below > c))
+    return left, up, cap
+
+
+def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
+    """Backtrack over the SSYT of shape lam with entries in 1..n.
+
+    Cells are filled in row-major order, labels tried in increasing order.
+    Rows weakly increase, columns strictly increase, so a cell with b cells
+    below it holds at most n - b; every partial filling within these bounds
+    completes. At each complete filling leaf(values, counts) is called with
+    the row-major labels and the content (counts[i] is the multiplicity of
+    label i+1); both lists are live. The backtracking is a loop over the cell
+    index, with 0 marking a cell not yet placed, so no shape is too large for
+    Python's recursion limit.
+    """
+    left, up, cap = _straight_layout(lam.parts, n)
     size = len(cap)
     values = [0] * size
     counts = [0] * n
-
-    def fill(idx: int) -> None:
+    idx = 0
+    while idx >= 0:
         if idx == size:
             leaf(values, counts)
-            return
-        lo = 1
-        j = left[idx]
-        if j >= 0:
-            lo = values[j]
-        j = up[idx]
-        if j >= 0 and values[j] >= lo:
-            lo = values[j] + 1
-        for v in range(lo, cap[idx] + 1):
+            idx -= 1
+            continue
+        v = values[idx]
+        if v:  # the next label after v
+            counts[v - 1] -= 1
+            v += 1
+        else:  # the least label the cells left of and above allow
+            v = 1
+            j = left[idx]
+            if j >= 0:
+                v = values[j]
+            j = up[idx]
+            if j >= 0 and values[j] >= v:
+                v = values[j] + 1
+        if v > cap[idx]:
+            values[idx] = 0
+            idx -= 1
+        else:
             values[idx] = v
             counts[v - 1] += 1
-            fill(idx + 1)
-            counts[v - 1] -= 1
-
-    fill(0)
+            idx += 1
 
 
 def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
@@ -262,15 +277,7 @@ def _fill_set_valued(
     the live row-major label lists, the content and
     (-1)^(labels placed - |lam|).
     """
-    shape = lam.parts
-    left: list[int] = []
-    up: list[int] = []
-    cap: list[int] = []
-    for r, length in enumerate(shape):
-        for c in range(length):
-            left.append(len(left) - 1 if c > 0 else -1)
-            up.append(len(up) - shape[r - 1] if r > 0 else -1)
-            cap.append(n - sum(1 for below in shape[r + 1 :] if below > c))
+    left, up, cap = _straight_layout(lam.parts, n)
     size = len(cap)
     cells: list[list[int]] = [[] for _ in range(size)]
     counts = [0] * n

@@ -222,6 +222,17 @@ class TestVerify:
         assert "brute-snp" not in names
         assert "component-snp" in names
 
+    @pytest.mark.parametrize(
+        "parts, n, brute",
+        [((47,), 3, True), ((48,), 3, False), ((576,), 2, True), ((577,), 2, False)],
+    )
+    def test_brute_snp_runs_within_the_work_limit(self, monkeypatch, parts, n, brute):
+        # (47 + 1)^3 * 3^3 = 2,985,984 and (576 + 1)^2 * 3^2 = 2,996,361 are
+        # within 3,000,000; one more in lambda_1 passes it. Nothing is expanded.
+        monkeypatch.setattr(battery, "run_check", lambda task: task[0])
+        expected = [name for name in battery.CHECKS if name != "brute-snp" or brute]
+        assert battery.run_checks(parts, n, 1, 0) == expected
+
     def test_failure_reports_exit_one(self, capsys, monkeypatch):
         def forced_failure(task):
             name = task[0]
@@ -541,31 +552,60 @@ def no_expansion(lam, n):
 
 
 class TestFillLimit:
-    """Shapes whose box-by-box fill would pass Python's recursion limit."""
+    """Shapes of 800 boxes or more, which a fill with one recursive call per
+    box would take past Python's recursion limit: they run, and each output
+    is checked against a value found without filling the shape."""
+
+    def test_groth_of_one_row_in_one_variable(self, capsys):
+        status, out = run_cli(capsys, "groth", "--lambda", "1000", "--n", "1")
+        assert status == 0
+        assert json.loads(out) == {"n": 1, "terms": [{"exp": [1000], "coeff": 1}]}
+
+    def test_groth_agrees_with_the_dominant_set_valued_count(self, capsys):
+        from grothsnp.grothendieck import grothendieck_setvalued_dominant
+
+        status, out = run_cli(capsys, "groth", "--lambda", "500,490", "--n", "2")
+        assert status == 0
+        dominant = {
+            tuple(term["exp"]): term["coeff"]
+            for term in json.loads(out)["terms"]
+            if term["exp"][0] >= term["exp"][1]
+        }
+        expected = grothendieck_setvalued_dominant(Partition((500, 490)), 2)
+        assert dominant == dict(expected.items())
+        assert len(dominant) > 1
+
+    def test_snp_brute_passes(self, capsys):
+        status, out = run_cli(capsys, "snp", "--brute", "--lambda", "1000", "--n", "1")
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["snp"] is True
+        assert doc["hull_lattice_points"] == [[1000]]
+
+    def test_verify_passes_with_brute_snp(self, capsys):
+        status, out = run_cli(capsys, "verify", "--lambda", "1000", "--n", "1")
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert [c["name"] for c in doc["checks"]] == list(battery.CHECKS)
 
     @pytest.mark.parametrize(
-        "argv, what, boxes",
+        "argv",
         [
-            (["groth", "--lambda", "1000", "--n", "1"], "groth", "1,000"),
-            (["groth", "--lambda", "500,490", "--n", "2"], "groth", "991"),
-            (["snp", "--brute", "--lambda", "1000", "--n", "1"], "snp --brute", "1,000"),
-            (["verify", "--lambda", "1000", "--n", "1"], "verify brute-snp", "1,000"),
-            # The refusal comes before the --out check, which would fail here.
-            (["verify", "--lambda", "798", "--n", "3", "--out"], "verify brute-snp", "801"),
+            ["verify", "--lambda", "798", "--n", "3"],
+            ["groth", "--lambda", "1000", "--n", "1"],
         ],
-        ids=["groth-1000", "groth-500,490", "snp-brute", "verify", "verify-n3"],
+        ids=["verify-n3", "groth-out"],
     )
-    def test_refused_before_filling(self, capsys, monkeypatch, tmp_path, argv, what, boxes):
-        if argv[-1] == "--out":
-            argv = [*argv, str(tmp_path / "missing" / "report.json")]
+    def test_refused_before_filling(self, capsys, monkeypatch, tmp_path, argv):
+        missing = tmp_path / "missing"
         monkeypatch.setattr("grothsnp.grothendieck.grothendieck_lenart", no_expansion)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
+        assert main([*argv, "--out", str(missing / "report.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"grothsnp: error: {what} limited to |lambda| + n(n-1)/2 ≤ 800 boxes, got {boxes}"
+            f"grothsnp: error: cannot write --out {missing / 'report.json'}: "
+            f"no directory {missing}"
         ]
 
     @pytest.mark.parametrize(
@@ -588,17 +628,20 @@ class TestFillLimit:
         assert status == 0
         assert out
 
-    def test_desk_sweep_refuses_the_box(self, capsys):
-        desk_sweep = load_desk_sweep()
-        with pytest.raises(SystemExit) as err:
-            desk_sweep.main(["--max-part", "1000", "--max-rows", "1", "--n-values", "1"])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "desk_sweep.py: error: brute-snp limited to |lambda| + n(n-1)/2 ≤ 800 boxes, "
-            "got 1,000"
+    def test_desk_sweep_runs_the_box(self, capsys):
+        status = load_desk_sweep().main(
+            ["--max-part", "1000", "--max-rows", "1", "--n-values", "1", "--trials", "1"]
+        )
+        assert status == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["pairs"], doc["failures"]) == (1001, 0)
+        assert [entry["lambda"] for entry in doc["results"]] == [[]] + [
+            [part] for part in range(1, 1001)
         ]
+        assert all(
+            [c["name"] for c in entry["checks"]] == list(battery.CHECKS)
+            for entry in doc["results"]
+        )
 
     def test_desk_sweep_box_without_brute_snp_is_accepted(self):
         args = load_desk_sweep().parse_args(

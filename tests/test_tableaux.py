@@ -10,6 +10,7 @@ from grothsnp.tableaux import (
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
+    ssyt_contents,
 )
 
 
@@ -201,6 +202,26 @@ class TestSsyt:
                 lambda rows: is_valid_ssyt(Tableau(lam, Partition(), rows), n),
             )
             assert [flat(t) for t in enumerate_ssyt(lam, n)] == sorted(expected)
+
+
+    @pytest.mark.parametrize(
+        "parts, n, contents",
+        [
+            ((1000,), 1, {(1000,): 1}),
+            # Row 2 is all 2s, so row 1 is 1 over it and 1s then 2s after it.
+            ((500, 490), 2, {(a, 990 - a): 1 for a in range(490, 501)}),
+        ],
+        ids=["1000-in-1", "500,490-in-2"],
+    )
+    def test_shapes_past_the_recursion_limit(self, parts, n, contents):
+        lam = Partition(parts)
+        assert ssyt_contents(lam, n) == contents
+        fills = list(enumerate_ssyt(lam, n))
+        assert len(fills) == len(contents)
+        # Row-major order with labels increasing: the most 1s first.
+        assert [flat(t).count((1,)) for t in fills] == sorted(
+            (alpha[0] for alpha in contents), reverse=True
+        )
 
 
 class TestLenart:
