@@ -1,13 +1,13 @@
 """The verification battery, shared by `grothsnp verify` and the desk sweep.
 
-run_checks builds one (name, lambda parts, n, trials, seed) task per check
-and maps run_check over them, which returns one record `{"name", "ok",
-"detail"}` per task. Tasks are plain tuples and the records plain dicts, so
-both travel through a worker pool unchanged, and the report lists them in
-the order the checks were named. This module alone decides where the
-brute-force sweep runs: run_checks skips brute-snp above BRUTE_SNP_MAX_N
-variables or past BRUTE_WORK_LIMIT, the work bound at which snp --brute is
-refused.
+run_checks builds one (name, lambda parts, n) task per check and maps
+run_check over them, which returns one record `{"name", "ok", "detail"}` per
+task. Every check is exact, so a task carries no trial count or seed. Tasks
+are plain tuples and the records plain dicts, so both travel through a
+worker pool unchanged, and the report lists them in the order the checks
+were named. This module alone decides where the brute-force sweep runs:
+run_checks skips brute-snp above BRUTE_SNP_MAX_N variables or past
+BRUTE_WORK_LIMIT, the work bound at which snp --brute is refused.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -60,8 +60,8 @@ def brute_work(parts: Sequence[int], n: int) -> int:
     return (max(parts, default=0) + 1) ** n * 3**n
 
 
-def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
-    """The record of one check; task is (name, lambda parts, n, trials, seed)."""
+def run_check(task: tuple[str, tuple[int, ...], int]) -> dict:
+    """The record of one check; task is (name, lambda parts, n)."""
     # Looked up per call, so each check runs what its home module holds
     # then; a tracer or a test may have rebound it.
     from .grothendieck import (
@@ -82,7 +82,7 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
         snp_check_symmetric_fast,
     )
 
-    name, parts, n, trials, seed = task
+    name, parts, n = task
     lam = Partition(parts)
     if name == "cross-oracle":
         same = grothendieck_lenart_dominant(lam, n) == grothendieck_setvalued_dominant(
@@ -98,7 +98,7 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
         return {"name": name, "ok": verdict.is_snp, "detail": verdict.detail}
     claims = {
         "claim-a": lambda: check_claim_a(lam, n),
-        "claim-b": lambda: check_claim_b(mu_chain(lam, n), trials, seed),
+        "claim-b": lambda: check_claim_b(mu_chain(lam, n)),
         "claim-c": lambda: check_claim_c(mu_chain(lam, n)),
         "lemmas": lambda: check_lemmas_random(mu_chain(lam, n)),
     }
@@ -120,12 +120,7 @@ def run_check(task: tuple[str, tuple[int, ...], int, int, int]) -> dict:
 
 
 def run_checks(
-    parts: tuple[int, ...],
-    n: int,
-    trials: int,
-    seed: int,
-    names: Sequence[str] = CHECKS,
-    jobs: int = 1,
+    parts: tuple[int, ...], n: int, names: Sequence[str] = CHECKS, jobs: int = 1
 ) -> list[dict]:
     """The records of the checks among names that run in n variables, in the
     order of names, each from one run_check task, mapped by map_jobs.
@@ -137,11 +132,7 @@ def run_checks(
     second each; the cap stays at 3 because perfbench/oracles.py expects
     brute-snp exactly for n <= 3."""
     brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
-    tasks = [
-        (name, parts, n, trials, seed)
-        for name in names
-        if name != "brute-snp" or brute
-    ]
+    tasks = [(name, parts, n) for name in names if name != "brute-snp" or brute]
     return map_jobs(run_check, tasks, jobs)
 
 

@@ -12,11 +12,8 @@ geometry and the tests.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from itertools import accumulate, filterfalse, islice, repeat
-from math import lcm
-from operator import mul
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .partitions import Frozen, Partition, dominance_leq, majorizes
@@ -295,129 +292,57 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
     return CheckResult(True)
 
 
-def _random_numerators(rng: random.Random, count: int) -> list[int]:
-    """Numerators of convex weights over their sum (at most 10**4), never all zero.
-
-    Each numerator is randint(0, scale) drawn as CPython draws it: getrandbits
-    of the bound's bit length, redrawn while not below the bound. So a seed
-    gives the same numerators as a randint loop, without its Python frames.
-    """
-    bound = max(1, 10**4 // max(count, 1)) + 1
-    draws = map(rng.getrandbits, repeat(bound.bit_length()))
-    raws = list(islice(filterfalse(bound.__le__, draws), count))
-    if sum(raws) == 0:
-        raws[rng.randrange(count)] = 1
-    return raws
-
-
-def _mix(numerators: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Componentwise sum of numerators[k] * vectors[k]."""
-    return [sum(map(mul, numerators, column)) for column in zip(*vectors)]
-
-
 def _as_fractions(numerators: Sequence[int], denominator: int) -> RationalVector:
     from fractions import Fraction
 
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
-def _claim_b_mix(
-    rng: random.Random, padded: Sequence[tuple[int, ...]]
-) -> tuple[list[int], list[int], int]:
-    """One claim-b trial as (point, shape, D): the mixed point point/D and the
-    matching mix shape/D of the chain shapes.
-
-    Each chain shape k yields a point of its permutahedron, a convex mix of
-    1-3 shuffles (spots) with weights r_ks over a total t_k; the chain weights
-    a_k share the total W. Scaled by D = W * L, L = lcm(t_0..t_N), the point
-    is one integer mix of all spots with coefficients a_k * (L // t_k) * r_ks.
-    Spot counts and swaps make the getrandbits draws of randint(1, 3) and
-    random.shuffle, so a seed gives the same trials as those calls.
-    """
-    getrandbits = rng.getrandbits
-    steps = [(i, (i + 1).bit_length()) for i in range(len(padded[0]) - 1, 0, -1)]
-    spots = []
-    spot_weights = []
-    for w in padded:
-        count = getrandbits(2)
-        while count == 3:
-            count = getrandbits(2)
-        for _ in range(count + 1):
-            spot = list(w)
-            for i, k in steps:
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                spot[i], spot[j] = spot[j], spot[i]
-            spots.append(spot)
-        spot_weights.append(_random_numerators(rng, count + 1))
-    weights = _random_numerators(rng, len(padded))
-    totals = [sum(raws) for raws in spot_weights]
-    common = lcm(*totals)
-    scales = [a * (common // t) for a, t in zip(weights, totals)]
-    point = _mix([c * r for c, rs in zip(scales, spot_weights) for r in rs], spots)
-    shape = _mix([a * common for a in weights], padded)
-    return point, shape, sum(weights) * common
-
-
-def check_claim_b(chain: MuChain, trials: int, seed: int) -> CheckResult:
-    """Convex mixes of points drawn from the chain's permutahedra are majorized
-    by the matching mix of the chain shapes themselves, over `trials` trials
-    seeded by `seed`.
+def check_claim_b(chain: MuChain) -> CheckResult:
+    """Convex mixes of points of the chain's permutahedra are majorized by the
+    matching mix of the chain shapes themselves, for all points and weights.
 
     This is the Minkowski-sum fact P(a) + P(b) = P(a + b) for dominant
-    weights. By the vertex argument of check_claim_c its exact form reduces
-    to "a rearrangement of mu^(k) is majorized by mu^(k)", which holds
-    trivially; so it stays sampled, and its trials exercise _mix and
-    majorizes rather than the chain.
+    weights. For x_k in P(mu^(k)) and weights c_k, the sum of the j largest
+    entries of sum c_k x_k is at most sum c_k top_j(x_k), and by Rado
+    (x_k is majorized by mu^(k)) at most sum c_k p_j(mu^(k)), the j-th
+    prefix sum of the shape mix. So the claim holds iff every rearrangement
+    of each mu^(k) is majorized by mu^(k). Each shape is checked against its
+    reversal, which majorizes has to sort.
     """
-    rng = random.Random(seed)
-    padded = [mu.padded(chain.n) for mu in chain.mus]
-    for trial in range(trials):
-        point, shape, denominator = _claim_b_mix(rng, padded)
-        if not majorizes(shape, point):
+    for k, mu in enumerate(chain.mus):
+        shape = mu.padded(chain.n)
+        if not majorizes(shape, shape[::-1]):
             return CheckResult(
-                False,
-                f"trial {trial}: point {_as_fractions(point, denominator)} "
-                f"escapes bound {_as_fractions(shape, denominator)}",
+                False, f"k={k}: rearrangement {shape[::-1]} escapes shape {shape}"
             )
     return CheckResult(True)
-
-
-def _moment_vertices(top: int, surplus: int) -> Iterator[tuple[int, int, int, int]]:
-    """The vertices of Q_K = {c >= 0, sum c = 1, sum k*c_k = K} on indices
-    0..top, K = surplus, each as (i, j, a, b) for c = (a*e_i + b*e_j)/(a + b).
-
-    Two equality rows leave at most two nonzero coordinates at a vertex: e_K
-    itself, as (K, K, 1, 0), and for i < K < j the mix of e_i and e_j with
-    a = j - K and b = K - i, whose moment is K.
-    """
-    yield surplus, surplus, 1, 0
-    for i in range(surplus):
-        for j in range(surplus + 1, top + 1):
-            yield i, j, j - surplus, surplus - i
 
 
 def check_claim_c(chain: MuChain) -> CheckResult:
     """A convex mix of chain shapes with integer surplus K is majorized by the
     K-th chain shape, for all such weights.
 
-    The weights with surplus K form the polytope Q_K of _moment_vertices. A
-    mix of weakly decreasing vectors is weakly decreasing, so its prefix sums,
-    and with them majorization by the K-th shape, are linear in the weights.
-    A linear inequality holds on a polytope iff it holds at its vertices, so
-    each vertex is checked, in integers scaled by its denominator a + b.
+    A mix of weakly decreasing vectors is weakly decreasing, so for each row
+    r the claim reads sum_k c_k p_r(k) <= p_r(K), with p_r(k) the r-th prefix
+    sum of mu^(k), for weights c with sum c = 1 and sum k*c_k = K; at r = n
+    it is an equality, since |mu^(k)| = |lambda| + k is linear in k. The
+    weights form a polytope Q_K whose vertices are e_K and, for i < K < j,
+    the mix ((j - K)*e_i + (K - i)*e_j)/(j - i), at which the inequality says
+    that k -> p_r(k) lies on or above its chord from i to j at K. A sequence
+    does so for every chord iff it is discretely concave, so the claim holds
+    for all weights iff mu^(K-1) + mu^(K+1) is majorized by 2*mu^(K) for
+    0 < K < N: the vertices (K-1, K, K+1), checked in integers.
     """
     padded = [mu.padded(chain.n) for mu in chain.mus]
-    for surplus in range(chain.length + 1):
-        for i, j, a, b in _moment_vertices(chain.length, surplus):
-            mixed = _mix((a, b), (padded[i], padded[j]))
-            if not majorizes([(a + b) * x for x in padded[surplus]], mixed):
-                return CheckResult(
-                    False,
-                    f"vertex K={surplus}, i={i}, j={j}: mix "
-                    f"{_as_fractions(mixed, a + b)} escapes chain shape at K={surplus}",
-                )
+    for surplus in range(1, chain.length):
+        mixed = [a + b for a, b in zip(padded[surplus - 1], padded[surplus + 1])]
+        if not majorizes([2 * x for x in padded[surplus]], mixed):
+            return CheckResult(
+                False,
+                f"vertex K={surplus}, i={surplus - 1}, j={surplus + 1}: mix "
+                f"{_as_fractions(mixed, 2)} escapes chain shape at K={surplus}",
+            )
     return CheckResult(True)
 
 

@@ -135,20 +135,20 @@ def test_a5_claim_a_and_top_degree():
 
 
 def test_a6_claims_b_c_and_lemmas():
-    """On both reference chains: 1000 seeded exact-rational trials of claim b,
-    and claim c and the lemmas checked exactly at every vertex of their
-    weight polytopes, which decides them for all weights."""
+    """On both reference chains: claim b checked exactly at the chain shapes,
+    claim c at its adjacent vertices (K-1, K, K+1), and the lemmas at the
+    chain shapes, each of which decides its claim for all weights."""
     start = time.perf_counter()
     for parts, n in [((3, 1, 0), 3), ((4, 2, 1, 0), 4)]:
         chain = mu_chain(Partition(parts), n)
-        assert check_claim_b(chain, 1000, 2024), parts
+        assert check_claim_b(chain), parts
         assert check_claim_c(chain), parts
         assert check_lemmas_random(chain), parts
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(
-        f"A6: PASS - 2000 rational trials of claim b; claim c and lemmas exact "
-        f"at every vertex, {elapsed:.1f}s"
+        f"A6: PASS - claims b and c and the lemmas exact for all weights, "
+        f"{elapsed:.1f}s"
     )
 
 

@@ -192,8 +192,10 @@ class TestVerify:
     def test_trials_and_seed_leave_claim_c_and_lemmas_alone(
         self, capsys, monkeypatch, planted
     ):
+        # every check of --all, claim b included, reads neither option
         if planted:
-            # (3,2,1) with its row-3 box moved to row 1, so both checks fail
+            # (3,2,1) with its row-3 box moved to row 1, which claims a and
+            # c, the lemmas and brute-snp catch
             chain = mu_chain(Partition((3, 1)), 3)
             bad = object.__new__(MuChain)
             for name in ("lam", "n", "rows"):
@@ -205,12 +207,14 @@ class TestVerify:
         for trials, seed in (("1", "0"), ("1000", "0"), ("1", "7"), ("1000", "7")):
             status, out = run_cli(
                 capsys, "verify", "--lambda", "3,1", "--n", "3",
-                "--claim", "c", "--lemmas", "--trials", trials, "--seed", seed,
+                "--all", "--trials", trials, "--seed", seed,
             )
             assert status == (1 if planted else 0)
             records.append(json.loads(out)["checks"])
         assert all(checks == records[0] for checks in records)
-        assert [c["ok"] for c in records[0]] == [not planted] * 2
+        assert [c["name"] for c in records[0]] == list(battery.CHECKS)
+        failed = [c["name"] for c in records[0] if not c["ok"]]
+        assert failed == (["claim-a", "claim-c", "lemmas", "brute-snp"] if planted else [])
 
     def test_brute_snp_is_skipped_beyond_three_variables(self, capsys):
         status, out = run_cli(
@@ -231,7 +235,7 @@ class TestVerify:
         # within 3,000,000; one more in lambda_1 passes it. Nothing is expanded.
         monkeypatch.setattr(battery, "run_check", lambda task: task[0])
         expected = [name for name in battery.CHECKS if name != "brute-snp" or brute]
-        assert battery.run_checks(parts, n, 1, 0) == expected
+        assert battery.run_checks(parts, n) == expected
 
     def test_failure_reports_exit_one(self, capsys, monkeypatch):
         def forced_failure(task):
@@ -739,7 +743,7 @@ class TestDeskSweepBattery:
     @pytest.mark.parametrize("n", [3, 4])
     def test_pair_runs_the_verify_battery(self, capsys, n):
         desk_sweep = load_desk_sweep()
-        swept = desk_sweep.run_battery(((2, 1), n, 30, 7))["checks"]
+        swept = desk_sweep.run_battery(((2, 1), n))["checks"]
         _, out = run_cli(
             capsys,
             "verify", "--lambda", "2,1", "--n", str(n), "--all",
@@ -845,6 +849,18 @@ def interrupted():
     raise KeyboardInterrupt
 
 
+# The head of a `python -c` wrapper that plants a check that sleeps in place
+# of battery.run_check, so that the pool's workers, which fork with the
+# rebinding, are still busy when the test interrupts them.
+SLOW_CHECKS = (
+    "import runpy, sys, time\n"
+    "import grothsnp.battery\n"
+    "def slow_check(task):\n"
+    "    time.sleep(60)\n"
+    "grothsnp.battery.run_check = slow_check\n"
+)
+
+
 class TestInterrupt:
     def test_cli_interrupt_exits_two_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr("grothsnp.cli.run", lambda args: interrupted())
@@ -871,20 +887,22 @@ class TestInterrupt:
         "argv, prog",
         [
             (
-                ["-m", "grothsnp", "verify", "--lambda", "3,1", "--n", "3",
-                 "--claim", "b", "--lemmas", "--trials", "100000000", "--jobs", "2"],
+                [SLOW_CHECKS + "from grothsnp.cli import main; sys.exit(main())",
+                 "verify", "--lambda", "3,1", "--n", "3",
+                 "--claim", "b", "--lemmas", "--jobs", "2"],
                 "grothsnp",
             ),
             (
-                [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2",
-                 "--trials", "100000000", "--jobs", "2"],
+                [SLOW_CHECKS + "sys.argv = sys.argv[1:]\n"
+                 "runpy.run_path(sys.argv[0], run_name='__main__')",
+                 str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"],
                 "desk_sweep.py",
             ),
         ],
     )
     def test_ctrl_c_in_the_worker_pool(self, argv, prog):
         proc = subprocess.Popen(
-            [sys.executable, *argv],
+            [sys.executable, "-c", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

@@ -26,9 +26,6 @@ from grothsnp import (
 from grothsnp import battery, grothendieck
 from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
-    _claim_b_mix,
-    _mix,
-    _moment_vertices,
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
     lenart_coefficient,
@@ -36,6 +33,9 @@ from grothsnp.grothendieck import (
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
 
 LAM310 = Partition((3, 1))
+DIFFERENTIAL_CASES = [
+    ((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5), ((3, 1), 4), ((1,), 6),
+]
 
 
 class TestLenartCoefficient:
@@ -228,7 +228,7 @@ class TestDominantTerms:
             "grothendieck_setvalued_dominant",
             lambda lam, n: SparsePolynomial(n, terms),
         )
-        record = battery.run_check(("cross-oracle", lam.parts, 3, 1, 0))
+        record = battery.run_check(("cross-oracle", lam.parts, 3))
         assert record == {
             "name": "cross-oracle",
             "ok": False,
@@ -323,8 +323,20 @@ class TestClaimA:
 
 class TestClaimB:
     def test_seeded_trials(self):
-        chain = mu_chain(LAM310, 3)
-        assert check_claim_b(chain, 200, 11)
+        assert check_claim_b(mu_chain(LAM310, 3))
+        assert check_claim_b(mu_chain(Partition((4, 2, 1)), 4))
+
+    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
+    def test_fraction_trials_are_majorized(self, parts, n):
+        # the Fraction sampler that the exact check replaced: mixes of
+        # shuffled chain shapes stay within the matching mix of the shapes
+        chain = mu_chain(Partition(parts), n)
+        padded = [mu.padded(n) for mu in chain.mus]
+        rng = random.Random(5)
+        for _ in range(150):
+            point, shape = _reference_claim_b_trial(rng, padded)
+            assert majorizes(shape, point)
+        assert check_claim_b(chain)
 
     def test_unit_weight_reduces_to_single_polytope(self):
         chain = mu_chain(LAM310, 3)
@@ -414,24 +426,50 @@ def _vertex_weights(top, surplus):
     return points
 
 
-# Fraction references for the claims: each claim-b trial is computed with
-# Fraction weights and convex_combination, drawing from a second generator
-# with the same seed in the same order. The integer mixes divided by their
-# denominator must equal these exactly, and the generators stay in lockstep.
-# The claim-c sampler, whose seeded trials the exact vertex check replaced,
-# stays here as the reference that the vertices must cover.
+# References for the claims. The full vertex scan of claim c, which the
+# adjacent-vertex check replaced, decides the same verdicts on every chain.
+# The Fraction samplers, whose seeded trials the exact checks replaced, stay
+# as property tests: their claim-b trials must be majorized, and their
+# claim-c weights must be covered by the vertices.
 
 
-def _reference_numerators(rng, count):
+def _moment_vertices(top, surplus):
+    """The vertices of Q_K = {c >= 0, sum c = 1, sum k*c_k = K} on indices
+    0..top, K = surplus, each as (i, j, a, b) for c = (a*e_i + b*e_j)/(a + b).
+
+    Two equality rows leave at most two nonzero coordinates at a vertex: e_K
+    itself, as (K, K, 1, 0), and for i < K < j the mix of e_i and e_j with
+    a = j - K and b = K - i, whose moment is K.
+    """
+    yield surplus, surplus, 1, 0
+    for i in range(surplus):
+        for j in range(surplus + 1, top + 1):
+            yield i, j, j - surplus, surplus - i
+
+
+def _mix(numerators, vectors):
+    """Componentwise sum of numerators[k] * vectors[k]."""
+    return [sum(a * x for a, x in zip(numerators, column)) for column in zip(*vectors)]
+
+
+def _full_scan_claim_c(chain):
+    """Whether every vertex of every Q_K keeps its mix majorized by the K-th
+    chain shape, in integers scaled by the vertex's denominator."""
+    padded = [mu.padded(chain.n) for mu in chain.mus]
+    return all(
+        majorizes(
+            [(a + b) * x for x in padded[surplus]], _mix((a, b), (padded[i], padded[j]))
+        )
+        for surplus in range(chain.length + 1)
+        for i, j, a, b in _moment_vertices(chain.length, surplus)
+    )
+
+
+def _reference_weights(rng, count):
     scale = max(1, 10**4 // max(count, 1))
     raws = [rng.randint(0, scale) for _ in range(count)]
     if sum(raws) == 0:
         raws[rng.randrange(count)] = 1
-    return raws
-
-
-def _reference_weights(rng, count):
-    raws = _reference_numerators(rng, count)
     total = sum(raws)
     return tuple(Fraction(a, total) for a in raws)
 
@@ -504,25 +542,7 @@ def _scaled_down(numerators, denominator):
     return tuple(Fraction(x, denominator) for x in numerators)
 
 
-# n = 4 shuffles at bound 4, a power of two that rejects half of its draws;
-# n = 6 brings bound 6.
-DIFFERENTIAL_CASES = [
-    ((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5), ((3, 1), 4), ((1,), 6),
-]
-
-
 class TestIntegerPath:
-    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    def test_claim_b_mixes_equal_the_fraction_mixes(self, parts, n):
-        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
-        rng, reference = random.Random(5), random.Random(5)
-        for _ in range(150):
-            point, shape, denominator = _claim_b_mix(rng, padded)
-            ref_point, ref_shape = _reference_claim_b_trial(reference, padded)
-            assert _scaled_down(point, denominator) == ref_point
-            assert _scaled_down(shape, denominator) == ref_shape
-            assert rng.getstate() == reference.getstate()
-
     @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
     def test_claim_c_weights_and_mixes_equal_the_fraction_ones(self, parts, n):
         # each vertex's integer mix over a + b is the Fraction mix of its
@@ -537,13 +557,16 @@ class TestIntegerPath:
                 assert majorizes(padded[surplus], mixed)
 
     def test_failure_details_keep_the_fraction_format(self, monkeypatch):
-        # Reference string printed by the Fraction implementation.
+        # Claim b names the shape and its reversal; claim c prints its mix in
+        # Fractions, as the Fraction implementation did.
         monkeypatch.setattr(grothendieck, "majorizes", lambda mu, v: False)
         chain = mu_chain(LAM310, 3)
-        assert check_claim_b(chain, 5, 11).detail == (
-            "trial 0: point (Fraction(2919656416, 1603118855), "
-            "Fraction(9358268187, 3206237710), Fraction(4571741951, 3206237710)) "
-            "escapes bound (Fraction(3, 1), Fraction(4073, 2158), Fraction(2759, 2158))"
+        assert check_claim_b(chain).detail == (
+            "k=0: rearrangement (0, 1, 3) escapes shape (3, 1, 0)"
+        )
+        assert check_claim_c(chain).detail == (
+            "vertex K=1, i=0, j=2: mix (Fraction(3, 1), Fraction(3, 2), "
+            "Fraction(1, 2)) escapes chain shape at K=1"
         )
 
     def test_claim_c_failure_names_its_vertex(self):
@@ -554,71 +577,6 @@ class TestIntegerPath:
             "vertex K=1, i=0, j=2: mix (Fraction(7, 2), Fraction(3, 2), "
             "Fraction(0, 1)) escapes chain shape at K=1"
         )
-
-
-ALL_ONES = (1 << 32) - 1
-
-
-def _forced_rejection_script(seed):
-    """Raw getrandbits values: all ones, which every bound rejects, before each
-    draw of a seeded stream that is zero half the time. Every draw site ends
-    on an accepted stream value, so the next one starts with a rejection."""
-    source = random.Random(seed)
-    while True:
-        yield ALL_ONES
-        yield 0 if source.random() < 0.5 else source.getrandbits(32)
-
-
-class ScriptedRandom(random.Random):
-    """A generator whose getrandbits replays a script, masked to the bits asked
-    for. It counts its draws and records each bound at which _randbelow, the
-    sampler under randint, randrange and shuffle, had to redraw."""
-
-    def __init__(self, script):
-        super().__init__(0)
-        self.script = script
-        self.draws = 0
-        self.rejected = set()
-
-    def getrandbits(self, k):
-        self.draws += 1
-        return next(self.script) & ((1 << k) - 1)
-
-    def _randbelow(self, n):
-        before = self.draws
-        r = self._randbelow_with_getrandbits(n)
-        if self.draws - before > 1:
-            self.rejected.add(n)
-        return r
-
-
-class TestStreamLockstep:
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
-    def test_numerators_match_randint(self, count):
-        rng = ScriptedRandom(_forced_rejection_script(count))
-        reference = ScriptedRandom(_forced_rejection_script(count))
-        for _ in range(200):
-            raws = grothendieck._random_numerators(rng, count)
-            assert raws == _reference_numerators(reference, count)
-            assert rng.draws == reference.draws
-        # randint(0, scale) draws below scale + 1; only the all-zero branch,
-        # randrange(count), draws below count
-        assert {10**4 // count + 1, count} <= reference.rejected
-
-    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    def test_claim_b_mix_matches_randint_and_shuffle(self, parts, n):
-        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
-        rng = ScriptedRandom(_forced_rejection_script(n))
-        reference = ScriptedRandom(_forced_rejection_script(n))
-        for _ in range(60):
-            point, shape, denominator = _claim_b_mix(rng, padded)
-            ref_point, ref_shape = _reference_claim_b_trial(reference, padded)
-            assert _scaled_down(point, denominator) == ref_point
-            assert _scaled_down(shape, denominator) == ref_shape
-            assert rng.draws == reference.draws
-        # every shuffle bound, the spot count's bound 3, and the all-zero
-        # branch of a one-spot mix (randrange(1)) redrew at least once
-        assert {1, 3, *range(2, n + 1)} <= reference.rejected
 
 
 def _reference_first_identity(chain, weights):
@@ -711,6 +669,22 @@ class TestPlantedDefects:
         # 349 of the 393 planted chains; at 100 trials the sampler misses
         # none of the vertex check's either
         assert sampled == vertex == 349
+
+    def test_adjacent_vertices_decide_what_the_full_scan_does(self):
+        # every chain of the 3 x 3 box at n <= 5, and every planted chain
+        chains = [
+            mu_chain(lam, n)
+            for lam in partitions_in_box(3, 3)
+            for n in range(max(1, len(lam)), 6)
+        ]
+        planted = list(_planted_chains())
+        assert (len(chains), len(planted)) == (74, 393)
+        failing = 0
+        for chain in chains + planted:
+            verdict = check_claim_c(chain).ok
+            assert verdict == _full_scan_claim_c(chain), (chain.mus, chain.n)
+            failing += not verdict
+        assert failing == 349
 
     def test_lemma_check_fails_on_every_planted_chain(self):
         planted = list(_planted_chains())

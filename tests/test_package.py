@@ -77,3 +77,22 @@ def test_a_name_loads_its_home_module_and_what_it_imports():
     assert loaded_after("import grothsnp; grothsnp.SparsePolynomial") == [
         "grothsnp", "grothsnp.partitions", "grothsnp.polynomials"
     ]
+
+
+def test_verify_loads_no_random():
+    # Every check is exact, so no seeded generator is loaded. -S keeps site
+    # out, since a .pth file may import a module that loads random.
+    probe = (
+        "import sys\n"
+        "from grothsnp.cli import main\n"
+        "status = main(['verify', '--lambda', '3,2,1', '--n', '4'])\n"
+        "print('random' in sys.modules, status)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False 0"
