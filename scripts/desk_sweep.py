@@ -23,6 +23,10 @@ sweeping and again on writing), a stdout that cannot be written, or an
 interrupt (Ctrl-C), each reported on one stderr line by the helpers of
 grothsnp.battery, which also runs the checks.
 
+With --jobs K above 1 the pairs go to a pool of at most K worker processes,
+which leave Ctrl-C to the parent; the report is the same as with --jobs 1
+apart from the seconds of each pair.
+
 Example:
 
     python3 scripts/desk_sweep.py --max-part 3 --max-rows 3 \
@@ -51,6 +55,14 @@ def run_battery(task: tuple[tuple[int, ...], int]) -> dict:
     }
 
 
+def ignore_sigint() -> None:
+    """Pool worker initializer: leave Ctrl-C to the parent, which reports it
+    once and terminates the pool, so workers print no tracebacks."""
+    import signal  # here, like multiprocessing: only pool workers need it
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def sweep(args: argparse.Namespace) -> dict:
     from grothsnp import partitions_in_box  # after parsing: --help needs no math
 
@@ -60,7 +72,19 @@ def sweep(args: argparse.Namespace) -> dict:
         for lam in partitions_in_box(args.max_rows, args.max_part)
         if len(lam.parts) <= n
     ]
-    results = battery.map_jobs(run_battery, tasks, args.jobs)
+    if args.jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # here, so that a serial sweep never loads it
+
+        # The workers fork from here: the layers run_check imports load once,
+        # now, rather than once in every worker.
+        from grothsnp import grothendieck, polytopes  # noqa: F401
+
+        with multiprocessing.Pool(
+            min(args.jobs, len(tasks)), initializer=ignore_sigint
+        ) as pool:
+            results = pool.map(run_battery, tasks)
+    else:
+        results = [run_battery(task) for task in tasks]
 
     failures = [entry for entry in results if not entry["ok"]]
     return {
@@ -94,7 +118,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0,
                         help="echoed in the report; no check reads it (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
+                        help="worker processes over the pairs (default 1)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)

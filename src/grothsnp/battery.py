@@ -1,11 +1,11 @@
 """The verification battery, shared by `grothsnp verify` and the desk sweep.
 
 run_checks builds one (name, lambda parts, n) task per check and maps
-run_check over them, which returns one record `{"name", "ok", "detail"}` per
-task. Every check is exact, so a task carries no trial count or seed. Tasks
-are plain tuples and the records plain dicts, so both travel through a
-worker pool unchanged, and the report lists them in the order the checks
-were named. This module alone decides where the brute-force sweep runs:
+run_check over them in the calling process, which returns one record
+`{"name", "ok", "detail"}` per task, in the order the checks were named.
+Every check is exact, so a task carries no trial count or seed, and the
+records are the same on every run. This module alone decides where the
+brute-force sweep runs:
 run_checks skips brute-snp above BRUTE_SNP_MAX_N variables or past
 BRUTE_WORK_LIMIT, the work bound at which snp --brute is refused.
 
@@ -22,8 +22,7 @@ directory first, writes the report to --out or stdout, and turns Ctrl-C into
 one line.
 The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
-imports the math layers when it is first called, and map_jobs before it forks
-a pool.
+imports the math layers when it is first called.
 """
 
 from __future__ import annotations
@@ -120,10 +119,10 @@ def run_check(task: tuple[str, tuple[int, ...], int]) -> dict:
 
 
 def run_checks(
-    parts: tuple[int, ...], n: int, names: Sequence[str] = CHECKS, jobs: int = 1
+    parts: tuple[int, ...], n: int, names: Sequence[str] = CHECKS
 ) -> list[dict]:
     """The records of the checks among names that run in n variables, in the
-    order of names, each from one run_check task, mapped by map_jobs.
+    order of names, each from one run_check task.
 
     brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound
     within BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding
@@ -133,32 +132,7 @@ def run_checks(
     brute-snp exactly for n <= 3."""
     brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
     tasks = [(name, parts, n) for name in names if name != "brute-snp" or brute]
-    return map_jobs(run_check, tasks, jobs)
-
-
-def ignore_sigint() -> None:
-    """Pool worker initializer: leave Ctrl-C to the parent, which reports it
-    once and terminates the pool, so workers print no tracebacks."""
-    import signal  # here, like multiprocessing: only pool workers need it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def map_jobs(fn: Callable, tasks: Sequence, jobs: int) -> list:
-    """fn applied to each task, results in task order: in a pool of at most
-    jobs workers when jobs > 1 and there are two tasks or more, else here."""
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # here, so that a serial run never loads it
-
-        # The workers fork from here: the layers run_check imports load once,
-        # now, rather than once in every worker.
-        from . import grothendieck, polytopes  # noqa: F401
-
-        with multiprocessing.Pool(
-            min(jobs, len(tasks)), initializer=ignore_sigint
-        ) as pool:
-            return pool.map(fn, tasks)
-    return [fn(task) for task in tasks]
+    return [run_check(task) for task in tasks]
 
 
 def fail(message: str, prog: str = "grothsnp") -> int:

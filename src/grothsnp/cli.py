@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="echoed in the report; no check reads it"
     )
     verify.add_argument(
-        "--jobs", type=int, default=1, metavar="K", help="worker processes"
+        "--jobs", type=int, default=1, metavar="K", help="the checks run in one process"
     )
     command("figure-data", _run_figure_data, "lattice points as CSV")
     return parser
@@ -210,7 +210,7 @@ def _verify_names(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    results = battery.run_checks(args.lam.parts, args.n, _verify_names(args), args.jobs)
+    results = battery.run_checks(args.lam.parts, args.n, _verify_names(args))
     all_ok = all(entry["ok"] for entry in results)
     payload = {
         "lambda": list(args.lam.parts),

@@ -155,18 +155,28 @@ def lenart_coefficient(lam: Partition, mu: Partition, n: int) -> int:
 
 
 def _candidate_shapes(lam: Partition, n: int) -> Iterator[Partition]:
-    """Partitions mu with lam <= mu rowwise and mu_i <= lam_i + i - 1, <= n rows."""
+    """Partitions mu with lam <= mu rowwise and mu_i <= lam_i + i - 1, <= n rows.
 
-    def rec(i: int, prev: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        if i > n:
-            yield Partition(prefix)
-            return
-        lo = lam.part(i)
-        hi = min(lam.part(i) + i - 1, prev)
-        for p in range(lo, hi + 1):
-            yield from rec(i + 1, p, prefix + (p,))
-
-    yield from rec(1, lam.part(1), ())
+    They come in lexicographic order of their parts: each row tries its parts
+    in increasing order. The rows are chosen by a loop over the row index, with
+    -1 marking a row not yet chosen, so no n is too large for Python's
+    recursion limit.
+    """
+    lo = lam.padded(n)
+    parts = [-1] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield Partition(tuple(parts))
+            i -= 1
+            continue
+        p = parts[i] + 1 if parts[i] >= 0 else lo[i]
+        if p > min(lo[i] + i, parts[i - 1] if i else lo[0]):
+            parts[i] = -1
+            i -= 1
+        else:
+            parts[i] = p
+            i += 1
 
 
 @lru_cache(maxsize=None)

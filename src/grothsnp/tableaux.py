@@ -199,7 +199,10 @@ def _fill_lenart(
     rows and down columns, with every entry of row r at most r-1 (and in 1..n).
 
     Cells are filled in row-major order, labels tried in increasing order; at
-    each complete filling leaf(values) gets the live row-major labels.
+    each complete filling leaf(values) gets the live row-major labels. As in
+    _fill_ssyt, the backtracking is a loop over the cell index, with 0 marking
+    a cell not yet placed, so no shape is too large for Python's recursion
+    limit.
     """
     if not mu.contains(lam):
         raise ValueError("not a skew shape")
@@ -215,23 +218,29 @@ def _fill_lenart(
             index[(r, c)] = len(cap) - 1
     size = len(cap)
     values = [0] * size
-
-    def fill(idx: int) -> None:
+    idx = 0
+    while idx >= 0:
         if idx == size:
             leaf(values)
-            return
-        lo = 1
-        j = left[idx]
-        if j >= 0:
-            lo = values[j] + 1
-        j = up[idx]
-        if j >= 0 and values[j] >= lo:
-            lo = values[j] + 1
-        for v in range(lo, cap[idx] + 1):
+            idx -= 1
+            continue
+        v = values[idx]
+        if v:  # the next label after v
+            v += 1
+        else:  # the least label the cells left of and above allow
+            v = 1
+            j = left[idx]
+            if j >= 0:
+                v = values[j] + 1
+            j = up[idx]
+            if j >= 0 and values[j] >= v:
+                v = values[j] + 1
+        if v > cap[idx]:
+            values[idx] = 0
+            idx -= 1
+        else:
             values[idx] = v
-            fill(idx + 1)
-
-    fill(0)
+            idx += 1
 
 
 def count_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> int:

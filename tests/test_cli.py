@@ -883,24 +883,11 @@ class TestInterrupt:
         not hasattr(os, "killpg") or shutil.which("ps") is None,
         reason="needs POSIX process groups and ps",
     )
-    @pytest.mark.parametrize(
-        "argv, prog",
-        [
-            (
-                [SLOW_CHECKS + "from grothsnp.cli import main; sys.exit(main())",
-                 "verify", "--lambda", "3,1", "--n", "3",
-                 "--claim", "b", "--lemmas", "--jobs", "2"],
-                "grothsnp",
-            ),
-            (
-                [SLOW_CHECKS + "sys.argv = sys.argv[1:]\n"
-                 "runpy.run_path(sys.argv[0], run_name='__main__')",
-                 str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"],
-                "desk_sweep.py",
-            ),
-        ],
-    )
-    def test_ctrl_c_in_the_worker_pool(self, argv, prog):
+    def test_ctrl_c_in_the_worker_pool(self):
+        # Only the sweep has workers: verify runs its checks in one process.
+        argv = [SLOW_CHECKS + "sys.argv = sys.argv[1:]\n"
+                "runpy.run_path(sys.argv[0], run_name='__main__')",
+                str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"]
         proc = subprocess.Popen(
             [sys.executable, "-c", *argv],
             stdout=subprocess.PIPE,
@@ -932,7 +919,7 @@ class TestInterrupt:
                 proc.communicate()
         assert proc.returncode == 2
         assert out == ""
-        assert err.splitlines() == [f"{prog}: error: interrupted"]
+        assert err.splitlines() == ["desk_sweep.py: error: interrupted"]
 
 
 MATH_LAYERS = {
@@ -984,6 +971,8 @@ class TestEntryPoint:
             ["-m", "grothsnp", "chain", "--lambda", "1", "--n", "2"],
             [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
             ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"],
+            ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1",
+             "--jobs", "2"],
         ],
     )
     def test_no_multiprocessing_import_without_a_pool(self, argv):
@@ -1029,10 +1018,10 @@ class TestEntryPoint:
     def test_pool_workers_inherit_the_check_layers(self):
         # A worker's imports show up on the stderr it shares with the parent:
         # the layers are imported once, in the parent, before the pool forks.
-        argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3",
-                "--trials", "5", "--jobs", "2"]
+        argv = [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"]
         proc, _ = run_importtime(argv)
         assert proc.returncode == 0
+        assert json.loads(proc.stdout)["ok"] is True
         for layer in ("grothsnp.grothendieck", "grothsnp.polytopes"):
             lines = [line for line in proc.stderr.splitlines()
                      if line.startswith("import time:")

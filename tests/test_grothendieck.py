@@ -31,6 +31,7 @@ from grothsnp.grothendieck import (
     lenart_coefficient,
 )
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
+from grothsnp.tableaux import _fill_lenart, count_lenart_tableaux
 
 LAM310 = Partition((3, 1))
 DIFFERENTIAL_CASES = [
@@ -104,6 +105,71 @@ class TestSchurExpansion:
             SchurExpansion(lam, 2, ((lam, 2),))
         with pytest.raises(ValueError):
             SchurExpansion(lam, 2, ((lam, 1), (Partition((3, 1)), -1)))
+
+
+def _recursive_candidate_shapes(lam, n):
+    """The recursion _candidate_shapes replaced: one call per row."""
+
+    def rec(i, prev, prefix):
+        if i > n:
+            yield Partition(prefix)
+            return
+        for p in range(lam.part(i), min(lam.part(i) + i - 1, prev) + 1):
+            yield from rec(i + 1, p, prefix + (p,))
+
+    yield from rec(1, lam.part(1), ())
+
+
+def _recursive_lenart_fills(lam, mu, n):
+    """The recursion _fill_lenart replaced: one call per cell."""
+    cells = [(r, c) for r in range(len(mu)) for c in range(lam.part(r + 1), mu.part(r + 1))]
+    values = {}
+    fills = []
+
+    def fill(idx):
+        if idx == len(cells):
+            fills.append(tuple(values[cell] for cell in cells))
+            return
+        r, c = cells[idx]
+        lo = max(values.get((r, c - 1), 0), values.get((r - 1, c), 0)) + 1
+        for v in range(lo, min(n, r) + 1):
+            values[(r, c)] = v
+            fill(idx + 1)
+
+    fill(0)
+    return fills
+
+
+BOX_CASES = [(lam, n) for lam in partitions_in_box(3, 3) for n in range(max(1, len(lam)), 6)]
+
+
+class TestLoopsMatchRecursion:
+    """_candidate_shapes and _fill_lenart loop over a row or cell index; the
+    recursions they replaced are the reference, same items in the same order."""
+
+    def test_candidate_shapes(self):
+        for lam, n in BOX_CASES:
+            expected = list(_recursive_candidate_shapes(lam, n))
+            assert list(grothendieck._candidate_shapes(lam, n)) == expected
+
+    def test_lenart_fills_on_the_candidate_shapes(self):
+        filled = 0
+        for lam, n in BOX_CASES:
+            for mu in _recursive_candidate_shapes(lam, n):
+                fills = []
+                _fill_lenart(lam, mu, n, lambda values: fills.append(tuple(values)))
+                expected = _recursive_lenart_fills(lam, mu, n)
+                assert fills == expected
+                filled += len(expected) > 1
+        assert filled > 0
+
+    def test_a_thousand_rows(self):
+        shapes = list(grothendieck._candidate_shapes(Partition((1,)), 1000))
+        assert shapes == [Partition((1,) * k) for k in range(1, 1001)]
+
+    def test_a_column_of_a_thousand_boxes(self):
+        column = Partition((1,) * 1000)
+        assert count_lenart_tableaux(Partition((1,)), column, 1000) == 1
 
 
 class TestPolynomials:
