@@ -5,11 +5,15 @@ arithmetic is exact, with no floats and no tolerances. There is one prefix-sum
 order, `majorizes`; dominance of partitions is majorization of their parts.
 It takes integers and ``fractions.Fraction`` values alike, so callers compare
 rational vectors as integer numerators over a common denominator.
+
+The enumerators share one loop, `dominated_partitions`, which lists the
+partitions a weight dominates by a walk under its prefix sums; the
+partitions of a size within a box are those under the greatest of them.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
@@ -90,8 +94,10 @@ class Partition(Frozen):
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
         cleaned = tuple(map(_integer_part, parts))
-        while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
+        end = len(cleaned)
+        while end and cleaned[end - 1] == 0:
+            end -= 1
+        cleaned = cleaned[:end]
         if any(p < 0 for p in cleaned):
             raise ValueError(f"partition parts must be nonnegative: {parts}")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
@@ -195,23 +201,49 @@ def convex_combination(
     )
 
 
-def partitions_of_size(
-    total: int, max_rows: int | None = None, max_part: int | None = None
-) -> Iterator[Partition]:
-    """All partitions of `total`, optionally bounded in rows and largest part."""
-    rows_cap = total if max_rows is None else max_rows
-    part_cap = total if max_part is None else max_part
+def dominated_partitions(weight: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition with at most len(weight) parts that the
+    weakly decreasing `weight` dominates, in decreasing lexicographic order.
 
-    def rec(remaining: int, cap: int, depth: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield Partition(prefix)
+    One loop over the rows: each part is at most the one before it and keeps
+    its prefix sum at or under the weight's, and it is tried only if it,
+    times the rows left, covers what is left to place. The weight's prefix
+    sums are concave, so the evenest completion of any such prefix fits
+    under them; no branch dead-ends, and the work follows the output.
+    """
+    rows = len(weight)
+    ceiling = list(accumulate(weight))
+    total = ceiling[-1] if rows else 0
+    parts: list[int] = []
+    placed = 0
+    part = total  # the part to try in row len(parts), before its caps
+    while True:
+        left = total - placed
+        if left == 0:
+            yield tuple(parts)
+        else:
+            row = len(parts)
+            # At most `left` too, since the ceiling ends at the total.
+            part = min(part, ceiling[row] - placed)
+            if part * (rows - row) >= left:
+                parts.append(part)
+                placed += part
+                continue
+        if not parts:
             return
-        if depth == rows_cap:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - p, p, depth + 1, prefix + (p,))
+        part = parts.pop()  # then the next smaller part in its row
+        placed -= part
+        part -= 1
 
-    yield from rec(total, part_cap, 0, ())
+
+def partitions_of_size(total: int, max_rows: int, max_part: int) -> Iterator[Partition]:
+    """All partitions of `total` with at most max_rows rows and no part over
+    max_part: those that the greatest of them, rows of max_part and then the
+    remainder, dominates."""
+    if total > max_rows * max_part:
+        return
+    greatest = [min(max_part, max(0, total - max_part * r)) for r in range(max_rows)]
+    yield from map(Partition, dominated_partitions(greatest))
 
 
 def partitions_in_box(max_rows: int, max_part: int) -> Iterator[Partition]:

@@ -2,9 +2,10 @@
 
 Everything here is lattice-exact. By Rado's theorem the lattice points of a
 permutahedron are the orbits of the dominant weights below its own weight in
-dominance order, and its vertices are the orbit of that weight. Hull
-membership is decided by rational linear feasibility instead, so the two
-saturation routes (geometry sweep versus degreewise permutahedra) stay
+dominance order, which one walk under the weight's prefix sums lists
+(`partitions.dominated_partitions`), and its vertices are the orbit of that
+weight. Hull membership is decided by rational linear feasibility instead, so
+the two saturation routes (geometry sweep versus degreewise permutahedra) stay
 independent and can audit each other.
 """
 
@@ -20,7 +21,7 @@ from .partitions import (
     Frozen,
     Partition,
     dominance_leq,
-    partitions_of_size,
+    dominated_partitions,
 )
 from .polynomials import SparsePolynomial
 
@@ -88,14 +89,9 @@ def permutahedron_vertices(p: Permutahedron) -> set[ExponentVector]:
 
 
 def _dominated(p: Permutahedron) -> set[ExponentVector]:
-    """The partitions with at most n rows that the weight dominates (so no
-    part exceeds its first), padded to n coordinates."""
-    weight = Partition(p.weight)
-    return {
-        nu.padded(p.n)
-        for nu in partitions_of_size(weight.size(), p.n, max(p.weight, default=0))
-        if dominance_leq(nu, weight)
-    }
+    """The partitions with at most n rows that the weight dominates, padded
+    to n coordinates: one walk under the weight's prefix sums."""
+    return {nu + (0,) * (p.n - len(nu)) for nu in dominated_partitions(p.weight)}
 
 
 def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:

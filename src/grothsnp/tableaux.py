@@ -25,7 +25,6 @@ name.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -154,26 +153,48 @@ def ssyt_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     return _gelfand_tsetlin(lam.padded(n))
 
 
-@lru_cache(maxsize=None)
+_PATTERNS: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
+
+
 def _gelfand_tsetlin(row: tuple[int, ...]) -> dict[ExponentVector, int]:
     """Gelfand-Tsetlin patterns with top row `row`, per weakly decreasing
     content: each lower row interlaces the one above it, and row k of the
     pattern is the shape filled by the labels 1..k, so label k occurs
-    sum(row k) - sum(row k-1) times. The cache on rows is shared by every
-    shape, since the rows below one top row are the shapes inside it.
+    sum(row k) - sum(row k-1) times.
+
+    One memo on rows is shared by every shape, since the rows below one top
+    row are the shapes inside it. The rows not yet in it are found level by
+    level down from `row` and filled in shortest first, so each row's count
+    reads only memoized rows and nothing recurses.
     """
-    if not row:
-        return {(): 1}
-    total = sum(row)
-    acc: dict[ExponentVector, int] = {}
-    for below in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
-        last = total - sum(below)
-        for prefix, count in _gelfand_tsetlin(below).items():
-            if prefix and prefix[-1] < last:
-                continue
-            key = prefix + (last,)
-            acc[key] = acc.get(key, 0) + count
-    return acc
+    _PATTERNS.setdefault((), {(): 1})  # here, so that cache_clear may empty it
+    levels = []
+    new = set() if row in _PATTERNS else {row}
+    while new:
+        # Each top with the rows one shorter that interlace it, in product order.
+        level = [
+            (top, list(product(*(range(b, a + 1) for a, b in zip(top, top[1:])))))
+            for top in new
+        ]
+        levels.append(level)
+        new = {b for _, belows in level for b in belows if b not in _PATTERNS}
+    for level in reversed(levels):
+        for top, belows in level:
+            total = sum(top)
+            acc: dict[ExponentVector, int] = {}
+            for below in belows:
+                last = total - sum(below)
+                for prefix, count in _PATTERNS[below].items():
+                    if prefix and prefix[-1] < last:
+                        continue
+                    key = prefix + (last,)
+                    acc[key] = acc.get(key, 0) + count
+            _PATTERNS[top] = acc
+    return _PATTERNS[row]
+
+
+# Cleared like the lru_cache kernels, as perfbench does between operations.
+_gelfand_tsetlin.cache_clear = _PATTERNS.clear
 
 
 def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:

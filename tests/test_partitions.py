@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothsnp import Partition, partitions_in_box, partitions_of_size
-from grothsnp.partitions import convex_combination, dominance_leq, majorizes
+from grothsnp.partitions import (
+    convex_combination,
+    dominance_leq,
+    dominated_partitions,
+    majorizes,
+)
 
 
 def all_partitions_of(size: int) -> list[Partition]:
@@ -20,6 +25,7 @@ class TestPartitionType:
         assert Partition((3, 1, 0)).parts == (3, 1)
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
         assert Partition(()) == Partition((0, 0))
+        assert Partition((3, 1) + (0,) * 20_000).parts == (3, 1)
 
     def test_rejects_increasing_parts(self):
         with pytest.raises(ValueError):
@@ -181,3 +187,56 @@ class TestEnumerators:
     def test_partitions_in_box_count(self):
         # binomial(4+4, 4) shapes fit in a 4x4 box
         assert len(list(partitions_in_box(4, 4))) == 70
+
+
+def recursive_partitions_of_size(total, max_rows=None, max_part=None):
+    """The recursion partitions_of_size replaced: one generator frame per row,
+    None meaning no bound beyond the total."""
+    rows_cap = total if max_rows is None else max_rows
+    part_cap = total if max_part is None else max_part
+
+    def rec(remaining, cap, depth, prefix):
+        if remaining == 0:
+            yield Partition(prefix)
+            return
+        if depth == rows_cap:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - p, p, depth + 1, prefix + (p,))
+
+    yield from rec(total, part_cap, 0, ())
+
+
+class TestDominanceWalk:
+    """partitions_of_size is the walk of dominated_partitions under the
+    greatest partition its bounds allow; the recursion it replaced is the
+    reference, same partitions in the same order."""
+
+    @pytest.mark.parametrize("total", range(14))
+    def test_partitions_of_size_matches_the_recursion(self, total):
+        for rows in (None, 0, 1, 2, 3, 5, 20):
+            for part in (None, 0, 1, 2, 3, 7):
+                expected = list(recursive_partitions_of_size(total, rows, part))
+                got = list(
+                    partitions_of_size(
+                        total,
+                        total if rows is None else rows,
+                        total if part is None else part,
+                    )
+                )
+                assert got == expected, (total, rows, part)
+
+    def test_walk_yields_only_dominated_partitions_in_order(self):
+        for size in range(9):
+            for weight in recursive_partitions_of_size(size):
+                for n in range(len(weight), len(weight) + 3):
+                    walked = list(dominated_partitions(weight.padded(n)))
+                    expected = [
+                        nu.parts
+                        for nu in recursive_partitions_of_size(size, n)
+                        if dominance_leq(nu, weight)
+                    ]
+                    assert walked == expected, (weight, n)
+
+    def test_a_column_past_the_recursion_limit(self):
+        assert list(partitions_of_size(1500, 1500, 1)) == [Partition((1,) * 1500)]

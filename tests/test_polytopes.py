@@ -24,7 +24,7 @@ from grothsnp import (
 )
 from grothsnp import exactlp, polytopes
 from grothsnp.grothendieck import grothendieck_lenart_dominant
-from grothsnp.partitions import majorizes
+from grothsnp.partitions import dominance_leq, majorizes
 
 
 def perm_of(parts, n):
@@ -69,6 +69,27 @@ def test_orbits_match_the_references(weight):
     perm = Permutahedron(weight=weight, n=len(weight))
     assert permutahedron_lattice_points(perm) == lattice_points_by_sweep(weight)
     assert permutahedron_vertices(perm) == set(permutations(weight))
+
+
+def dominated_by_filter(weight, n):
+    """The generate-and-filter route _dominated replaced: every partition of
+    the size in n rows with no part over the weight's first, kept if the
+    weight dominates it."""
+    lam = Partition(weight)
+    return {
+        nu.padded(n)
+        for nu in partitions_of_size(lam.size(), n, lam.part(1))
+        if dominance_leq(nu, lam)
+    }
+
+
+@pytest.mark.parametrize("size", range(12))
+def test_dominated_walk_matches_the_filter(size):
+    """All weights of the size, padded to n <= 6 coordinates."""
+    for weight in partitions_of_size(size, size, size):
+        for n in range(max(1, len(weight)), 7):
+            perm = Permutahedron.of_partition(weight, n)
+            assert polytopes._dominated(perm) == dominated_by_filter(perm.weight, n)
 
 
 class TestPermutahedron:

@@ -1,5 +1,6 @@
 """Tableau enumeration engines against independent counting oracles."""
 
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from grothsnp import Partition, grothendieck_setvalued, partitions_in_box, schur_polynomial
 from grothsnp.tableaux import (
     Tableau,
+    _gelfand_tsetlin,
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
     ssyt_contents,
+    ssyt_dominant_contents,
 )
 
 
@@ -222,6 +225,44 @@ class TestSsyt:
         assert [flat(t).count((1,)) for t in fills] == sorted(
             (alpha[0] for alpha in contents), reverse=True
         )
+
+
+@lru_cache(maxsize=None)
+def recursive_gelfand_tsetlin(row):
+    """The recursion _gelfand_tsetlin replaced: one call per row."""
+    if not row:
+        return {(): 1}
+    total = sum(row)
+    acc = {}
+    for below in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
+        last = total - sum(below)
+        for prefix, count in recursive_gelfand_tsetlin(below).items():
+            if prefix and prefix[-1] < last:
+                continue
+            key = prefix + (last,)
+            acc[key] = acc.get(key, 0) + count
+    return acc
+
+
+class TestGelfandTsetlinLoop:
+    """_gelfand_tsetlin fills its row memo level by level, shortest rows
+    first; the recursion it replaced is the reference, the same dicts with
+    the same key order."""
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["cleared", "shared"])
+    def test_matches_the_recursion(self, fresh):
+        for lam in partitions_in_box(4, 4):
+            for n in range(len(lam), 7):
+                if fresh:
+                    _gelfand_tsetlin.cache_clear()
+                row = lam.padded(n)
+                expected = recursive_gelfand_tsetlin(row)
+                got = _gelfand_tsetlin(row)
+                assert list(got.items()) == list(expected.items()), row
+
+    def test_1200_rows_past_the_recursion_limit(self):
+        contents = ssyt_dominant_contents(Partition((1,)), 1200)
+        assert contents == {(1,) + (0,) * 1199: 1}
 
 
 class TestLenart:
