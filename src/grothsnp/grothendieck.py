@@ -20,10 +20,10 @@ from .partitions import Frozen, Partition, dominance_leq, majorizes
 from .polynomials import SparsePolynomial
 from .tableaux import (
     count_lenart_tableaux,
+    gelfand_tsetlin_contents,
     set_valued_contents,
     set_valued_dominant_contents,
     ssyt_contents,
-    ssyt_dominant_contents,
 )
 
 if TYPE_CHECKING:
@@ -231,12 +231,9 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
 @lru_cache(maxsize=None)
 def grothendieck_lenart_dominant(lam: Partition, n: int) -> SparsePolynomial:
     """The terms of grothendieck_lenart(lam, n) at weakly decreasing exponents:
-    sum_mu c_mu K_{mu,nu} over the Schur expansion."""
-    acc: dict[tuple[int, ...], int] = {}
-    for mu, coeff in schur_expansion(lam, n).terms:
-        for nu, count in ssyt_dominant_contents(mu, n).items():
-            acc[nu] = acc.get(nu, 0) + coeff * count
-    return SparsePolynomial(n, acc)
+    sum_mu c_mu K_{mu,nu} over the Schur expansion, all shapes in one pass."""
+    tops = {mu.padded(n): coeff for mu, coeff in schur_expansion(lam, n).terms}
+    return SparsePolynomial(n, gelfand_tsetlin_contents(tops))
 
 
 def grothendieck_setvalued_dominant(lam: Partition, n: int) -> SparsePolynomial:

@@ -177,9 +177,8 @@ def convex_combination(
 ) -> RationalVector:
     """Componentwise weighted sum of vectors, exact rationals throughout.
 
-    The package mixes integer numerators instead (grothendieck._mix); this
-    Fraction form is the tests' reference, and perfbench/tracing.py wraps it
-    by name.
+    Nothing in the package calls it: the tests use it as their reference,
+    and perfbench/tracing.py wraps it by name.
     """
     from fractions import Fraction
 

@@ -12,22 +12,23 @@ the Schur expansion counts Lenart fillings, and the full monomial expansions
 of both models count SSYT and set-valued fillings.
 
 The verification battery reads the two models at weakly decreasing contents
-only, each by its own branching count: ssyt_dominant_contents counts
-Gelfand-Tsetlin patterns (the Kostka numbers of the Lenart side), and
-set_valued_dominant_contents adds one label at a time (the set-valued side).
-Both polynomials are symmetric, so these coefficients fix all others; the
-cross-oracle check thus compares dominant coefficients, and a test pins the
-symmetry and the restriction against the full fills. The enumerate_*
-generators are views over the fills that yield each filling as a Tableau;
-nothing in the package calls them, and perfbench/tracing.py wraps them by
-name.
+only, each by its own branching count that keeps two levels alive:
+gelfand_tsetlin_contents walks the Gelfand-Tsetlin patterns of every shape
+of a Schur expansion at once, from the top row down (the Lenart side's
+sum of coefficients times Kostka numbers), and set_valued_dominant_contents
+adds one label at a time (the set-valued side). Both polynomials are
+symmetric, so these coefficients fix all others; the cross-oracle check thus
+compares dominant coefficients, and a test pins the symmetry and the
+restriction against the full fills. The enumerate_* generators are views
+over the fills that yield each filling as a Tableau; nothing in the package
+calls them, and perfbench/tracing.py wraps them by name.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .partitions import ExponentVector, Frozen, Partition
 
@@ -147,54 +148,47 @@ def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     return acc
 
 
-def ssyt_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
-    """The Kostka numbers K_{lam,nu}: the values of ssyt_contents(lam, n) at
-    weakly decreasing contents nu. The dict is cached; do not change it."""
-    return _gelfand_tsetlin(lam.padded(n))
+def gelfand_tsetlin_contents(
+    tops: Mapping[tuple[int, ...], int],
+) -> dict[ExponentVector, int]:
+    """sum_mu c_mu K_{mu,nu} at each weakly decreasing content nu, for the
+    weighted top rows {mu.padded(n): c_mu}, all of one length n.
 
-
-_PATTERNS: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
-
-
-def _gelfand_tsetlin(row: tuple[int, ...]) -> dict[ExponentVector, int]:
-    """Gelfand-Tsetlin patterns with top row `row`, per weakly decreasing
-    content: each lower row interlaces the one above it, and row k of the
-    pattern is the shape filled by the labels 1..k, so label k occurs
-    sum(row k) - sum(row k-1) times.
-
-    One memo on rows is shared by every shape, since the rows below one top
-    row are the shapes inside it. The rows not yet in it are found level by
-    level down from `row` and filled in shortest first, so each row's count
-    reads only memoized rows and nothing recurses.
+    K_{mu,nu} counts the Gelfand-Tsetlin patterns with top row mu and content
+    nu: each lower row is one shorter than the row above and interlaces it,
+    and row k is the shape that the labels 1..k fill, so label k occurs
+    sum(row k) - sum(row k-1) times. The patterns of all the tops are walked
+    together from the top down. Level k maps each row of length k to the
+    signed count of each content suffix (c_k+1, ..., c_n) it is reached with.
+    Each row passes its suffixes to the rows that interlace below it, with
+    last = c_k prepended, and drops a suffix that would not weakly decrease;
+    a row below whose labels 1..k-1 cannot each occur at least last times is
+    skipped, and zero counts are dropped level by level. The rows one level
+    needs are those that interlace the level above, so only two levels are
+    alive at a time.
     """
-    _PATTERNS.setdefault((), {(): 1})  # here, so that cache_clear may empty it
-    levels = []
-    new = set() if row in _PATTERNS else {row}
-    while new:
-        # Each top with the rows one shorter that interlace it, in product order.
-        level = [
-            (top, list(product(*(range(b, a + 1) for a, b in zip(top, top[1:])))))
-            for top in new
-        ]
-        levels.append(level)
-        new = {b for _, belows in level for b in belows if b not in _PATTERNS}
-    for level in reversed(levels):
-        for top, belows in level:
-            total = sum(top)
-            acc: dict[ExponentVector, int] = {}
-            for below in belows:
-                last = total - sum(below)
-                for prefix, count in _PATTERNS[below].items():
-                    if prefix and prefix[-1] < last:
+    level = {top: {(): coeff} for top, coeff in tops.items() if coeff}
+    while level and () not in level:
+        lower: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
+        for row, suffixes in level.items():
+            total = sum(row)
+            for below in product(*map(range, row[1:], [part + 1 for part in row])):
+                size = sum(below)
+                last = total - size
+                if size < len(below) * last:
+                    continue
+                acc = lower.setdefault(below, {})
+                for suffix, count in suffixes.items():
+                    if suffix and suffix[0] > last:
                         continue
-                    key = prefix + (last,)
+                    key = (last,) + suffix
                     acc[key] = acc.get(key, 0) + count
-            _PATTERNS[top] = acc
-    return _PATTERNS[row]
-
-
-# Cleared like the lru_cache kernels, as perfbench does between operations.
-_gelfand_tsetlin.cache_clear = _PATTERNS.clear
+        level = {}
+        for row, acc in lower.items():
+            kept = {suffix: count for suffix, count in acc.items() if count}
+            if kept:
+                level[row] = kept
+    return level.get((), {})
 
 
 def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:

@@ -5,15 +5,20 @@ from itertools import combinations, product
 
 import pytest
 
-from grothsnp import Partition, grothendieck_setvalued, partitions_in_box, schur_polynomial
+from grothsnp import (
+    Partition,
+    grothendieck_setvalued,
+    partitions_in_box,
+    schur_expansion,
+    schur_polynomial,
+)
 from grothsnp.tableaux import (
     Tableau,
-    _gelfand_tsetlin,
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
+    gelfand_tsetlin_contents,
     ssyt_contents,
-    ssyt_dominant_contents,
 )
 
 
@@ -229,7 +234,8 @@ class TestSsyt:
 
 @lru_cache(maxsize=None)
 def recursive_gelfand_tsetlin(row):
-    """The recursion _gelfand_tsetlin replaced: one call per row."""
+    """The per-row recursion the top-down walk replaced: the Kostka numbers
+    of the shape `row`, per weakly decreasing content, one call per row."""
     if not row:
         return {(): 1}
     total = sum(row)
@@ -245,23 +251,35 @@ def recursive_gelfand_tsetlin(row):
 
 
 class TestGelfandTsetlinLoop:
-    """_gelfand_tsetlin fills its row memo level by level, shortest rows
-    first; the recursion it replaced is the reference, the same dicts with
-    the same key order."""
+    """gelfand_tsetlin_contents walks the patterns of all its top rows at
+    once, from the top down; the per-row recursion and the sum over the Schur
+    expansion that it replaced are the references."""
 
-    @pytest.mark.parametrize("fresh", [True, False], ids=["cleared", "shared"])
-    def test_matches_the_recursion(self, fresh):
+    def test_single_shapes_match_the_recursion(self):
         for lam in partitions_in_box(4, 4):
             for n in range(len(lam), 7):
-                if fresh:
-                    _gelfand_tsetlin.cache_clear()
                 row = lam.padded(n)
                 expected = recursive_gelfand_tsetlin(row)
-                got = _gelfand_tsetlin(row)
-                assert list(got.items()) == list(expected.items()), row
+                assert gelfand_tsetlin_contents({row: 1}) == expected, row
+
+    def test_schur_expansion_matches_the_sum_of_kostka_numbers(self):
+        for lam in partitions_in_box(3, 3):
+            for n in range(len(lam), 6):
+                terms = schur_expansion(lam, n).terms
+                expected = {}
+                for mu, coeff in terms:
+                    for nu, count in recursive_gelfand_tsetlin(mu.padded(n)).items():
+                        expected[nu] = expected.get(nu, 0) + coeff * count
+                expected = {nu: c for nu, c in expected.items() if c}
+                tops = {mu.padded(n): coeff for mu, coeff in terms}
+                assert gelfand_tsetlin_contents(tops) == expected, (lam, n)
+
+    def test_cancelling_tops_leave_no_zero_entry(self):
+        # K_{(2),(2,0)} = K_{(2),(1,1)} = K_{(1,1),(1,1)} = 1: (1,1) cancels.
+        assert gelfand_tsetlin_contents({(2, 0): 1, (1, 1): -1}) == {(2, 0): 1}
 
     def test_1200_rows_past_the_recursion_limit(self):
-        contents = ssyt_dominant_contents(Partition((1,)), 1200)
+        contents = gelfand_tsetlin_contents({(1,) + (0,) * 1199: 1})
         assert contents == {(1,) + (0,) * 1199: 1}
 
 
