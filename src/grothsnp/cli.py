@@ -80,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = command("verify", _run_verify, "run checks, report JSON")
     verify.add_argument("--all", action="store_true", help="run the full battery")
     verify.add_argument(
-        "--claim", choices=("a", "b", "c"), default=None, help="run one claim check"
+        "--claim",
+        choices=("a", "b", "c"),
+        default=None,
+        help="run one claim check (b restates the Minkowski-sum fact and cannot fail)",
     )
     verify.add_argument(
         "--lemmas", action="store_true", help="run the prefix-sum identities"

@@ -2,25 +2,25 @@
 box-adding partition chain and the majorization checks built on it.
 
 The Schur-basis route expands G through signed counts of flagged strictly
-increasing skew tableaux; the set-valued route sums signed monomials over
-set-valued semistandard tableaux. The two must agree exactly, which is the
-suite's strongest oracle. Since G is symmetric, the verification battery
-compares them at dominant contents only, where each route has a branching
-count of its own; the full monomial expansions serve `groth`, the brute-force
-geometry and the tests.
+increasing skew tableaux, counted label by label for all shapes in one pass;
+the set-valued route sums signed monomials over set-valued semistandard
+tableaux. The two must agree exactly, which is the suite's strongest oracle.
+Since G is symmetric, the verification battery compares them at dominant
+contents only, where each route has a branching count of its own; the full
+monomial expansions serve `groth`, the brute-force geometry and the tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .partitions import Frozen, Partition, dominance_leq, majorizes
 from .polynomials import SparsePolynomial
 from .tableaux import (
-    count_lenart_tableaux,
     gelfand_tsetlin_contents,
+    lenart_shape_counts,
     set_valued_contents,
     set_valued_dominant_contents,
     ssyt_contents,
@@ -147,48 +147,16 @@ class MuChain(Frozen):
 # -- expansion through flagged skew tableaux ---------------------------------
 
 
-def lenart_coefficient(lam: Partition, mu: Partition, n: int) -> int:
-    """Signed count of flagged strictly increasing skew fillings of mu/lam."""
-    if not mu.contains(lam) or len(mu) > n:
-        return 0
-    return (-1) ** (mu.size() - lam.size()) * count_lenart_tableaux(lam, mu, n)
-
-
-def _candidate_shapes(lam: Partition, n: int) -> Iterator[Partition]:
-    """Partitions mu with lam <= mu rowwise and mu_i <= lam_i + i - 1, <= n rows.
-
-    They come in lexicographic order of their parts: each row tries its parts
-    in increasing order. The rows are chosen by a loop over the row index, with
-    -1 marking a row not yet chosen, so no n is too large for Python's
-    recursion limit.
-    """
-    lo = lam.padded(n)
-    parts = [-1] * n
-    i = 0
-    while i >= 0:
-        if i == n:
-            yield Partition(tuple(parts))
-            i -= 1
-            continue
-        p = parts[i] + 1 if parts[i] >= 0 else lo[i]
-        if p > min(lo[i] + i, parts[i - 1] if i else lo[0]):
-            parts[i] = -1
-            i -= 1
-        else:
-            parts[i] = p
-            i += 1
-
-
 @lru_cache(maxsize=None)
 def schur_expansion(lam: Partition, n: int) -> SchurExpansion:
     """Expand the Grothendieck polynomial of lam over the Schur basis."""
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
-    terms = []
-    for mu in _candidate_shapes(lam, n):
-        coeff = lenart_coefficient(lam, mu, n)
-        if coeff != 0:
-            terms.append((mu, coeff))
+    base = lam.size()
+    terms = [
+        (Partition(shape), (-1) ** (sum(shape) - base) * count)
+        for shape, count in lenart_shape_counts(lam, n).items()
+    ]
     terms.sort(key=lambda item: (item[0].size(), item[0].parts))
     return SchurExpansion(lam=lam, n=n, terms=tuple(terms))
 
@@ -314,8 +282,10 @@ def check_claim_b(chain: MuChain) -> CheckResult:
     entries of sum c_k x_k is at most sum c_k top_j(x_k), and by Rado
     (x_k is majorized by mu^(k)) at most sum c_k p_j(mu^(k)), the j-th
     prefix sum of the shape mix. So the claim holds iff every rearrangement
-    of each mu^(k) is majorized by mu^(k). Each shape is checked against its
-    reversal, which majorizes has to sort.
+    of each mu^(k) is majorized by mu^(k), which Rado's theorem (1952) says
+    of every weight. Each shape is checked against its reversal, which
+    majorizes has to sort; the parts of a Partition weakly decrease, so the
+    check passes on every chain, planted ones included, and cannot fail.
     """
     for k, mu in enumerate(chain.mus):
         shape = mu.padded(chain.n)

@@ -1,15 +1,16 @@
 """Backtracking fills of the three tableau families used downstream:
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
-set-valued semistandard tableaux, plus two branching counts that fill no cell.
+set-valued semistandard tableaux, plus three branching counts that fill no cell.
 
 Each family has one backtracking fill. It fills cells in row-major order,
 tries labels in increasing order and keeps the content of the partial filling
 in a per-label count list, so the order of fillings is deterministic, and it
 places only labels that keep the filling valid, so every leaf is a tableau of
-the family. The counting functions (ssyt_contents, count_lenart_tableaux,
-set_valued_contents) tally contents at the leaves without building a Tableau;
-the Schur expansion counts Lenart fillings, and the full monomial expansions
-of both models count SSYT and set-valued fillings.
+the family. The counting functions (ssyt_contents, set_valued_contents) tally
+contents at the leaves without building a Tableau; the full monomial
+expansions of both models count SSYT and set-valued fillings. The Schur
+expansion counts the flagged skew tableaux of every outer shape at once by
+lenart_shape_counts, which adds one label at a time as a rook strip.
 
 The verification battery reads the two models at weakly decreasing contents
 only, each by its own branching count that keeps two levels alive:
@@ -258,15 +259,38 @@ def _fill_lenart(
             idx += 1
 
 
-def count_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> int:
-    """Number of fillings that enumerate_lenart_tableaux(lam, mu, n) yields."""
-    found = [0]
+def lenart_shape_counts(lam: Partition, n: int) -> dict[tuple[int, ...], int]:
+    """Number of fillings that enumerate_lenart_tableaux(lam, mu, n) yields, at
+    each outer shape mu with at most n rows that has one, keyed by mu.padded(n),
+    by label-by-label branching (Lenart 2000), without filling a single cell.
 
-    def leaf(values: list[int]) -> None:
-        found[0] += 1
-
-    _fill_lenart(lam, mu, n, leaf)
-    return found[0]
+    The cells of such a filling labelled at most t form a shape. Label t puts
+    at most one cell in each row and column, all in rows t+1..n, so the cells
+    it adds are a rook strip: any set of addable corners of the shape below
+    label t in those rows, where row r has one iff row r-1 is strictly longer.
+    So for t = 1..n-1 each shape passes its count to itself grown by each
+    such set. A shape with no addable corner in rows t+1..n never grows
+    again, and it leaves the layer for the result.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    layer = {lam.padded(n): 1}
+    for t in range(1, n):
+        grown_layer: dict[tuple[int, ...], int] = {}
+        for shape, count in layer.items():
+            # Rows below the first empty row have no addable corner.
+            rows = shape.index(0) + 1 if 0 in shape else n
+            tail = shape[t:rows]
+            ends = [min(part + 1, above) for above, part in zip(shape[t - 1 :], tail)]
+            if ends == list(tail):
+                counts[shape] = counts.get(shape, 0) + count
+                continue
+            for strip in product(*map(range, tail, [end + 1 for end in ends])):
+                grown = shape[:t] + strip + shape[rows:]
+                grown_layer[grown] = grown_layer.get(grown, 0) + count
+        layer = grown_layer
+    for shape, count in layer.items():
+        counts[shape] = counts.get(shape, 0) + count
+    return counts
 
 
 def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:

@@ -28,15 +28,64 @@ from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
-    lenart_coefficient,
 )
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
-from grothsnp.tableaux import _fill_lenart, count_lenart_tableaux
+from grothsnp.tableaux import _fill_lenart, lenart_shape_counts
 
 LAM310 = Partition((3, 1))
 DIFFERENTIAL_CASES = [
     ((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 5), ((4, 2, 1), 5), ((3, 1), 4), ((1,), 6),
 ]
+
+
+# -- the fill reference: Lenart's coefficients one shape and one filling at a time
+
+
+def count_lenart_tableaux(lam, mu, n):
+    """Number of flagged strictly increasing skew fillings of mu/lam."""
+    found = [0]
+
+    def leaf(values):
+        found[0] += 1
+
+    _fill_lenart(lam, mu, n, leaf)
+    return found[0]
+
+
+def lenart_coefficient(lam, mu, n):
+    """Signed count of flagged strictly increasing skew fillings of mu/lam."""
+    if not mu.contains(lam) or len(mu) > n:
+        return 0
+    return (-1) ** (mu.size() - lam.size()) * count_lenart_tableaux(lam, mu, n)
+
+
+def _candidate_shapes(lam, n):
+    """Partitions mu with lam <= mu rowwise and mu_i <= lam_i + i - 1, <= n rows,
+    in lexicographic order of their parts, by a loop over the row index with
+    -1 marking a row not yet chosen (no recursion, so n = 1000 runs)."""
+    lo = lam.padded(n)
+    parts = [-1] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield Partition(tuple(parts))
+            i -= 1
+            continue
+        p = parts[i] + 1 if parts[i] >= 0 else lo[i]
+        if p > min(lo[i] + i, parts[i - 1] if i else lo[0]):
+            parts[i] = -1
+            i -= 1
+        else:
+            parts[i] = p
+            i += 1
+
+
+def fill_expansion_terms(lam, n):
+    """The Schur expansion's terms by the fill: every candidate shape, each
+    coefficient counted one filling at a time, sorted as schur_expansion sorts."""
+    terms = [(mu, lenart_coefficient(lam, mu, n)) for mu in _candidate_shapes(lam, n)]
+    terms = [(mu, coeff) for mu, coeff in terms if coeff]
+    return sorted(terms, key=lambda item: (item[0].size(), item[0].parts))
 
 
 class TestLenartCoefficient:
@@ -150,7 +199,7 @@ class TestLoopsMatchRecursion:
     def test_candidate_shapes(self):
         for lam, n in BOX_CASES:
             expected = list(_recursive_candidate_shapes(lam, n))
-            assert list(grothendieck._candidate_shapes(lam, n)) == expected
+            assert list(_candidate_shapes(lam, n)) == expected
 
     def test_lenart_fills_on_the_candidate_shapes(self):
         filled = 0
@@ -164,12 +213,36 @@ class TestLoopsMatchRecursion:
         assert filled > 0
 
     def test_a_thousand_rows(self):
-        shapes = list(grothendieck._candidate_shapes(Partition((1,)), 1000))
+        shapes = list(_candidate_shapes(Partition((1,)), 1000))
         assert shapes == [Partition((1,) * k) for k in range(1, 1001)]
 
     def test_a_column_of_a_thousand_boxes(self):
         column = Partition((1,) * 1000)
         assert count_lenart_tableaux(Partition((1,)), column, 1000) == 1
+
+
+class TestRookStripPass:
+    """schur_expansion counts Lenart's tableaux label by label, every shape at
+    once; the fill above, one shape and one filling at a time, is the
+    reference."""
+
+    def test_matches_the_fill_on_the_four_by_four_box(self):
+        for lam in partitions_in_box(4, 4):
+            for n in range(max(1, len(lam)), 8):
+                assert schur_expansion(lam, n).terms == tuple(fill_expansion_terms(lam, n))
+
+    def test_a_thousand_column_shapes(self):
+        terms = schur_expansion(Partition((1,)), 1000).terms
+        assert terms == tuple(
+            (Partition((1,) * k), (-1) ** (k - 1)) for k in range(1, 1001)
+        )
+
+    def test_a_shape_that_retires_early(self):
+        # Rows 3 and 4 of (1, 0, 0, 0) have no addable corner, so the shape
+        # leaves the layer at label 2 of 3, with its count.
+        assert lenart_shape_counts(Partition((1,)), 4) == {
+            (1, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 1, 1, 0): 1, (1, 1, 1, 1): 1,
+        }
 
 
 class TestPolynomials:
