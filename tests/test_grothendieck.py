@@ -375,6 +375,54 @@ class TestDominantTerms:
         }
 
 
+def scan_chain(lam, n):
+    """The greedy chain by its definition, the reference for mu_chain's
+    closed form: each box goes to the northmost row in 1..n that qualifies,
+    found by a scan over all rows."""
+    mus = [lam]
+    rows = []
+    while True:
+        current = mus[-1]
+        step_row = next(
+            (
+                r
+                for r in range(1, n + 1)
+                if current.part(r) - lam.part(r) < r - 1 and current.can_add_box(r)
+            ),
+            None,
+        )
+        if step_row is None:
+            return tuple(mus), tuple(rows)
+        mus.append(current.add_box(step_row))
+        rows.append(step_row)
+
+
+class TestClosedFormChain:
+    def test_matches_the_scan_on_the_five_by_five_box(self):
+        pairs = [
+            (lam, n)
+            for lam in partitions_in_box(5, 5)
+            for n in range(max(1, len(lam)), 9)
+        ]
+        assert len(pairs) == 1217
+        for lam, n in pairs:
+            chain = mu_chain(lam, n)
+            assert (chain.mus, chain.rows) == scan_chain(lam, n), (lam, n)
+
+    def test_matches_the_scan_on_a_staircase(self):
+        lam = Partition((6, 5, 4, 3, 2, 1))
+        chain = mu_chain(lam, 12)
+        assert (chain.mus, chain.rows) == scan_chain(lam, 12)
+        # rows 2..7 fill to 6 and rows 8..12 take six boxes each
+        assert chain.mus[-1] == Partition((6,) * 12)
+        assert chain.length == 51
+
+    def test_a_column_of_a_thousand_rows(self):
+        chain = mu_chain(Partition((1,)), 1000)
+        assert chain.rows == tuple(range(2, 1001))
+        assert chain.mus[-1] == Partition((1,) * 1000)
+
+
 class TestMuChain:
     def test_displayed_chain(self):
         chain = mu_chain(LAM310, 3)
@@ -458,6 +506,47 @@ class TestClaimA:
 
     def test_four_row_case(self):
         assert check_claim_a(Partition((4, 2, 1)), 4)
+
+    # Each failure planted in the expansion of (3,1) at n = 3, whose chain is
+    # (3,1) -> (3,2) -> (3,2,1) -> (3,2,2).
+
+    def test_a_shape_beyond_the_top_degree(self, monkeypatch):
+        _plant_expansion(monkeypatch, ((4, 2, 2), -1))
+        assert check_claim_a(LAM310, 3).detail == (
+            "coefficient at (4, 2, 2) beyond top degree"
+        )
+
+    def test_a_shape_not_dominated_by_the_chain(self, monkeypatch):
+        _plant_expansion(monkeypatch, ((4, 1), -1))
+        assert check_claim_a(LAM310, 3).detail == (
+            "(4, 1) not dominated by (3, 2) at k=1"
+        )
+
+    def test_a_chain_shape_left_out(self, monkeypatch):
+        _plant_expansion(monkeypatch, drop=Partition((3, 2, 2)))
+        assert check_claim_a(LAM310, 3).detail == (
+            "chain shape (3, 2, 2) missing at k=3"
+        )
+
+    def test_a_chain_shape_stored_with_coefficient_zero(self, monkeypatch):
+        _plant_expansion(monkeypatch, ((3, 2, 1), 0), drop=Partition((3, 2, 1)))
+        assert check_claim_a(LAM310, 3).detail == (
+            "chain shape (3, 2, 1) missing at k=2"
+        )
+
+
+def _plant_expansion(monkeypatch, *extra, drop=None):
+    """Make check_claim_a read the expansion of (3,1) at n = 3 without the
+    term at drop and with the (parts, coeff) terms extra appended, built
+    without the checks of SchurExpansion, which would refuse it."""
+    terms = tuple(
+        (mu, coeff) for mu, coeff in schur_expansion(LAM310, 3).terms if mu != drop
+    )
+    terms += tuple((Partition(parts), coeff) for parts, coeff in extra)
+    planted = object.__new__(SchurExpansion)
+    for name, value in (("lam", LAM310), ("n", 3), ("terms", terms)):
+        object.__setattr__(planted, name, value)
+    monkeypatch.setattr(grothendieck, "schur_expansion", lambda lam, n: planted)
 
 
 class TestClaimB:
