@@ -1,13 +1,12 @@
 """The verification battery, shared by `grothsnp verify` and the desk sweep.
 
-run_checks builds one (name, lambda parts, n) task per check and maps
-run_check over them in the calling process, which returns one record
-`{"name", "ok", "detail"}` per task, in the order the checks were named.
-Every check is exact, so a task carries no trial count or seed, and the
-records are the same on every run. This module alone decides where the
-brute-force sweep runs:
-run_checks skips brute-snp above BRUTE_SNP_MAX_N variables or past
-BRUTE_WORK_LIMIT, the work bound at which snp --brute is refused.
+run_checks calls run_check(name, lambda parts, n) once per check in the
+calling process, which returns one record `{"name", "ok", "detail"}` per
+check, in the order the checks were named. Every check is exact, so a check
+takes no trial count or seed, and the records are the same on every run.
+This module alone decides where the brute-force sweep runs: run_checks
+skips brute-snp above BRUTE_SNP_MAX_N variables or past BRUTE_WORK_LIMIT,
+the work bound at which snp --brute is refused.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -59,8 +58,8 @@ def brute_work(parts: Sequence[int], n: int) -> int:
     return (max(parts, default=0) + 1) ** n * 3**n
 
 
-def run_check(task: tuple[str, tuple[int, ...], int]) -> dict:
-    """The record of one check; task is (name, lambda parts, n)."""
+def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
+    """The record of the check name on lambda = parts in n variables."""
     # Looked up per call, so each check runs what its home module holds
     # then; a tracer or a test may have rebound it.
     from .grothendieck import (
@@ -81,7 +80,6 @@ def run_check(task: tuple[str, tuple[int, ...], int]) -> dict:
         snp_check_symmetric_fast,
     )
 
-    name, parts, n = task
     lam = Partition(parts)
     if name == "cross-oracle":
         same = grothendieck_lenart_dominant(lam, n) == grothendieck_setvalued_dominant(
@@ -122,7 +120,7 @@ def run_checks(
     parts: tuple[int, ...], n: int, names: Sequence[str] = CHECKS
 ) -> list[dict]:
     """The records of the checks among names that run in n variables, in the
-    order of names, each from one run_check task.
+    order of names, each from one run_check call.
 
     brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound
     within BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding
@@ -131,8 +129,7 @@ def run_checks(
     second each; the cap stays at 3 because perfbench/oracles.py expects
     brute-snp exactly for n <= 3."""
     brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
-    tasks = [(name, parts, n) for name in names if name != "brute-snp" or brute]
-    return [run_check(task) for task in tasks]
+    return [run_check(name, parts, n) for name in names if name != "brute-snp" or brute]
 
 
 def fail(message: str, prog: str = "grothsnp") -> int:

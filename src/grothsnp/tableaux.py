@@ -2,12 +2,14 @@
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
 set-valued semistandard tableaux, plus three branching counts that fill no cell.
 
-Each family has one backtracking fill. It fills cells in row-major order,
-tries labels in increasing order and keeps the content of the partial filling
-in a per-label count list, so the order of fillings is deterministic, and it
-places only labels that keep the filling valid, so every leaf is a tableau of
-the family. The counting functions (ssyt_contents, set_valued_contents) tally
-contents at the leaves without building a Tableau; the full monomial
+One fill serves the semistandard and the flagged skew tableaux, which differ
+only in row strictness and in each cell's cap; another serves the set-valued
+tableaux; neither recurses. Each fills cells in row-major order, tries labels
+(or label sets) in increasing order and keeps the content of the partial
+filling in a per-label count list, so the order of fillings is deterministic,
+and places only labels that keep the filling valid, so every leaf is a tableau
+of the family. The counting functions (ssyt_contents, set_valued_contents)
+tally contents at the leaves without building a Tableau; the full monomial
 expansions of both models count SSYT and set-valued fillings. The Schur
 expansion counts the flagged skew tableaux of every outer shape at once by
 lenart_shape_counts, which adds one label at a time as a rook strip.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .partitions import ExponentVector, Frozen, Partition
 
@@ -66,47 +68,72 @@ class Tableau(Frozen):
                     raise ValueError("cell labels must be strictly increasing tuples")
 
 
-def _entries(row_lengths: Sequence[int], cells: Sequence[tuple[int, ...]]) -> tuple:
-    """Split row-major cell labels into the rows of a Tableau."""
-    rows = []
-    start = 0
-    for length in row_lengths:
-        rows.append(tuple(cells[start : start + length]))
-        start += length
-    return tuple(rows)
+def _tableaux(
+    outer: Partition, inner: Partition, fills: Iterable[list[tuple[int, ...]]]
+) -> Iterator[Tableau]:
+    """Each fill, the row-major label tuples of the cells of outer/inner,
+    split into rows as a Tableau."""
+    lengths = [outer.part(r + 1) - inner.part(r + 1) for r in range(len(outer))]
+    for cells in fills:
+        rows = []
+        start = 0
+        for length in lengths:
+            rows.append(tuple(cells[start : start + length]))
+            start += length
+        yield Tableau(outer=outer, inner=inner, entries=tuple(rows))
 
 
-# -- semistandard Young tableaux ---------------------------------------------
+# -- one fill for semistandard and flagged skew tableaux ---------------------
 
 
-def _straight_layout(shape: Sequence[int], n: int) -> tuple[list[int], ...]:
-    """The row-major cells of a straight shape in 1..n as three lists: left[i]
-    and up[i] index the cell left of and above cell i (-1 if none), and
-    cap[i] = n - (cells below cell i) is the largest label it can hold."""
+def _layout(
+    outer: Partition, inner: Partition, n: int, flagged: bool
+) -> tuple[list[int], ...]:
+    """The row-major cells of the skew shape outer/inner in 1..n as three
+    lists: left[i] and up[i] index the cell left of and above cell i (-1 if
+    none), and cap[i] = n - (cells below cell i) is the largest label it can
+    hold. With flagged, cap[i] is also at most r - 1 in 1-based row r. That
+    allows the same fillings as the flag min(n, r - 1) alone: the column
+    strictly increases and its lowest cell, b rows further down, holds at
+    most min(n, r + b - 1)."""
+    if not outer.contains(inner):
+        raise ValueError("not a skew shape")
+    parts = outer.parts
+    heights = [sum(1 for part in parts if part > c) for c in range(outer.part(1))]
     left: list[int] = []
     up: list[int] = []
     cap: list[int] = []
-    for r, length in enumerate(shape):
-        for c in range(length):
-            left.append(len(left) - 1 if c > 0 else -1)
-            up.append(len(up) - shape[r - 1] if r > 0 else -1)
-            cap.append(n - sum(1 for below in shape[r + 1 :] if below > c))
+    for r, length in enumerate(parts):
+        start = inner.part(r + 1)
+        for c in range(start, length):
+            left.append(len(left) - 1 if c > start else -1)
+            up.append(len(up) - parts[r - 1] + start if r and c >= inner.part(r) else -1)
+            bound = n - (heights[c] - r - 1)
+            cap.append(min(r, bound) if flagged else bound)
     return left, up, cap
 
 
-def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], None]) -> None:
-    """Backtrack over the SSYT of shape lam with entries in 1..n.
+def _fill(
+    outer: Partition,
+    inner: Partition,
+    n: int,
+    flagged: bool,
+    leaf: Callable[[list[int], list[int]], None],
+) -> None:
+    """Backtrack over the fillings of the skew shape outer/inner with entries
+    in 1..n whose columns strictly increase and whose rows weakly increase
+    (semistandard) or, with flagged, strictly increase with every entry of
+    1-based row r at most r - 1 (Lenart's flagged tableaux).
 
-    Cells are filled in row-major order, labels tried in increasing order.
-    Rows weakly increase, columns strictly increase, so a cell with b cells
-    below it holds at most n - b; every partial filling within these bounds
-    completes. At each complete filling leaf(values, counts) is called with
-    the row-major labels and the content (counts[i] is the multiplicity of
-    label i+1); both lists are live. The backtracking is a loop over the cell
-    index, with 0 marking a cell not yet placed, so no shape is too large for
-    Python's recursion limit.
+    Cells are filled in row-major order, labels tried in increasing order up
+    to the cell's cap from _layout. At each complete filling leaf(values,
+    counts) is called with the row-major labels and the content (counts[i]
+    is the multiplicity of label i+1); both lists are live. The backtracking
+    is a loop over the cell index, with 0 marking a cell not yet placed, so
+    no shape is too large for Python's recursion limit.
     """
-    left, up, cap = _straight_layout(lam.parts, n)
+    left, up, cap = _layout(outer, inner, n, flagged)
+    step = 1 if flagged else 0
     size = len(cap)
     values = [0] * size
     counts = [0] * n
@@ -124,7 +151,7 @@ def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], No
             v = 1
             j = left[idx]
             if j >= 0:
-                v = values[j]
+                v = values[j] + step
             j = up[idx]
             if j >= 0 and values[j] >= v:
                 v = values[j] + 1
@@ -137,6 +164,18 @@ def _fill_ssyt(lam: Partition, n: int, leaf: Callable[[list[int], list[int]], No
             idx += 1
 
 
+def _single_label_tableaux(
+    outer: Partition, inner: Partition, n: int, flagged: bool
+) -> Iterator[Tableau]:
+    """The fillings of _fill(outer, inner, n, flagged, ...) as Tableaux."""
+    fills: list[tuple[int, ...]] = []
+    _fill(outer, inner, n, flagged, lambda values, counts: fills.append(tuple(values)))
+    return _tableaux(outer, inner, ([(v,) for v in values] for values in fills))
+
+
+# -- semistandard Young tableaux ---------------------------------------------
+
+
 def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     """Number of SSYT of shape lam with entries in 1..n, per content vector."""
     acc: dict[ExponentVector, int] = {}
@@ -145,7 +184,7 @@ def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
         key = tuple(counts)
         acc[key] = acc.get(key, 0) + 1
 
-    _fill_ssyt(lam, n, leaf)
+    _fill(lam, Partition(), n, False, leaf)
     return acc
 
 
@@ -198,65 +237,10 @@ def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:
     Rows weakly increase, columns strictly increase. Shapes with more rows
     than n admit no filling and yield nothing.
     """
-    fills: list[tuple[int, ...]] = []
-    _fill_ssyt(lam, n, lambda values, counts: fills.append(tuple(values)))
-    for values in fills:
-        entries = _entries(lam.parts, [(v,) for v in values])
-        yield Tableau(outer=lam, inner=Partition(), entries=entries)
+    yield from _single_label_tableaux(lam, Partition(), n, False)
 
 
 # -- flagged strictly increasing skew tableaux -------------------------------
-
-
-def _fill_lenart(
-    lam: Partition, mu: Partition, n: int, leaf: Callable[[list[int]], None]
-) -> None:
-    """Backtrack over the fillings of mu/lam that are strictly increasing along
-    rows and down columns, with every entry of row r at most r-1 (and in 1..n).
-
-    Cells are filled in row-major order, labels tried in increasing order; at
-    each complete filling leaf(values) gets the live row-major labels. As in
-    _fill_ssyt, the backtracking is a loop over the cell index, with 0 marking
-    a cell not yet placed, so no shape is too large for Python's recursion
-    limit.
-    """
-    if not mu.contains(lam):
-        raise ValueError("not a skew shape")
-    left: list[int] = []
-    up: list[int] = []
-    cap: list[int] = []
-    index: dict[tuple[int, int], int] = {}
-    for r in range(len(mu)):
-        for c in range(lam.part(r + 1), mu.part(r + 1)):
-            left.append(index.get((r, c - 1), -1))
-            up.append(index.get((r - 1, c), -1))
-            cap.append(min(n, r))  # 1-based row r+1 caps entries at (r+1)-1 = r
-            index[(r, c)] = len(cap) - 1
-    size = len(cap)
-    values = [0] * size
-    idx = 0
-    while idx >= 0:
-        if idx == size:
-            leaf(values)
-            idx -= 1
-            continue
-        v = values[idx]
-        if v:  # the next label after v
-            v += 1
-        else:  # the least label the cells left of and above allow
-            v = 1
-            j = left[idx]
-            if j >= 0:
-                v = values[j] + 1
-            j = up[idx]
-            if j >= 0 and values[j] >= v:
-                v = values[j] + 1
-        if v > cap[idx]:
-            values[idx] = 0
-            idx -= 1
-        else:
-            values[idx] = v
-            idx += 1
 
 
 def lenart_shape_counts(lam: Partition, n: int) -> dict[tuple[int, ...], int]:
@@ -300,12 +284,7 @@ def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator
     The row-r cap makes row 1 unfillable, so any mu with mu_1 > lam_1 yields
     nothing at all.
     """
-    fills: list[tuple[int, ...]] = []
-    _fill_lenart(lam, mu, n, lambda values: fills.append(tuple(values)))
-    lengths = [mu.part(r + 1) - lam.part(r + 1) for r in range(len(mu))]
-    for values in fills:
-        entries = _entries(lengths, [(v,) for v in values])
-        yield Tableau(outer=mu, inner=lam, entries=entries)
+    yield from _single_label_tableaux(mu, lam, n, True)
 
 
 # -- set-valued semistandard tableaux ----------------------------------------
@@ -318,44 +297,55 @@ def _fill_set_valued(
 
     Rows weakly increase and columns strictly increase on set extremes:
     max(cell) <= min(right neighbour) and max(cell) < min(cell below), so
-    a cell with b cells below it holds labels of at most n - b; every partial
-    filling within these bounds completes. Cells are filled in row-major
-    order; each cell's label sets come in lexicographic order, a set before
-    its extensions. At each complete filling leaf(cells, counts, sign) gets
-    the live row-major label lists, the content and
-    (-1)^(labels placed - |lam|).
+    a cell with b cells below it holds labels of at most n - b, the cap from
+    _layout; every partial filling within these bounds completes. Cells are
+    filled in row-major order; each cell's label sets come in lexicographic
+    order, a set before its extensions. At each complete filling
+    leaf(cells, counts, sign) gets the live row-major label lists, the
+    content and (-1)^(labels placed - |lam|). As in _fill, the backtracking
+    is a loop over the cell index, and an empty cell is not yet placed. A
+    cell's next set takes last + 1 within its cap, or else drops the last
+    label and increments the new last one; a cell left empty backtracks.
     """
-    left, up, cap = _straight_layout(lam.parts, n)
+    left, up, cap = _layout(lam, Partition(), n, False)
     size = len(cap)
     cells: list[list[int]] = [[] for _ in range(size)]
     counts = [0] * n
-
-    def fill(idx: int, sign: int) -> None:
+    sign = 1
+    idx = 0
+    while idx >= 0:
         if idx == size:
             leaf(cells, counts, sign)
-            return
-        lo = 1
-        j = left[idx]
-        if j >= 0:
-            lo = cells[j][-1]
-        j = up[idx]
-        if j >= 0 and cells[j][-1] >= lo:
-            lo = cells[j][-1] + 1
-        grow(idx, lo, sign)
-
-    def grow(idx: int, start: int, sign: int) -> None:
-        # Add one label v >= start to the cell; the first label of a cell
-        # keeps the sign, each further one flips it.
+            idx -= 1
+            continue
         cell = cells[idx]
-        for v in range(start, cap[idx] + 1):
+        if not cell:  # the least label the cells left of and above allow
+            v = 1
+            j = left[idx]
+            if j >= 0:
+                v = cells[j][-1]
+            j = up[idx]
+            if j >= 0 and cells[j][-1] >= v:
+                v = cells[j][-1] + 1
+            if v > cap[idx]:
+                idx -= 1
+                continue
             cell.append(v)
             counts[v - 1] += 1
-            fill(idx + 1, sign)
-            grow(idx, v + 1, -sign)
-            counts[v - 1] -= 1
-            cell.pop()
-
-    fill(0, 1)
+        elif cell[-1] < cap[idx]:  # extend by last + 1
+            cell.append(cell[-1] + 1)
+            counts[cell[-1] - 1] += 1
+            sign = -sign
+        else:  # drop the last label, then increment the new last one
+            counts[cell.pop() - 1] -= 1
+            if not cell:
+                idx -= 1
+                continue
+            counts[cell[-1] - 1] -= 1
+            cell[-1] += 1
+            counts[cell[-1] - 1] += 1
+            sign = -sign
+        idx += 1
 
 
 def set_valued_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
@@ -429,6 +419,5 @@ def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
     _fill_set_valued(
         lam, n, lambda cells, counts, sign: fills.append([tuple(c) for c in cells])
     )
-    for cells in fills:
-        yield Tableau(outer=lam, inner=Partition(), entries=_entries(lam.parts, cells))
+    yield from _tableaux(lam, Partition(), fills)
 

@@ -233,13 +233,12 @@ class TestVerify:
     def test_brute_snp_runs_within_the_work_limit(self, monkeypatch, parts, n, brute):
         # (47 + 1)^3 * 3^3 = 2,985,984 and (576 + 1)^2 * 3^2 = 2,996,361 are
         # within 3,000,000; one more in lambda_1 passes it. Nothing is expanded.
-        monkeypatch.setattr(battery, "run_check", lambda task: task[0])
+        monkeypatch.setattr(battery, "run_check", lambda name, parts, n: name)
         expected = [name for name in battery.CHECKS if name != "brute-snp" or brute]
         assert battery.run_checks(parts, n) == expected
 
     def test_failure_reports_exit_one(self, capsys, monkeypatch):
-        def forced_failure(task):
-            name = task[0]
+        def forced_failure(name, parts, n):
             return {"name": name, "ok": False, "detail": "forced"}
 
         monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
@@ -753,8 +752,8 @@ class TestDeskSweepBattery:
         assert ("brute-snp" in [c["name"] for c in swept]) == (n <= 3)
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
-        def forced_failure(task):
-            return {"name": task[0], "ok": False, "detail": "forced"}
+        def forced_failure(name, parts, n):
+            return {"name": name, "ok": False, "detail": "forced"}
 
         desk_sweep = load_desk_sweep()
         monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
@@ -855,7 +854,7 @@ def interrupted():
 SLOW_CHECKS = (
     "import runpy, sys, time\n"
     "import grothsnp.battery\n"
-    "def slow_check(task):\n"
+    "def slow_check(name, parts, n):\n"
     "    time.sleep(60)\n"
     "grothsnp.battery.run_check = slow_check\n"
 )

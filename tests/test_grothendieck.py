@@ -30,7 +30,7 @@ from grothsnp.grothendieck import (
     grothendieck_setvalued_dominant,
 )
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
-from grothsnp.tableaux import _fill_lenart, lenart_shape_counts
+from grothsnp.tableaux import _fill, lenart_shape_counts
 
 LAM310 = Partition((3, 1))
 DIFFERENTIAL_CASES = [
@@ -45,10 +45,10 @@ def count_lenart_tableaux(lam, mu, n):
     """Number of flagged strictly increasing skew fillings of mu/lam."""
     found = [0]
 
-    def leaf(values):
+    def leaf(values, counts):
         found[0] += 1
 
-    _fill_lenart(lam, mu, n, leaf)
+    _fill(mu, lam, n, True, leaf)
     return found[0]
 
 
@@ -170,7 +170,7 @@ def _recursive_candidate_shapes(lam, n):
 
 
 def _recursive_lenart_fills(lam, mu, n):
-    """The recursion _fill_lenart replaced: one call per cell."""
+    """The recursion the flagged fill replaced: one call per cell."""
     cells = [(r, c) for r in range(len(mu)) for c in range(lam.part(r + 1), mu.part(r + 1))]
     values = {}
     fills = []
@@ -193,8 +193,9 @@ BOX_CASES = [(lam, n) for lam in partitions_in_box(3, 3) for n in range(max(1, l
 
 
 class TestLoopsMatchRecursion:
-    """_candidate_shapes and _fill_lenart loop over a row or cell index; the
-    recursions they replaced are the reference, same items in the same order."""
+    """_candidate_shapes and the flagged _fill loop over a row or cell index;
+    the recursions they replaced are the reference, same items in the same
+    order."""
 
     def test_candidate_shapes(self):
         for lam, n in BOX_CASES:
@@ -206,7 +207,7 @@ class TestLoopsMatchRecursion:
         for lam, n in BOX_CASES:
             for mu in _recursive_candidate_shapes(lam, n):
                 fills = []
-                _fill_lenart(lam, mu, n, lambda values: fills.append(tuple(values)))
+                _fill(mu, lam, n, True, lambda values, counts: fills.append(tuple(values)))
                 expected = _recursive_lenart_fills(lam, mu, n)
                 assert fills == expected
                 filled += len(expected) > 1
@@ -367,7 +368,7 @@ class TestDominantTerms:
             "grothendieck_setvalued_dominant",
             lambda lam, n: SparsePolynomial(n, terms),
         )
-        record = battery.run_check(("cross-oracle", lam.parts, 3))
+        record = battery.run_check("cross-oracle", lam.parts, 3)
         assert record == {
             "name": "cross-oracle",
             "ok": False,

@@ -14,6 +14,8 @@ from grothsnp import (
 )
 from grothsnp.tableaux import (
     Tableau,
+    _fill_set_valued,
+    _layout,
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
@@ -325,11 +327,72 @@ class TestLenart:
                 got = [flat(t) for t in enumerate_lenart_tableaux(lam, mu, n)]
                 assert got == sorted(expected), (lam.parts, mu.parts)
 
+    def test_layout_caps_by_row_and_cells_below(self):
+        # The flagged cap is min(r - 1, n - cells below) in 1-based row r, at
+        # or under the flag min(n, r - 1). It is strictly under the flag only
+        # where mu has more rows than n, so those n are included.
+        capped = 0
+        for mu in partitions_in_box(4, 4):
+            for lam in partitions_in_box(4, 4):
+                if not mu.contains(lam):
+                    continue
+                for n in range(1, 7):
+                    _, _, cap = _layout(mu, lam, n, True)
+                    positions = [
+                        (r, c)
+                        for r in range(len(mu))
+                        for c in range(lam.part(r + 1), mu.part(r + 1))
+                    ]
+                    assert len(cap) == len(positions)
+                    for (r, c), bound in zip(positions, cap):
+                        below = sum(1 for s in range(r + 1, len(mu)) if mu.part(s + 1) > c)
+                        assert bound <= r and bound <= n - below
+                        capped += bound < min(n, r)
+        assert capped > 0
+
     def test_flag_bound_is_row_minus_one(self):
         # row 2 may only hold label 1; row 3 labels up to 2
         for t in enumerate_lenart_tableaux(Partition((3, 1)), Partition((3, 2, 2)), 3):
             for r, _, labels in cells(t):
                 assert all(x <= r for x in labels)  # r is 0-based
+
+
+def _recursive_set_valued_fills(lam, n):
+    """The recursion the set-valued fill replaced, one call per label added:
+    (cells, content, sign) of each filling, in the fill's order."""
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam.part(r + 1))]
+    labels = {cell: [] for cell in cells}
+    fills = []
+
+    def fill(idx, sign):
+        if idx == len(cells):
+            flat_cells = tuple(tuple(labels[cell]) for cell in cells)
+            content = [0] * n
+            for cell in flat_cells:
+                for v in cell:
+                    content[v - 1] += 1
+            fills.append((flat_cells, tuple(content), sign))
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = labels[(r, c - 1)][-1]
+        if r > 0 and labels[(r - 1, c)][-1] >= lo:
+            lo = labels[(r - 1, c)][-1] + 1
+        grow(idx, lo, sign)
+
+    def grow(idx, start, sign):
+        r, c = cells[idx]
+        below = sum(1 for s in range(r + 1, len(lam)) if lam.part(s + 1) > c)
+        cell = labels[(r, c)]
+        for v in range(start, n - below + 1):
+            cell.append(v)
+            fill(idx + 1, sign)
+            grow(idx, v + 1, -sign)
+            cell.pop()
+
+    fill(0, 1)
+    return fills
 
 
 class TestSetValued:
@@ -389,6 +452,25 @@ class TestSetValued:
                 expected[alpha] = expected.get(alpha, 0) + sign
             got = grothendieck_setvalued(lam, n)
             assert dict(got.items()) == {a: c for a, c in expected.items() if c}, lam.parts
+
+    def test_loop_matches_the_recursion(self):
+        # The fill loops over the cell index; the recursion it replaced is
+        # the reference, same cells, contents and signs in the same order.
+        for lam in partitions_in_box(3, 3):
+            for n in range(max(1, len(lam)), 6):
+                got = []
+                _fill_set_valued(
+                    lam,
+                    n,
+                    lambda cells, counts, sign: got.append(
+                        (tuple(map(tuple, cells)), tuple(counts), sign)
+                    ),
+                )
+                assert got == _recursive_set_valued_fills(lam, n), (lam.parts, n)
+
+    def test_a_row_of_600_boxes_past_the_recursion_limit(self):
+        got = grothendieck_setvalued(Partition((600,)), 1)
+        assert dict(got.items()) == {(600,): 1}
 
     def test_degree_zero_layer_is_plain_ssyt(self):
         lam = Partition((2, 1))
