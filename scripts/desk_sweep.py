@@ -146,12 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
 
     def produce() -> tuple[int, str, str]:
-        import json
-
         report = sweep(args)
         summary = "all checks passed" if report["ok"] else "FAILURES PRESENT"
         note = f"{report['pairs']} pairs swept, {summary}; report in {args.out}\n"
-        return (0 if report["ok"] else 1), json.dumps(report, indent=2) + "\n", note
+        return (0 if report["ok"] else 1), battery.dump_json(report), note
 
     return battery.deliver(produce, args.out, "desk_sweep.py")
 

@@ -24,11 +24,10 @@ Example:
 
 from __future__ import annotations
 
-import json
 import os
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.battery import ArgumentParser, fail, write_stdout
+from grothsnp.battery import ArgumentParser, dump_json, fail, write_stdout
 from grothsnp.cli import figure_data
 
 
@@ -78,8 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         path = os.path.join(args.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
+            handle.write(dump_json(manifest))
     except OSError as exc:
         return fail(
             f"cannot write {exc.filename}: {exc.strerror or exc}", "export_figure_data.py"

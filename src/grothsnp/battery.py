@@ -18,7 +18,7 @@ prints the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable or closed
 stdout, and deliver runs an entry point's work: it checks the --out
 directory first, writes the report to --out or stdout, and turns Ctrl-C into
-one line.
+one line. dump_json gives every JSON report and manifest the same text.
 The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
 imports the math layers when it is first called.
@@ -130,6 +130,14 @@ def run_checks(
     brute-snp exactly for n <= 3."""
     brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
     return [run_check(name, parts, n) for name in names if name != "brute-snp" or brute]
+
+
+def dump_json(obj) -> str:
+    """obj as the JSON text every report and manifest is written in: two-space
+    indent and a final newline."""
+    import json
+
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def fail(message: str, prog: str = "grothsnp") -> int:

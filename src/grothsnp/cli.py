@@ -128,28 +128,22 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error("trials must be at least 1")
 
 
-def _dump_json(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _run_expand(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import schur_expansion
 
-    return 0, _dump_json(schur_expansion(args.lam, args.n).to_json_dict())
+    return 0, battery.dump_json(schur_expansion(args.lam, args.n).to_json_dict())
 
 
 def _run_groth(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import grothendieck_lenart
 
-    return 0, _dump_json(grothendieck_lenart(args.lam, args.n).to_json_dict())
+    return 0, battery.dump_json(grothendieck_lenart(args.lam, args.n).to_json_dict())
 
 
 def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import mu_chain
 
-    return 0, _dump_json(mu_chain(args.lam, args.n).to_json_dict())
+    return 0, battery.dump_json(mu_chain(args.lam, args.n).to_json_dict())
 
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
@@ -169,7 +163,7 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
         "n": args.n,
         "components": components,
     }
-    return 0, _dump_json(payload)
+    return 0, battery.dump_json(payload)
 
 
 def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
@@ -198,7 +192,7 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
             for k, perm in enumerate(verdict.components)
         ]
     payload["detail"] = verdict.detail
-    return (0 if verdict.is_snp else 1), _dump_json(payload)
+    return (0 if verdict.is_snp else 1), battery.dump_json(payload)
 
 
 def _verify_names(args: argparse.Namespace) -> Sequence[str]:
@@ -223,7 +217,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
         "checks": results,
         "ok": all_ok,
     }
-    return (0 if all_ok else 1), _dump_json(payload)
+    return (0 if all_ok else 1), battery.dump_json(payload)
 
 
 def figure_data(lam: Partition, n: int) -> str:

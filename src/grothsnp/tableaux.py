@@ -4,15 +4,17 @@ set-valued semistandard tableaux, plus three branching counts that fill no cell.
 
 One fill serves the semistandard and the flagged skew tableaux, which differ
 only in row strictness and in each cell's cap; another serves the set-valued
-tableaux; neither recurses. Each fills cells in row-major order, tries labels
-(or label sets) in increasing order and keeps the content of the partial
-filling in a per-label count list, so the order of fillings is deterministic,
-and places only labels that keep the filling valid, so every leaf is a tableau
-of the family. The counting functions (ssyt_contents, set_valued_contents)
-tally contents at the leaves without building a Tableau; the full monomial
-expansions of both models count SSYT and set-valued fillings. The Schur
-expansion counts the flagged skew tableaux of every outer shape at once by
-lenart_shape_counts, which adds one label at a time as a rook strip.
+tableaux; neither recurses. Each is a generator that fills cells in row-major
+order, tries labels (or label sets) in increasing order and keeps the content
+of the partial filling in a per-label count list, so the order of fillings is
+deterministic, and places only labels that keep the filling valid, so every
+complete filling is a tableau of the family. It yields each complete filling
+as live lists, which the caller reads before it resumes the fill. The counting
+functions (ssyt_contents, set_valued_contents) tally contents over the fill
+without building a Tableau; the full monomial expansions of both models count
+SSYT and set-valued fillings. The Schur expansion counts the flagged skew
+tableaux of every outer shape at once by lenart_shape_counts, which adds one
+label at a time as a rook strip.
 
 The verification battery reads the two models at weakly decreasing contents
 only, each by its own branching count that keeps two levels alive:
@@ -23,15 +25,17 @@ adds one label at a time (the set-valued side). Both polynomials are
 symmetric, so these coefficients fix all others; the cross-oracle check thus
 compares dominant coefficients, and a test pins the symmetry and the
 restriction against the full fills. The enumerate_* generators are views
-over the fills that yield each filling as a Tableau; nothing in the package
-calls them, and perfbench/tracing.py wraps them by name.
+that turn each filling into a Tableau as the fill reaches it, so they stream:
+the first tableau comes without the rest of the fill, and a view holds only
+the filling in hand. Nothing in the package calls them, and perfbench/tracing.py
+wraps them by name.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .partitions import ExponentVector, Frozen, Partition
 
@@ -114,21 +118,18 @@ def _layout(
 
 
 def _fill(
-    outer: Partition,
-    inner: Partition,
-    n: int,
-    flagged: bool,
-    leaf: Callable[[list[int], list[int]], None],
-) -> None:
+    outer: Partition, inner: Partition, n: int, flagged: bool
+) -> Iterator[tuple[list[int], list[int]]]:
     """Backtrack over the fillings of the skew shape outer/inner with entries
     in 1..n whose columns strictly increase and whose rows weakly increase
     (semistandard) or, with flagged, strictly increase with every entry of
     1-based row r at most r - 1 (Lenart's flagged tableaux).
 
     Cells are filled in row-major order, labels tried in increasing order up
-    to the cell's cap from _layout. At each complete filling leaf(values,
-    counts) is called with the row-major labels and the content (counts[i]
-    is the multiplicity of label i+1); both lists are live. The backtracking
+    to the cell's cap from _layout. At each complete filling it yields
+    (values, counts), the row-major labels and the content (counts[i] is the
+    multiplicity of label i+1); both lists are live, so the caller reads them
+    before it resumes the fill. The backtracking
     is a loop over the cell index, with 0 marking a cell not yet placed, so
     no shape is too large for Python's recursion limit.
     """
@@ -140,7 +141,7 @@ def _fill(
     idx = 0
     while idx >= 0:
         if idx == size:
-            leaf(values, counts)
+            yield values, counts
             idx -= 1
             continue
         v = values[idx]
@@ -164,27 +165,15 @@ def _fill(
             idx += 1
 
 
-def _single_label_tableaux(
-    outer: Partition, inner: Partition, n: int, flagged: bool
-) -> Iterator[Tableau]:
-    """The fillings of _fill(outer, inner, n, flagged, ...) as Tableaux."""
-    fills: list[tuple[int, ...]] = []
-    _fill(outer, inner, n, flagged, lambda values, counts: fills.append(tuple(values)))
-    return _tableaux(outer, inner, ([(v,) for v in values] for values in fills))
-
-
 # -- semistandard Young tableaux ---------------------------------------------
 
 
 def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     """Number of SSYT of shape lam with entries in 1..n, per content vector."""
     acc: dict[ExponentVector, int] = {}
-
-    def leaf(values: list[int], counts: list[int]) -> None:
+    for _, counts in _fill(lam, Partition(), n, False):
         key = tuple(counts)
         acc[key] = acc.get(key, 0) + 1
-
-    _fill(lam, Partition(), n, False, leaf)
     return acc
 
 
@@ -237,7 +226,8 @@ def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:
     Rows weakly increase, columns strictly increase. Shapes with more rows
     than n admit no filling and yield nothing.
     """
-    yield from _single_label_tableaux(lam, Partition(), n, False)
+    fills = ([(v,) for v in values] for values, _ in _fill(lam, Partition(), n, False))
+    yield from _tableaux(lam, Partition(), fills)
 
 
 # -- flagged strictly increasing skew tableaux -------------------------------
@@ -284,15 +274,16 @@ def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator
     The row-r cap makes row 1 unfillable, so any mu with mu_1 > lam_1 yields
     nothing at all.
     """
-    yield from _single_label_tableaux(mu, lam, n, True)
+    fills = ([(v,) for v in values] for values, _ in _fill(mu, lam, n, True))
+    yield from _tableaux(mu, lam, fills)
 
 
 # -- set-valued semistandard tableaux ----------------------------------------
 
 
 def _fill_set_valued(
-    lam: Partition, n: int, leaf: Callable[[list[list[int]], list[int], int], None]
-) -> None:
+    lam: Partition, n: int
+) -> Iterator[tuple[list[list[int]], list[int], int]]:
     """Backtrack over the set-valued semistandard fillings of lam in 1..n.
 
     Rows weakly increase and columns strictly increase on set extremes:
@@ -300,9 +291,9 @@ def _fill_set_valued(
     a cell with b cells below it holds labels of at most n - b, the cap from
     _layout; every partial filling within these bounds completes. Cells are
     filled in row-major order; each cell's label sets come in lexicographic
-    order, a set before its extensions. At each complete filling
-    leaf(cells, counts, sign) gets the live row-major label lists, the
-    content and (-1)^(labels placed - |lam|). As in _fill, the backtracking
+    order, a set before its extensions. At each complete filling it yields
+    (cells, counts, sign): the live row-major label lists, the live content
+    and (-1)^(labels placed - |lam|). As in _fill, the backtracking
     is a loop over the cell index, and an empty cell is not yet placed. A
     cell's next set takes last + 1 within its cap, or else drops the last
     label and increments the new last one; a cell left empty backtracks.
@@ -315,7 +306,7 @@ def _fill_set_valued(
     idx = 0
     while idx >= 0:
         if idx == size:
-            leaf(cells, counts, sign)
+            yield cells, counts, sign
             idx -= 1
             continue
         cell = cells[idx]
@@ -352,12 +343,9 @@ def set_valued_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     """Signed count (-1)^(labels - |lam|) of set-valued fillings of lam in
     1..n, per content vector."""
     acc: dict[ExponentVector, int] = {}
-
-    def leaf(cells: list[list[int]], counts: list[int], sign: int) -> None:
+    for _, counts, sign in _fill_set_valued(lam, n):
         key = tuple(counts)
         acc[key] = acc.get(key, 0) + sign
-
-    _fill_set_valued(lam, n, leaf)
     return acc
 
 
@@ -370,7 +358,8 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
     the e cells that end a row of mu with no cell of grown below them. So
     each (mu, content prefix) passes (-1)^j C(e, j) times its count to
     (grown, prefix + (|grown/mu| + j,)). Only prefixes that weakly decrease
-    are kept, and only shapes inside lam that the labels still to come can
+    are kept, so a strip longer than the last entry of every prefix at mu is
+    skipped, and only shapes inside lam that the labels still to come can
     complete to lam; after label n, the prefixes at shape lam are the
     dominant contents.
     """
@@ -381,6 +370,7 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
         grown_layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
         for mu, prefixes in layer.items():
             size = sum(mu)
+            top = max(prefix[-1] if prefix else lam.part(1) for prefix in prefixes)
             bounds = [
                 range(mu[r], min(target[r], mu[r - 1] if r else target[0]) + 1)
                 for r in range(rows)
@@ -390,6 +380,9 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
                 if any(target[r + left] > grown[r] for r in range(rows - left)):
                     continue
                 added = sum(grown) - size
+                # Label i fills more cells than any prefix's last entry.
+                if added > top:
+                    continue
                 ends = sum(
                     1 for r in range(rows)
                     if mu[r] and (r + 1 == rows or grown[r + 1] < mu[r])
@@ -415,9 +408,6 @@ def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
     Rows weakly increase and columns strictly increase on set extremes:
     max(cell) <= min(right neighbour) and max(cell) < min(cell below).
     """
-    fills: list[list[tuple[int, ...]]] = []
-    _fill_set_valued(
-        lam, n, lambda cells, counts, sign: fills.append([tuple(c) for c in cells])
-    )
+    fills = ([tuple(c) for c in cells] for cells, _, _ in _fill_set_valued(lam, n))
     yield from _tableaux(lam, Partition(), fills)
 

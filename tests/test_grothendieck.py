@@ -43,13 +43,7 @@ DIFFERENTIAL_CASES = [
 
 def count_lenart_tableaux(lam, mu, n):
     """Number of flagged strictly increasing skew fillings of mu/lam."""
-    found = [0]
-
-    def leaf(values, counts):
-        found[0] += 1
-
-    _fill(mu, lam, n, True, leaf)
-    return found[0]
+    return sum(1 for _ in _fill(mu, lam, n, True))
 
 
 def lenart_coefficient(lam, mu, n):
@@ -206,8 +200,7 @@ class TestLoopsMatchRecursion:
         filled = 0
         for lam, n in BOX_CASES:
             for mu in _recursive_candidate_shapes(lam, n):
-                fills = []
-                _fill(mu, lam, n, True, lambda values, counts: fills.append(tuple(values)))
+                fills = [tuple(values) for values, _ in _fill(mu, lam, n, True)]
                 expected = _recursive_lenart_fills(lam, mu, n)
                 assert fills == expected
                 filled += len(expected) > 1
@@ -340,7 +333,10 @@ def test_dominant_terms_fix_both_models(case):
 
 
 class TestDominantTerms:
-    @pytest.mark.parametrize("parts, n", [((4, 2), 6), ((3, 2, 1), 6), ((4, 2, 1), 7)])
+    @pytest.mark.parametrize(
+        "parts, n",
+        [((4, 2), 6), ((3, 2, 1), 6), ((4, 2, 1), 7), ((20,), 6), ((6, 4, 2), 9)],
+    )
     def test_the_two_kernels_agree(self, parts, n):
         lam = Partition(parts)
         lenart = grothendieck_lenart_dominant(lam, n)

@@ -1,5 +1,6 @@
 """Tableau enumeration engines against independent counting oracles."""
 
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -458,14 +459,10 @@ class TestSetValued:
         # the reference, same cells, contents and signs in the same order.
         for lam in partitions_in_box(3, 3):
             for n in range(max(1, len(lam)), 6):
-                got = []
-                _fill_set_valued(
-                    lam,
-                    n,
-                    lambda cells, counts, sign: got.append(
-                        (tuple(map(tuple, cells)), tuple(counts), sign)
-                    ),
-                )
+                got = [
+                    (tuple(map(tuple, cells)), tuple(counts), sign)
+                    for cells, counts, sign in _fill_set_valued(lam, n)
+                ]
                 assert got == _recursive_set_valued_fills(lam, n), (lam.parts, n)
 
     def test_a_row_of_600_boxes_past_the_recursion_limit(self):
@@ -487,6 +484,25 @@ class TestContent:
         lam, mu = Partition((3, 1)), Partition((3, 2, 1))
         for t in enumerate_lenart_tableaux(lam, mu, 3):
             assert label_count(t) == mu.size() - lam.size() == 2
+
+
+class TestStreaming:
+    # A view that ran its whole fill before the first yield would peak at
+    # about 75 MiB (608,256 SSYT) and 58 MiB on these shapes.
+    @pytest.mark.parametrize(
+        "view, parts, n",
+        [(enumerate_ssyt, (4, 3, 2, 1), 9), (enumerate_set_valued, (3, 2, 1), 6)],
+    )
+    def test_the_first_tableau_comes_without_the_rest(self, view, parts, n):
+        tableaux = view(Partition(parts), n)
+        tracemalloc.start()
+        try:
+            first = next(tableaux)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.outer == Partition(parts)
+        assert peak < 1 << 20
 
 
 class TestTableauType:
