@@ -2,11 +2,14 @@
 
 run_checks calls run_check(name, lambda parts, n) once per check in the
 calling process, which returns one record `{"name", "ok", "detail"}` per
-check, in the order the checks were named. Every check is exact, so a check
-takes no trial count or seed, and the records are the same on every run.
-This module alone decides where the brute-force sweep runs: run_checks
-skips brute-snp above BRUTE_SNP_MAX_N variables or past BRUTE_WORK_LIMIT,
-the work bound at which snp --brute is refused.
+check, in the order the checks were named. run_check dispatches on the name
+in one if/elif and reads the check through its home module (grothendieck.X,
+polytopes.X) at each call, so a tracer or a test that rebinds a check there
+is seen. Every check is exact, so a check takes no trial count or seed, and
+the records are the same on every run. This module alone decides where the
+brute-force sweep runs: run_checks skips brute-snp above BRUTE_SNP_MAX_N
+variables or past BRUTE_WORK_LIMIT, the work bound at which snp --brute is
+refused.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -60,60 +63,39 @@ def brute_work(parts: Sequence[int], n: int) -> int:
 
 def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
     """The record of the check name on lambda = parts in n variables."""
-    # Looked up per call, so each check runs what its home module holds
-    # then; a tracer or a test may have rebound it.
-    from .grothendieck import (
-        check_claim_a,
-        check_claim_b,
-        check_claim_c,
-        check_lemmas_random,
-        grothendieck_lenart,
-        grothendieck_lenart_dominant,
-        grothendieck_setvalued_dominant,
-        mu_chain,
-    )
+    from . import grothendieck as groth, polytopes
     from .partitions import Partition
-    from .polytopes import (
-        Permutahedron,
-        permutahedron_lattice_points,
-        snp_check_bruteforce,
-        snp_check_symmetric_fast,
-    )
 
     lam = Partition(parts)
     if name == "cross-oracle":
-        same = grothendieck_lenart_dominant(lam, n) == grothendieck_setvalued_dominant(
-            lam, n
-        )
-        return {
-            "name": name,
-            "ok": same,
-            "detail": "" if same else "tableau models disagree",
-        }
-    if name == "component-snp":
-        verdict = snp_check_symmetric_fast(lam, n)
-        return {"name": name, "ok": verdict.is_snp, "detail": verdict.detail}
-    claims = {
-        "claim-a": lambda: check_claim_a(lam, n),
-        "claim-b": lambda: check_claim_b(mu_chain(lam, n)),
-        "claim-c": lambda: check_claim_c(mu_chain(lam, n)),
-        "lemmas": lambda: check_lemmas_random(mu_chain(lam, n)),
-    }
-    if name in claims:
-        res = claims[name]()
-        return {"name": name, "ok": res.ok, "detail": res.detail}
-    if name == "brute-snp":
-        verdict = snp_check_bruteforce(grothendieck_lenart(lam, n))
+        lenart = groth.grothendieck_lenart_dominant(lam, n)
+        same = lenart == groth.grothendieck_setvalued_dominant(lam, n)
+        result = groth.CheckResult(same, "" if same else "tableau models disagree")
+    elif name == "component-snp":
+        verdict = polytopes.snp_check_symmetric_fast(lam, n)
+        result = groth.CheckResult(verdict.is_snp, verdict.detail)
+    elif name == "claim-a":
+        result = groth.check_claim_a(lam, n)
+    elif name == "claim-b":
+        result = groth.check_claim_b(groth.mu_chain(lam, n))
+    elif name == "claim-c":
+        result = groth.check_claim_c(groth.mu_chain(lam, n))
+    elif name == "lemmas":
+        result = groth.check_lemmas_random(groth.mu_chain(lam, n))
+    elif name == "brute-snp":
+        verdict = polytopes.snp_check_bruteforce(groth.grothendieck_lenart(lam, n))
         expected = set()
-        chain = mu_chain(lam, n)
-        for mu in chain.mus:
-            expected |= permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
-        ok = verdict.is_snp and verdict.hull_lattice_points == frozenset(expected)
+        for mu in groth.mu_chain(lam, n).mus:
+            perm = polytopes.Permutahedron.of_partition(mu, n)
+            expected |= polytopes.permutahedron_lattice_points(perm)
+        ok = verdict.is_snp and verdict.hull_lattice_points == expected
         detail = verdict.detail
         if verdict.is_snp and not ok:
             detail = "hull lattice points differ from the chain polytopes"
-        return {"name": name, "ok": ok, "detail": detail}
-    raise ValueError(f"unknown check {name!r}")
+        result = groth.CheckResult(ok, detail)
+    else:
+        raise ValueError(f"unknown check {name!r}")
+    return {"name": name, "ok": result.ok, "detail": result.detail}
 
 
 def run_checks(

@@ -8,6 +8,11 @@ tableaux. The two must agree exactly, which is the suite's strongest oracle.
 Since G is symmetric, the verification battery compares them at dominant
 contents only, where each route has a branching count of its own; the full
 monomial expansions serve `groth`, the brute-force geometry and the tests.
+
+A memo keyed by (lambda, n) keeps its last entry only: every check of a
+pair asks for that pair, and no pair reads another's, so a sweep holds one
+pair's results at a time. schur_polynomial keeps all its entries, because it
+is keyed by Schur shape and the expansions of different pairs share shapes.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ class MuChain(Frozen):
 # -- expansion through flagged skew tableaux ---------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def schur_expansion(lam: Partition, n: int) -> SchurExpansion:
     """Expand the Grothendieck polynomial of lam over the Schur basis."""
     if len(lam) > n:
@@ -168,7 +173,7 @@ def schur_polynomial(mu: Partition, n: int) -> SparsePolynomial:
     return SparsePolynomial(n, ssyt_contents(mu, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def grothendieck_lenart(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial assembled from its Schur expansion."""
     acc: dict[tuple[int, ...], int] = {}
@@ -197,7 +202,7 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
 # two share no code.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def grothendieck_lenart_dominant(lam: Partition, n: int) -> SparsePolynomial:
     """The terms of grothendieck_lenart(lam, n) at weakly decreasing exponents:
     sum_mu c_mu K_{mu,nu} over the Schur expansion, all shapes in one pass."""
@@ -216,7 +221,7 @@ def grothendieck_setvalued_dominant(lam: Partition, n: int) -> SparsePolynomial:
 # -- the greedy chain ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def mu_chain(lam: Partition, n: int) -> MuChain:
     """Greedy chain of box additions, northmost qualifying row first.
 

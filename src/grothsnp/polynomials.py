@@ -96,16 +96,6 @@ class SparsePolynomial:
     def max_degree(self) -> int | None:
         return max((sum(e) for e in self._terms), default=None)
 
-    def is_symmetric(self) -> bool:
-        """Invariance under all adjacent variable swaps (hence under S_n)."""
-        for i in range(self.n - 1):
-            for exp, coeff in self._terms.items():
-                swapped = list(exp)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self._terms.get(tuple(swapped), 0) != coeff:
-                    return False
-        return True
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -255,7 +255,7 @@ class TestPolynomials:
         assert g.homogeneous_component(4) == schur_polynomial(LAM310, 3)
 
     def test_symmetry(self):
-        assert grothendieck_lenart(LAM310, 3).is_symmetric()
+        assert is_symmetric(grothendieck_lenart(LAM310, 3))
 
     def test_cross_oracle_equality_small_sweep(self):
         for lam in partitions_in_box(3, 3):
@@ -306,6 +306,13 @@ def orbit_expansion(dominant: SparsePolynomial) -> SparsePolynomial:
     )
 
 
+def is_symmetric(f: SparsePolynomial) -> bool:
+    """Invariance of f under every permutation of its variables: the orbits
+    of its terms at weakly decreasing exponents rebuild it."""
+    dominant = {exp: c for exp, c in f.items() if weakly_decreasing(exp)}
+    return orbit_expansion(SparsePolynomial(f.n, dominant)) == f
+
+
 @given(
     st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.tuples(
@@ -326,7 +333,7 @@ def test_dominant_terms_fix_both_models(case):
         (grothendieck_lenart(lam, n), grothendieck_lenart_dominant(lam, n)),
         (grothendieck_setvalued(lam, n), grothendieck_setvalued_dominant(lam, n)),
     ):
-        assert full.is_symmetric()
+        assert is_symmetric(full)
         restricted = {exp: c for exp, c in full.items() if weakly_decreasing(exp)}
         assert SparsePolynomial(n, restricted) == dominant
         assert orbit_expansion(dominant) == full
@@ -923,3 +930,31 @@ class TestCaching:
         assert schur_expansion(LAM310, 3) is schur_expansion(LAM310, 3)
         assert mu_chain(LAM310, 3) is mu_chain(LAM310, 3)
         assert grothendieck_lenart(LAM310, 3) is grothendieck_lenart(LAM310, 3)
+
+    def test_pair_keyed_memos_hold_one_pair(self):
+        """The checks of a pair share its entries, and the memos keyed by
+        (lambda, n) hold one pair at a time; schur_polynomial keeps its
+        entries for later pairs, whose expansions share shapes."""
+        per_pair = {  # (hits, misses) in one battery
+            "schur_expansion": (2, 1),
+            "grothendieck_lenart_dominant": (1, 1),
+            "mu_chain": (5, 1),
+            "grothendieck_lenart": (0, 1),
+        }
+        names = (*per_pair, "schur_polynomial")
+        for name in names:
+            getattr(grothendieck, name).cache_clear()
+        # (2,2)/3 expands over three of the five shapes of (2,1)/3.
+        for parts, schur in (((2, 1), (0, 5, 5)), ((2, 2), (3, 0, 5))):
+            before = {name: getattr(grothendieck, name).cache_info() for name in names}
+            battery.run_checks(parts, 3)
+            seen = {}
+            for name in names:
+                info = getattr(grothendieck, name).cache_info()
+                seen[name] = (
+                    info.hits - before[name].hits,
+                    info.misses - before[name].misses,
+                    info.currsize,
+                )
+            expected = {name: (*counts, 1) for name, counts in per_pair.items()}
+            assert seen == {**expected, "schur_polynomial": schur}, parts
