@@ -19,13 +19,13 @@ report is a single JSON document, one entry per (lambda, n) pair, with
 wall-clock timings and an overall verdict. Exit status is 0 if every check
 of every pair passed, 1 if a check failed (the report is still written), and
 2 on a usage error, an --out path that cannot be written (checked before
-sweeping and again on writing), a stdout that cannot be written, or an
-interrupt (Ctrl-C), each reported on one stderr line by the helpers of
-grothsnp.battery, which also runs the checks.
+sweeping and again on writing), a stdout that cannot be written, exhausted
+memory or an interrupt (Ctrl-C), each reported on one stderr line by
+grothsnp.battery.deliver; that module also runs the checks.
 
 With --jobs K above 1 the pairs go to a pool of at most K worker processes,
-which leave Ctrl-C to the parent; the report is the same as with --jobs 1
-apart from the seconds of each pair.
+which leave Ctrl-C to the parent and send it a MemoryError to report; the
+report is the same as with --jobs 1 apart from the seconds of each pair.
 
 Example:
 
@@ -55,6 +55,16 @@ def run_battery(task: tuple[tuple[int, ...], int]) -> dict:
     }
 
 
+def run_pooled(task: tuple[tuple[int, ...], int]) -> dict:
+    """run_battery in a pool worker. Sent from deep in the pair, with its memory
+    still held, a MemoryError kills the worker; raised here, it reaches pool.map."""
+    try:
+        return run_battery(task)
+    except MemoryError:
+        pass  # raised again below, once the pair's frames are freed
+    raise MemoryError
+
+
 def ignore_sigint() -> None:
     """Pool worker initializer: leave Ctrl-C to the parent, which reports it
     once and terminates the pool, so workers print no tracebacks."""
@@ -82,7 +92,7 @@ def sweep(args: argparse.Namespace) -> dict:
         with multiprocessing.Pool(
             min(args.jobs, len(tasks)), initializer=ignore_sigint
         ) as pool:
-            results = pool.map(run_battery, tasks)
+            results = pool.map(run_pooled, tasks)
     else:
         results = [run_battery(task) for task in tasks]
 

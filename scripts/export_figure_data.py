@@ -12,10 +12,10 @@ A ``manifest.json`` written alongside the CSVs records, per shape, the file
 name, the number of lattice points, and the degree range, so downstream
 plotting can be driven from the manifest alone.
 
-Exit status is 0 on success, and 2 on a usage error, an --out-dir that
-cannot be created or written, a stdout that cannot be written, or an
-interrupt (Ctrl-C), each reported on one stderr line by the helpers of
-grothsnp.battery.
+The work runs under grothsnp.battery.deliver. Exit status is 0 on success,
+and 2 on a usage error, an --out-dir or file in it that cannot be written
+(the line names it), a stdout that cannot be written, exhausted memory or
+an interrupt (Ctrl-C), each reported on one stderr line.
 
 Example:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.battery import ArgumentParser, dump_json, fail, write_stdout
+from grothsnp.battery import ArgumentParser, deliver, dump_json, write_file
 from grothsnp.cli import figure_data
 
 
@@ -36,9 +36,7 @@ def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     text = figure_data(lam, n)
     label = "-".join(str(part) for part in lam.parts) or "empty"
     filename = f"lam_{label}_n{n}.csv"
-    with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as handle:
-        handle.write("x,y,z,degree\n")
-        handle.write(text)
+    write_file(os.path.join(out_dir, filename), "x,y,z,degree\n" + text)
     lines = text.splitlines()
     degrees = sorted({int(line.rsplit(",", 1)[1]) for line in lines})
     return {
@@ -63,29 +61,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_part < 0:
         parser.error("--max-part must be nonnegative")
 
-    try:
+    def produce() -> tuple[int, str, None]:
         os.makedirs(args.out_dir, exist_ok=True)
-        entries = [
-            export_shape(lam, args.n, args.out_dir)
-            for lam in partitions_in_box(args.n, args.max_part)
-        ]
-        manifest = {
-            "n": args.n,
-            "max_part": args.max_part,
-            "shapes": len(entries),
-            "entries": entries,
-        }
-        path = os.path.join(args.out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dump_json(manifest))
-    except OSError as exc:
-        return fail(
-            f"cannot write {exc.filename}: {exc.strerror or exc}", "export_figure_data.py"
-        )
-    except KeyboardInterrupt:
-        return fail("interrupted", "export_figure_data.py")
-    summary = f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}\n"
-    return write_stdout(summary, "export_figure_data.py") or 0
+        shapes = partitions_in_box(args.n, args.max_part)
+        entries = [export_shape(lam, args.n, args.out_dir) for lam in shapes]
+        manifest = {"n": args.n, "max_part": args.max_part, "shapes": len(entries),
+                    "entries": entries}
+        write_file(os.path.join(args.out_dir, "manifest.json"), dump_json(manifest))
+        return 0, f"wrote {len(entries)} CSVs and manifest.json to {args.out_dir}\n", None
+
+    return deliver(produce, None, "export_figure_data.py")
 
 
 if __name__ == "__main__":

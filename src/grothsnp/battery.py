@@ -19,9 +19,9 @@ symmetric; a test pins that symmetry against the full monomial expansions.
 The module also holds the exit-2 contract of every entry point: `fail`
 prints the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable or closed
-stdout, and deliver runs an entry point's work: it checks the --out
-directory first, writes the report to --out or stdout, and turns Ctrl-C into
-one line. dump_json gives every JSON report and manifest the same text.
+stdout, and deliver alone runs an entry point's work: it checks --out first,
+writes the report, and turns a file the work cannot write, exhausted memory
+or Ctrl-C into that line. dump_json writes every JSON report and the manifest.
 The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
 imports the math layers when it is first called.
@@ -85,8 +85,7 @@ def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
     elif name == "brute-snp":
         verdict = polytopes.snp_check_bruteforce(groth.grothendieck_lenart(lam, n))
         expected = set()
-        for mu in groth.mu_chain(lam, n).mus:
-            perm = polytopes.Permutahedron.of_partition(mu, n)
+        for _, perm in polytopes.newton_components(groth.mu_chain(lam, n)):
             expected |= polytopes.permutahedron_lattice_points(perm)
         ok = verdict.is_snp and verdict.hull_lattice_points == expected
         detail = verdict.detail
@@ -128,6 +127,17 @@ def fail(message: str, prog: str = "grothsnp") -> int:
     return 2
 
 
+def write_file(path: str, text: str) -> None:
+    """Write text to the file at path. An OSError on the way names path, even
+    one from the flush at close, which names no file by itself."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        exc.filename = path
+        raise
+
+
 def write_stdout(text: str, prog: str = "grothsnp") -> int | None:
     """Write text to stdout and flush it; None on success. On failure, report
     it on one stderr line and return exit status 2."""
@@ -156,7 +166,8 @@ def deliver(
     status. produce() returns (status, report, note). With out, the report
     goes to that file, whose directory is checked before produce runs, and
     the note, if any, to stdout; without out, the report goes to stdout. An
-    unwritable --out or stdout, or Ctrl-C, ends in one stderr line and 2."""
+    unwritable --out or stdout, a file the work cannot write (an OSError that
+    names it), a MemoryError or Ctrl-C ends in one stderr line and 2."""
     refusal = f"cannot write --out {out}: "
     if out is not None:
         parent = os.path.dirname(os.path.abspath(out))
@@ -168,16 +179,22 @@ def deliver(
         status, text, note = produce()
         if out is not None:
             try:
-                with open(out, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                write_file(out, text)
             except OSError as exc:
                 return fail(refusal + (exc.strerror or str(exc)), prog)
             if note is None:
                 return status
             text = note
         return write_stdout(text, prog) or status
+    except OSError as exc:
+        if exc.filename is None:  # not a file the work writes: keep the traceback
+            raise
+        return fail(f"cannot write {exc.filename}: {exc.strerror or exc}", prog)
+    except MemoryError:
+        pass  # reported below, once the traceback and the work's frames are freed
     except KeyboardInterrupt:
         return fail("interrupted", prog)
+    return fail("out of memory", prog)
 
 
 class ArgumentParser(argparse.ArgumentParser):

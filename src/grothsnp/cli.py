@@ -9,8 +9,8 @@ invocations produce byte-identical files. Exit codes: 0 success or verified,
 (snp --brute past the work bound battery.BRUTE_WORK_LIMIT among them), an
 --out path that cannot be written (checked before computing and again on
 writing), a stdout that cannot be written (a full disk, a closed pipe or fd),
-or an interrupt (Ctrl-C), each reported on one stderr line by the helpers in
-grothsnp.battery. Each handler imports the layers it uses, so `--help`
+exhausted memory or an interrupt (Ctrl-C), each reported on one stderr line
+by battery.deliver. Each handler imports the layers it uses, so `--help`
 loads none of them.
 """
 
@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force the bounding-box sweep with the hull oracle",
     )
     verify = command("verify", _run_verify, "run checks, report JSON")
-    verify.add_argument("--all", action="store_true", help="run the full battery")
     verify.add_argument(
         "--claim",
         choices=("a", "b", "c"),
@@ -148,21 +147,13 @@ def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import mu_chain
-    from .polytopes import Permutahedron
+    from .polytopes import newton_components
 
-    chain = mu_chain(args.lam, args.n)
-    base = args.lam.size()
-    components = []
-    for k, mu in enumerate(chain.mus):
-        perm = Permutahedron.of_partition(mu, args.n)
-        entry = {"degree": base + k}
-        entry.update(perm.to_json_dict())
-        components.append(entry)
-    payload = {
-        "lambda": list(args.lam.parts),
-        "n": args.n,
-        "components": components,
-    }
+    components = [
+        {"degree": degree, **perm.to_json_dict()}
+        for degree, perm in newton_components(mu_chain(args.lam, args.n))
+    ]
+    payload = {"lambda": list(args.lam.parts), "n": args.n, "components": components}
     return 0, battery.dump_json(payload)
 
 
@@ -198,12 +189,8 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
 def _verify_names(args: argparse.Namespace) -> Sequence[str]:
     """The checks verify selects: the whole battery unless --claim or
     --lemmas narrows it."""
-    if args.all or (args.claim is None and not args.lemmas):
-        return battery.CHECKS
-    names = [] if args.claim is None else [f"claim-{args.claim}"]
-    if args.lemmas:
-        names.append("lemmas")
-    return names
+    names = ([f"claim-{args.claim}"] if args.claim else []) + ["lemmas"] * args.lemmas
+    return names or battery.CHECKS
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -224,16 +211,13 @@ def figure_data(lam: Partition, n: int) -> str:
     """The lattice points of every polytope in the chain of lam as CSV lines
     x,y,z,degree, with "-" in the coordinate columns beyond n <= 3."""
     from .grothendieck import mu_chain
-    from .polytopes import Permutahedron, permutahedron_lattice_points
+    from .polytopes import newton_components, permutahedron_lattice_points
 
-    chain = mu_chain(lam, n)
-    base = lam.size()
     lines = []
-    for k, mu in enumerate(chain.mus):
-        perm = Permutahedron.of_partition(mu, n)
+    for degree, perm in newton_components(mu_chain(lam, n)):
         for pt in sorted(permutahedron_lattice_points(perm)):
             coords = [str(pt[i]) if i < n else "-" for i in range(3)]
-            lines.append(",".join(coords + [str(base + k)]))
+            lines.append(",".join(coords + [str(degree)]))
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .grothendieck import grothendieck_lenart_dominant, mu_chain
+from .grothendieck import MuChain, grothendieck_lenart_dominant, mu_chain
 from .partitions import (
     ExponentVector,
     Frozen,
@@ -98,6 +98,16 @@ def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
     """Integer points by Rado's theorem: the orbits of the partitions with at
     most n rows that the weight dominates."""
     return {point for nu in _dominated(p) for point in _orbit(nu)}
+
+
+def newton_components(chain: MuChain) -> list[tuple[int, Permutahedron]]:
+    """The paper's theorem as data: for each shape mu^(k) of the greedy chain
+    of lambda, the degree |lambda| + k and P_{mu^(k)} in chain.n variables,
+    the Newton polytope of the component of G_lambda in that degree."""
+    return [
+        (degree, Permutahedron.of_partition(mu, chain.n))
+        for degree, mu in enumerate(chain.mus, chain.lam.size())
+    ]
 
 
 def rado_contains(theta: Partition, delta: Partition) -> bool:
@@ -198,30 +208,24 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     dominant mismatch.
     """
     dominant = grothendieck_lenart_dominant(lam, n)
-    chain = mu_chain(lam, n)
-    base = lam.size()
+    expected = dict(newton_components(mu_chain(lam, n)))
     supports: dict[int, set[ExponentVector]] = {}
     for exp, _ in dominant.items():
         supports.setdefault(sum(exp), set()).add(exp)
-    expected_degrees = {base + k for k in range(chain.length + 1)}
-    if supports.keys() != expected_degrees:
-        stray = sorted(supports.keys() ^ expected_degrees)
-        return SnpVerdict(
-            is_snp=False,
-            detail=f"degree set mismatch at degrees {stray}",
-        )
+    if supports.keys() != expected.keys():
+        stray = sorted(supports.keys() ^ expected.keys())
+        return SnpVerdict(is_snp=False, detail=f"degree set mismatch at degrees {stray}")
     components = []
-    for k, mu in enumerate(chain.mus):
-        perm = Permutahedron.of_partition(mu, n)
+    for degree, perm in expected.items():
         points = _dominated(perm)
-        supp = supports[base + k]
+        supp = supports[degree]
         if supp != points:
             first = min(tuple(sorted(nu)) for nu in points.symmetric_difference(supp))
             return SnpVerdict(
                 is_snp=False,
                 violation=first,
                 components=tuple(components),
-                detail=f"support/polytope mismatch in degree {base + k} at {first}",
+                detail=f"support/polytope mismatch in degree {degree} at {first}",
             )
         components.append(perm)
     return SnpVerdict(is_snp=True, components=tuple(components))

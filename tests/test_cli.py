@@ -155,7 +155,7 @@ class TestSnp:
 class TestVerify:
     def test_all_checks_pass_on_the_smallest_case(self, capsys):
         status, out = run_cli(
-            capsys, "verify", "--lambda", "1,0", "--n", "2", "--all", "--trials", "50"
+            capsys, "verify", "--lambda", "1,0", "--n", "2", "--trials", "50"
         )
         assert status == 0
         doc = json.loads(out)
@@ -192,7 +192,7 @@ class TestVerify:
     def test_trials_and_seed_leave_claim_c_and_lemmas_alone(
         self, capsys, monkeypatch, planted
     ):
-        # every check of --all, claim b included, reads neither option
+        # every check of the full battery, claim b included, reads neither option
         if planted:
             # (3,2,1) with its row-3 box moved to row 1, which claims a and
             # c, the lemmas and brute-snp catch
@@ -207,7 +207,7 @@ class TestVerify:
         for trials, seed in (("1", "0"), ("1000", "0"), ("1", "7"), ("1000", "7")):
             status, out = run_cli(
                 capsys, "verify", "--lambda", "3,1", "--n", "3",
-                "--all", "--trials", trials, "--seed", seed,
+                "--trials", trials, "--seed", seed,
             )
             assert status == (1 if planted else 0)
             records.append(json.loads(out)["checks"])
@@ -219,7 +219,7 @@ class TestVerify:
     def test_brute_snp_is_skipped_beyond_three_variables(self, capsys):
         status, out = run_cli(
             capsys,
-            "verify", "--lambda", "2,1", "--n", "4", "--all", "--trials", "25",
+            "verify", "--lambda", "2,1", "--n", "4", "--trials", "25",
         )
         assert status == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
@@ -249,7 +249,7 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
     def test_jobs_flag_does_not_change_the_output(self, capsys):
-        args = ("verify", "--lambda", "2,1,0", "--n", "3", "--all", "--trials", "40")
+        args = ("verify", "--lambda", "2,1,0", "--n", "3", "--trials", "40")
         _, serial = run_cli(capsys, *args)
         _, parallel = run_cli(capsys, *args, "--jobs", "3")
         assert serial == parallel
@@ -423,6 +423,22 @@ class TestUnwritableOut:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"export_figure_data.py: error: cannot write {target}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_figure_export_names_a_csv_whose_flush_fails(self, capsys, tmp_path):
+        # The CSV is small, so its write is buffered and fails only in the
+        # flush at close, an OSError that names no file by itself.
+        target = tmp_path / "lam_empty_n2.csv"
+        target.symlink_to("/dev/full")
+        export = load_script("export_figure_data")
+        status = export.main(["--n", "2", "--max-part", "1", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"export_figure_data.py: error: cannot write {target}: "
+            f"{os.strerror(errno.ENOSPC)}"
+        ]
 
 
 class FailingStdout(io.StringIO):
@@ -745,7 +761,7 @@ class TestDeskSweepBattery:
         swept = desk_sweep.run_battery(((2, 1), n))["checks"]
         _, out = run_cli(
             capsys,
-            "verify", "--lambda", "2,1", "--n", str(n), "--all",
+            "verify", "--lambda", "2,1", "--n", str(n),
             "--trials", "30", "--seed", "7",
         )
         assert swept == json.loads(out)["checks"]
@@ -919,6 +935,120 @@ class TestInterrupt:
         assert proc.returncode == 2
         assert out == ""
         assert err.splitlines() == ["desk_sweep.py: error: interrupted"]
+
+
+def out_of_memory(*args):
+    raise MemoryError
+
+
+# The head of a `python -c` wrapper that plants, in place of
+# battery.run_checks, a check that fills memory in small pieces and still
+# holds them all when its MemoryError is raised.
+MEMORY_HOG = (
+    "import runpy, sys\n"
+    "import grothsnp.battery\n"
+    "def hog(parts, n, names=None):\n"
+    "    pieces = []\n"
+    "    while True:\n"
+    "        pieces.append(bytearray(4096))\n"
+    "grothsnp.battery.run_checks = hog\n"
+    "sys.argv = sys.argv[1:]\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')"
+)
+
+
+class TestOutOfMemory:
+    def test_cli_exits_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("grothsnp.cli.run", out_of_memory)
+        status = main(["verify", "--lambda", "2,1", "--n", "2"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["grothsnp: error: out of memory"]
+
+    def test_an_os_error_that_names_no_file_keeps_its_traceback(self, capsys, monkeypatch):
+        # No line could name the file, so deliver does not claim the error.
+        def no_fork(args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr("grothsnp.cli.run", no_fork)
+        with pytest.raises(OSError):
+            main(["verify", "--lambda", "2,1", "--n", "2"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("resource") is None, reason="needs POSIX rlimits"
+    )
+    def test_verify_under_an_address_space_limit(self):
+        # (300) in 4 variables needs more than 200 MiB; the limit binds the
+        # child alone.
+        import resource
+
+        limit = 200 * 1024 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "grothsnp", "verify", "--lambda", "300", "--n", "4"],
+            capture_output=True,
+            text=True,
+            env=env_with_src(),
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "grothsnp: error: out of memory\n"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the patched run_checks only when forked",
+    )
+    def test_desk_sweep_worker_out_of_memory(self, capsys, monkeypatch):
+        desk_sweep = load_desk_sweep()
+        # The pool sends its task function to the workers by module and name.
+        monkeypatch.setitem(sys.modules, "desk_sweep", desk_sweep)
+        run_checks = battery.run_checks
+
+        def out_of_memory_at_one_box(parts, n, names=battery.CHECKS):
+            return out_of_memory() if parts == (1,) else run_checks(parts, n, names)
+
+        monkeypatch.setattr(battery, "run_checks", out_of_memory_at_one_box)
+        status = desk_sweep.main(
+            ["--max-part", "1", "--max-rows", "1", "--n-values", "2", "--jobs", "2"]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["desk_sweep.py: error: out of memory"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork"
+        or importlib.util.find_spec("resource") is None,
+        reason="needs forked workers and POSIX rlimits",
+    )
+    def test_desk_sweep_worker_that_fills_its_memory(self):
+        # Sent from the hog's frame, with the full memory still held, the
+        # MemoryError would kill the worker, and pool.map would wait forever.
+        import resource
+
+        limit = 96 * 1024 * 1024
+        proc = subprocess.Popen(
+            [sys.executable, "-c", MEMORY_HOG, str(ROOT / "scripts" / "desk_sweep.py"),
+             "--n-values", "2", "--jobs", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env_with_src(),
+            start_new_session=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 2
+        assert out == ""
+        assert err.splitlines() == ["desk_sweep.py: error: out of memory"]
 
 
 MATH_LAYERS = {

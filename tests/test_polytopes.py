@@ -333,6 +333,15 @@ class TestFastRoute:
             (3, 2, 2),
         ]
 
+    def test_newton_components_pair_each_chain_shape_with_its_degree(self):
+        components = polytopes.newton_components(mu_chain(Partition((3, 1)), 3))
+        assert [(degree, p.weight, p.n) for degree, p in components] == [
+            (4, (3, 1, 0), 3),
+            (5, (3, 2, 0), 3),
+            (6, (3, 2, 1), 3),
+            (7, (3, 2, 2), 3),
+        ]
+
     def test_empty_shape(self):
         verdict = snp_check_symmetric_fast(Partition(()), 2)
         assert verdict.is_snp
