@@ -24,17 +24,27 @@ writes the report, and turns a file the work cannot write, exhausted memory
 or Ctrl-C into that line. dump_json writes every JSON report and the manifest.
 The scripts load it before they parse their arguments, so it imports only the
 standard library when loaded, and `--help` compiles no math layer: run_check
-imports the math layers when it is first called.
+imports the math layers when it is first called. Loading it freezes the heap
+at exit, so no entry point, `--help` included, walks its live objects in the
+interpreter's final collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import errno
+import gc
 import os
 import sys
 from typing import Callable, Sequence
+
+# At exit the interpreter's last collections walk every live object, all that
+# `site` loaded included; a frozen heap is freed by reference counts alone.
+# The freeze runs only as the process ends, so in-process callers of main keep
+# a collected heap.
+atexit.register(gc.freeze)
 
 CHECKS = (
     "cross-oracle",
@@ -51,8 +61,10 @@ BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_ch
 # support's bounding box against up to 3^n inequalities, and no exponent of
 # G_lambda exceeds lambda_1 (a variable appears at most once per column of a
 # set-valued tableau), so (lambda_1 + 1)^n * 3^n bounds its work before
-# G_lambda is expanded. Just under the limit, (3,1) at n = 6 sweeps in about
-# 1.3 s on a 2-vCPU shared host; (2,1) at n = 8, 14 times over it, took 27 s.
+# G_lambda is expanded. The bound also caps the memory of the sweep, which
+# holds the 3^n sums <d, p> of every support point p at once. Just under the
+# limit, (3,1) at n = 6 sweeps in about 0.5 s at a 30 MiB peak as a child on a
+# 2-vCPU shared host; (2,1) at n = 8 is 14 times over it.
 BRUTE_WORK_LIMIT = 3_000_000
 
 

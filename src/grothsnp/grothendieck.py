@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence
 
-from .partitions import Frozen, Partition, dominance_leq, majorizes
+from .partitions import ExponentVector, Frozen, Partition, dominance_leq, majorizes
 from .polynomials import SparsePolynomial
 from .tableaux import (
     gelfand_tsetlin_contents,
@@ -203,19 +203,23 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
 
 
 @lru_cache(maxsize=1)
-def grothendieck_lenart_dominant(lam: Partition, n: int) -> SparsePolynomial:
-    """The terms of grothendieck_lenart(lam, n) at weakly decreasing exponents:
-    sum_mu c_mu K_{mu,nu} over the Schur expansion, all shapes in one pass."""
+def grothendieck_lenart_dominant(lam: Partition, n: int) -> dict[ExponentVector, int]:
+    """The terms of grothendieck_lenart(lam, n) at weakly decreasing exponents,
+    as a dict from exponent to nonzero coefficient: sum_mu c_mu K_{mu,nu} over
+    the Schur expansion, all shapes in one pass. The dict is memoised, so
+    callers must not mutate it."""
     tops = {mu.padded(n): coeff for mu, coeff in schur_expansion(lam, n).terms}
-    return SparsePolynomial(n, gelfand_tsetlin_contents(tops))
+    return gelfand_tsetlin_contents(tops)
 
 
-def grothendieck_setvalued_dominant(lam: Partition, n: int) -> SparsePolynomial:
+def grothendieck_setvalued_dominant(lam: Partition, n: int) -> dict[ExponentVector, int]:
     """The terms of grothendieck_setvalued(lam, n) at weakly decreasing
-    exponents, by label-by-label branching."""
+    exponents, as a dict from exponent to nonzero coefficient, by
+    label-by-label branching. Callers must not mutate it, as they must not
+    mutate the Lenart side's memoised dict."""
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
-    return SparsePolynomial(n, set_valued_dominant_contents(lam, n))
+    return set_valued_dominant_contents(lam, n)
 
 
 # -- the greedy chain ---------------------------------------------------------

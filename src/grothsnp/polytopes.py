@@ -12,7 +12,7 @@ independent and can audit each other.
 from __future__ import annotations
 
 from itertools import product
-from operator import mul
+from operator import gt
 from typing import Iterator
 
 from .grothendieck import MuChain, grothendieck_lenart_dominant, mu_chain
@@ -150,35 +150,41 @@ class SnpVerdict(Frozen):
         super().__init__(is_snp, violation, hull_lattice_points, components, detail)
 
 
+def _directional_sums(point: ExponentVector) -> list[int]:
+    """<d, point> for every d in {-1,0,1}^n, in the order of
+    product((-1, 0, 1), repeat=n): each coordinate c in turn extends every
+    sum over the coordinates before it by -c, 0 and c."""
+    sums = [0]
+    for c in point:
+        sums = [s + t for s in sums for t in (-c, 0, c)]
+    return sums
+
+
 def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     """Sweep the bounding box of the support and test every integer point.
 
     A box point outside the support is first held against the valid
     inequalities <d, x> <= max <d, p> over the support, one for each d in
-    {-1,0,1}^n other than 0. A point that breaks one lies outside the hull;
-    the rest go to the exact simplex, and a point it puts inside the hull is
-    a saturation violation. The filter uses no symmetry and no permutahedra,
-    so this route stays independent of snp_check_symmetric_fast. The verdict
-    records all hull lattice points, so a passing result doubles as a full
-    Newton polytope description.
+    {-1,0,1}^n, with all of a point's sums <d, x> built in one pass. A point
+    that breaks one lies outside the hull; the rest go to the exact simplex,
+    and a point it puts inside the hull is a saturation violation. The filter
+    uses no symmetry and no permutahedra, so this route stays independent of
+    snp_check_symmetric_fast. The verdict records all hull lattice points, so
+    a passing result doubles as a full Newton polytope description.
     """
     support = f.support()
     if not support:
         raise ValueError("zero polynomial has no Newton polytope")
     cloud = PointCloud(f.n, frozenset(support))
     # <d, x> <= h holds on the whole hull when h is the largest <d, p> over
-    # the support.
-    inequalities = [
-        (d, max(sum(map(mul, d, p)) for p in support))
-        for d in product((-1, 0, 1), repeat=f.n)
-        if any(d)
-    ]
+    # the support. The zero direction's height is 0, which no point breaks.
+    heights = list(map(max, zip(*map(_directional_sums, support))))
     hull_points: set[ExponentVector] = set()
     violations: list[ExponentVector] = []
     for point in product(*(range(min(c), max(c) + 1) for c in zip(*support))):
         if point in cloud.points:
             hull_points.add(point)
-        elif any(sum(map(mul, d, point)) > h for d, h in inequalities):
+        elif any(map(gt, _directional_sums(point), heights)):
             continue  # outside the hull, no simplex needed
         elif hull_membership(point, cloud):
             hull_points.add(point)

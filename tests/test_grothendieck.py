@@ -335,8 +335,8 @@ def test_dominant_terms_fix_both_models(case):
     ):
         assert is_symmetric(full)
         restricted = {exp: c for exp, c in full.items() if weakly_decreasing(exp)}
-        assert SparsePolynomial(n, restricted) == dominant
-        assert orbit_expansion(dominant) == full
+        assert restricted == dominant
+        assert orbit_expansion(SparsePolynomial(n, dominant)) == full
 
 
 class TestDominantTerms:
@@ -348,11 +348,11 @@ class TestDominantTerms:
         lam = Partition(parts)
         lenart = grothendieck_lenart_dominant(lam, n)
         assert lenart == grothendieck_setvalued_dominant(lam, n)
-        assert all(weakly_decreasing(exp) for exp, _ in lenart.items())
-        assert lenart.degrees()[-1] == lam.size() + mu_chain(lam, n).length
+        assert all(weakly_decreasing(exp) for exp in lenart)
+        assert max(map(sum, lenart)) == lam.size() + mu_chain(lam, n).length
 
     def test_one_box_two_variables(self):
-        expected = SparsePolynomial(2, {(1, 0): 1, (1, 1): -1})
+        expected = {(1, 0): 1, (1, 1): -1}
         assert grothendieck_lenart_dominant(Partition((1,)), 2) == expected
         assert grothendieck_setvalued_dominant(Partition((1,)), 2) == expected
 
@@ -364,12 +364,10 @@ class TestDominantTerms:
 
     def test_cross_oracle_reports_a_disagreement(self, monkeypatch):
         lam = Partition((2, 1))
-        terms = dict(grothendieck_setvalued_dominant(lam, 3).items())
+        terms = dict(grothendieck_setvalued_dominant(lam, 3))
         terms[(1, 1, 1)] += 1
         monkeypatch.setattr(
-            grothendieck,
-            "grothendieck_setvalued_dominant",
-            lambda lam, n: SparsePolynomial(n, terms),
+            grothendieck, "grothendieck_setvalued_dominant", lambda lam, n: terms
         )
         record = battery.run_check("cross-oracle", lam.parts, 3)
         assert record == {

@@ -96,3 +96,21 @@ def test_verify_loads_no_random():
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_loading_battery_freezes_the_heap_at_exit():
+    # Exit handlers run last in, first out, so the handler registered before
+    # the import runs after the freeze that the import registers.
+    probe = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "import grothsnp.battery"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        check=True,
+    )
+    assert proc.stdout == "True\n"
