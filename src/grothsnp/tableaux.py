@@ -21,14 +21,14 @@ only, each by its own branching count that keeps two levels alive:
 gelfand_tsetlin_contents walks the Gelfand-Tsetlin patterns of every shape
 of a Schur expansion at once, from the top row down (the Lenart side's
 sum of coefficients times Kostka numbers), and set_valued_dominant_contents
-adds one label at a time (the set-valued side). Both polynomials are
-symmetric, so these coefficients fix all others; the cross-oracle check thus
-compares dominant coefficients, and a test pins the symmetry and the
-restriction against the full fills. The enumerate_* generators are views
-that turn each filling into a Tableau as the fill reaches it, so they stream:
-the first tableau comes without the rest of the fill, and a view holds only
-the filling in hand. Nothing in the package calls them, and perfbench/tracing.py
-wraps them by name.
+adds one label at a time, making only states the later labels can complete
+(the set-valued side). Both polynomials are symmetric, so these coefficients
+fix all others; the cross-oracle check thus compares dominant coefficients,
+and a test pins the symmetry and the restriction against the full fills. The
+enumerate_* generators are views that turn each filling into a Tableau as the
+fill reaches it, so they stream: the first tableau comes without the rest of
+the fill, and a view holds only the filling in hand. Nothing in the package
+calls them, and perfbench/tracing.py wraps them by name.
 """
 
 from __future__ import annotations
@@ -357,32 +357,33 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
     cells of a horizontal strip grown/mu, and as an extra label in any j of
     the e cells that end a row of mu with no cell of grown below them. So
     each (mu, content prefix) passes (-1)^j C(e, j) times its count to
-    (grown, prefix + (|grown/mu| + j,)). Only prefixes that weakly decrease
-    are kept, so a strip longer than the last entry of every prefix at mu is
-    skipped, and only shapes inside lam that the labels still to come can
-    complete to lam; after label n, the prefixes at shape lam are the
-    dominant contents.
+    (grown, prefix + (|grown/mu| + j,)). Each prefix opens with lam_1 and
+    weakly decreases, and only states that the `left` labels after i can
+    complete are made. Each of them adds at most one cell per column, so row
+    r of grown holds at least lam_{r+left} cells, and grown is lam after
+    label n. Each fills at most as many new cells as its entry, which is at
+    most |grown/mu| + j, so the rest = |lam| - |grown| cells still to place
+    need j >= ceil(rest / left) - |grown/mu|. After label n, the prefixes at
+    lam without their lam_1 are the dominant contents.
     """
     target = lam.parts
     rows = len(target)
-    layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {(0,) * rows: {(): 1}}
+    cells = sum(target)
+    layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {
+        (0,) * rows: {(lam.part(1),): 1}
+    }
     for left in reversed(range(n)):
         grown_layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
         for mu, prefixes in layer.items():
             size = sum(mu)
-            top = max(prefix[-1] if prefix else lam.part(1) for prefix in prefixes)
             bounds = [
-                range(mu[r], min(target[r], mu[r - 1] if r else target[0]) + 1)
-                for r in range(rows)
+                range(max(mu[r], lam.part(r + left + 1)), min(target[r], above) + 1)
+                for r, above in enumerate(target[:1] + mu[:-1])
             ]
             for grown in product(*bounds):
-                # Each label still to come adds at most one cell per column.
-                if any(target[r + left] > grown[r] for r in range(rows - left)):
-                    continue
                 added = sum(grown) - size
-                # Label i fills more cells than any prefix's last entry.
-                if added > top:
-                    continue
+                rest = cells - size - added
+                least = max(0, -(-rest // left) - added) if left else 0
                 ends = sum(
                     1 for r in range(rows)
                     if mu[r] and (r + 1 == rows or grown[r + 1] < mu[r])
@@ -390,8 +391,7 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
                 signs = [(-1) ** j * comb(ends, j) for j in range(ends + 1)]
                 acc = grown_layer.setdefault(grown, {})
                 for prefix, count in prefixes.items():
-                    cap = prefix[-1] if prefix else lam.part(1)
-                    for j in range(min(ends, cap - added) + 1):
+                    for j in range(least, min(ends, prefix[-1] - added) + 1):
                         key = prefix + (added + j,)
                         acc[key] = acc.get(key, 0) + signs[j] * count
         layer = {}
@@ -399,7 +399,7 @@ def set_valued_dominant_contents(lam: Partition, n: int) -> dict[ExponentVector,
             kept = {prefix: count for prefix, count in acc.items() if count}
             if kept:
                 layer[grown] = kept
-    return layer.get(target, {})
+    return {prefix[1:]: count for prefix, count in layer.get(target, {}).items()}
 
 
 def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:

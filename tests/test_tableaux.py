@@ -1,8 +1,10 @@
 """Tableau enumeration engines against independent counting oracles."""
 
+import gc
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -13,6 +15,7 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
+from grothsnp.partitions import ExponentVector
 from grothsnp.tableaux import (
     Tableau,
     _fill_set_valued,
@@ -21,6 +24,7 @@ from grothsnp.tableaux import (
     enumerate_set_valued,
     enumerate_ssyt,
     gelfand_tsetlin_contents,
+    set_valued_dominant_contents,
     ssyt_contents,
 )
 
@@ -396,6 +400,56 @@ def _recursive_set_valued_fills(lam, n):
     return fills
 
 
+def listed_strips_set_valued_dominant(
+    lam: Partition, n: int
+) -> dict[ExponentVector, int]:
+    """The set-valued dominant kernel that lists every horizontal strip in
+    its box and filters afterwards: it drops the strips whose columns the
+    labels still to come cannot fill and those longer than every prefix's
+    last entry, and it still makes states that cannot reach lam. It is kept
+    verbatim as the reference: the same branching (Buch 2002) with each bound
+    a filter, not the end of a range, so its dicts are the ones
+    set_valued_dominant_contents must return.
+    """
+    target = lam.parts
+    rows = len(target)
+    layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {(0,) * rows: {(): 1}}
+    for left in reversed(range(n)):
+        grown_layer: dict[tuple[int, ...], dict[ExponentVector, int]] = {}
+        for mu, prefixes in layer.items():
+            size = sum(mu)
+            top = max(prefix[-1] if prefix else lam.part(1) for prefix in prefixes)
+            bounds = [
+                range(mu[r], min(target[r], mu[r - 1] if r else target[0]) + 1)
+                for r in range(rows)
+            ]
+            for grown in product(*bounds):
+                # Each label still to come adds at most one cell per column.
+                if any(target[r + left] > grown[r] for r in range(rows - left)):
+                    continue
+                added = sum(grown) - size
+                # Label i fills more cells than any prefix's last entry.
+                if added > top:
+                    continue
+                ends = sum(
+                    1 for r in range(rows)
+                    if mu[r] and (r + 1 == rows or grown[r + 1] < mu[r])
+                )
+                signs = [(-1) ** j * comb(ends, j) for j in range(ends + 1)]
+                acc = grown_layer.setdefault(grown, {})
+                for prefix, count in prefixes.items():
+                    cap = prefix[-1] if prefix else lam.part(1)
+                    for j in range(min(ends, cap - added) + 1):
+                        key = prefix + (added + j,)
+                        acc[key] = acc.get(key, 0) + signs[j] * count
+        layer = {}
+        for grown, acc in grown_layer.items():
+            kept = {prefix: count for prefix, count in acc.items() if count}
+            if kept:
+                layer[grown] = kept
+    return layer.get(target, {})
+
+
 class TestSetValued:
     def test_single_box_three_fillings(self):
         fills = list(enumerate_set_valued(Partition((1,)), 2))
@@ -477,6 +531,45 @@ class TestSetValued:
             if label_count(t) == lam.size()
         ]
         assert len(minimal) == sum(1 for _ in enumerate_ssyt(lam, 3))
+
+
+class TestSetValuedDominant:
+    """set_valued_dominant_contents makes only the states that the labels
+    still to come can complete; the kernel that listed every strip and
+    filtered it is the reference."""
+
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            [(lam, n) for lam in partitions_in_box(4, 4) for n in range(max(1, len(lam)), 8)],
+            [(Partition((1,)), n) for n in range(1, 121)],
+            [(Partition((k,)), n) for k in range(1, 41) for n in range(1, 5)],
+            [
+                (Partition((6, 4, 2)), 9),
+                (Partition((8, 1, 1, 1, 1)), 9),
+                (Partition((5, 4, 3, 2, 1)), 10),
+            ],
+        ],
+        ids=["4x4-box", "one-column", "one-row", "staircases"],
+    )
+    def test_matches_the_reference(self, cases):
+        for lam, n in cases:
+            expected = listed_strips_set_valued_dominant(lam, n)
+            assert set_valued_dominant_contents(lam, n) == expected, (lam.parts, n)
+
+    def test_holds_no_state_that_cannot_complete(self):
+        # gc.collect() empties the interpreter's free lists, so every tuple
+        # the kernel frees stays counted and the peak follows the states it
+        # makes, whichever tests ran before. On Python 3.11 the kernel peaks
+        # at 0.34 MiB and the listing reference at 0.78 MiB.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            set_valued_dominant_contents(Partition((4, 3, 2, 1)), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * (1 << 20)
 
 
 class TestContent:
