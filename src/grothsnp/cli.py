@@ -1,17 +1,18 @@
 """Command-line front end: compute, verify, and export.
 
-Subcommands mirror the library surface. Each subparser names its handler,
-and run() hands it the parsed argparse namespace. All output is
-deterministic: JSON objects are assembled in fixed key order, point lists are
-sorted, and every check is exact, with no sampled step, so identical
-invocations produce byte-identical files. Exit codes: 0 success or verified,
-1 verification failure (the report still goes to the output), 2 usage error
-(snp --brute past the work bound battery.BRUTE_WORK_LIMIT among them), an
---out path that cannot be written (checked before computing and again on
-writing), a stdout that cannot be written (a full disk, a closed pipe or fd),
-exhausted memory or an interrupt (Ctrl-C), each reported on one stderr line
-by battery.deliver. Each handler imports the layers it uses, so `--help`
-loads none of them.
+Subcommands mirror the library surface. Each subparser names its handler, and
+run() hands it the parsed argparse namespace. Each handler writes its own
+report, so this module alone knows the shape of every report; the math layers
+return data. All output is deterministic: JSON objects are assembled in fixed
+key order, point lists are sorted, and every check is exact, with no sampled
+step, so identical invocations produce byte-identical files. Exit codes: 0
+success or verified, 1 verification failure (the report still goes to the
+output), 2 usage error (snp --brute past the work bound
+battery.BRUTE_WORK_LIMIT among them), an --out path that cannot be written
+(checked before computing and again on writing), a stdout that cannot be
+written (a full disk, a closed pipe or fd), exhausted memory or an interrupt
+(Ctrl-C), each reported on one stderr line by battery.deliver. Each handler
+imports the layers it uses, so `--help` loads none of them.
 """
 
 from __future__ import annotations
@@ -130,27 +131,44 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 def _run_expand(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import schur_expansion
 
-    return 0, battery.dump_json(schur_expansion(args.lam, args.n).to_json_dict())
+    terms = schur_expansion(args.lam, args.n).terms
+    listed = [{"mu": list(mu.parts), "coeff": coeff} for mu, coeff in terms]
+    payload = {"lambda": list(args.lam.parts), "n": args.n, "terms": listed}
+    return 0, battery.dump_json(payload)
 
 
 def _run_groth(args: argparse.Namespace) -> tuple[int, str]:
-    from .grothendieck import grothendieck_lenart
+    from .grothendieck import grothendieck_lenart_dominant
+    from .polytopes import _orbit
 
-    return 0, battery.dump_json(grothendieck_lenart(args.lam, args.n).to_json_dict())
+    # G_lambda by symmetry: each dominant term over its orbit, in graded-lex order
+    dominant = grothendieck_lenart_dominant(args.lam, args.n)
+    terms = sorted((sum(w), exp, c) for w, c in dominant.items() for exp in _orbit(w))
+    listed = [{"exp": list(exp), "coeff": c} for _, exp, c in terms]
+    return 0, battery.dump_json({"n": args.n, "terms": listed})
 
 
 def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import mu_chain
 
-    return 0, battery.dump_json(mu_chain(args.lam, args.n).to_json_dict())
+    chain = mu_chain(args.lam, args.n)
+    mus = [list(mu.padded(args.n)) for mu in chain.mus]
+    return 0, battery.dump_json({"mus": mus, "rows": list(chain.rows)})
 
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import mu_chain
-    from .polytopes import newton_components
+    from .polytopes import newton_components, permutahedron_vertices as vertices
+    from .polytopes import permutahedron_lattice_points as lattice_points
 
     components = [
-        {"degree": degree, **perm.to_json_dict()}
+        {
+            "degree": degree,
+            "weight": list(perm.weight),
+            "n": perm.n,
+            "vertices": [list(v) for v in sorted(vertices(perm))],
+            "lattice_points": [list(v) for v in sorted(lattice_points(perm))],
+        }
         for degree, perm in newton_components(mu_chain(args.lam, args.n))
     ]
     payload = {"lambda": list(args.lam.parts), "n": args.n, "components": components}

@@ -6,13 +6,16 @@ increasing skew tableaux, counted label by label for all shapes in one pass;
 the set-valued route sums signed monomials over set-valued semistandard
 tableaux. The two must agree exactly, which is the suite's strongest oracle.
 Since G is symmetric, the verification battery compares them at dominant
-contents only, where each route has a branching count of its own; the full
-monomial expansions serve `groth`, the brute-force geometry and the tests.
+contents only, where each route has a branching count of its own, and
+`groth` spreads the Lenart side's dominant terms over their orbits. The full
+monomial expansions serve the brute-force geometry and the tests.
 
 A memo keyed by (lambda, n) keeps its last entry only: every check of a
 pair asks for that pair, and no pair reads another's, so a sweep holds one
-pair's results at a time. schur_polynomial keeps all its entries, because it
-is keyed by Schur shape and the expansions of different pairs share shapes.
+pair's results at a time. grothendieck_lenart keeps none, since the
+brute-force sweep asks for it once per pair. schur_polynomial keeps all its
+entries, because it is keyed by Schur shape and the expansions of different
+pairs share shapes.
 """
 
 from __future__ import annotations
@@ -79,15 +82,6 @@ class SchurExpansion(Frozen):
                 return coeff
         return 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam.parts),
-            "n": self.n,
-            "terms": [
-                {"mu": list(mu.parts), "coeff": coeff} for mu, coeff in self.terms
-            ],
-        }
-
 
 class MuChain(Frozen):
     """The greedy chain of partitions obtained by repeatedly adding one box.
@@ -143,12 +137,6 @@ class MuChain(Frozen):
         final = self.mus[-1]
         return tuple(final.part(r) - self.lam.part(r) for r in range(1, self.n + 1))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mus": [list(mu.padded(self.n)) for mu in self.mus],
-            "rows": list(self.rows),
-        }
-
 
 # -- expansion through flagged skew tableaux ---------------------------------
 
@@ -173,7 +161,6 @@ def schur_polynomial(mu: Partition, n: int) -> SparsePolynomial:
     return SparsePolynomial(n, ssyt_contents(mu, n))
 
 
-@lru_cache(maxsize=1)
 def grothendieck_lenart(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial assembled from its Schur expansion."""
     acc: dict[tuple[int, ...], int] = {}

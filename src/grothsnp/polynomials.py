@@ -3,8 +3,7 @@
 Terms live in a dict from exponent tuple to nonzero coefficient; the
 constructor drops zero coefficients, so equal polynomials have equal dicts.
 A polynomial is read through its terms, support, degrees and homogeneous
-components. Serialization orders terms graded-lexicographically for
-reproducible output.
+components.
 """
 
 from __future__ import annotations
@@ -95,13 +94,3 @@ class SparsePolynomial:
 
     def max_degree(self) -> int | None:
         return max((sum(e) for e in self._terms), default=None)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"exp": list(exp), "coeff": coeff} for exp, coeff in self.sorted_terms()
-            ],
-        }

@@ -44,16 +44,6 @@ class Permutahedron(Frozen):
     def of_partition(cls, lam: Partition, n: int) -> "Permutahedron":
         return cls(weight=lam.padded(n), n=n)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": list(self.weight),
-            "n": self.n,
-            "vertices": [list(v) for v in sorted(permutahedron_vertices(self))],
-            "lattice_points": [
-                list(v) for v in sorted(permutahedron_lattice_points(self))
-            ],
-        }
-
 
 class PointCloud(Frozen):
     """A finite set of points of one common dimension."""

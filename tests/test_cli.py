@@ -57,6 +57,17 @@ class TestExpand:
         _, padded = run_cli(capsys, "expand", "--lambda", "3,1,0", "--n", "3")
         assert bare == padded
 
+    def test_json_shape(self, capsys):
+        status, out = run_cli(capsys, "expand", "--lambda", "1", "--n", "2")
+        assert status == 0
+        assert out == battery.dump_json(
+            {
+                "lambda": [1],
+                "n": 2,
+                "terms": [{"mu": [1], "coeff": 1}, {"mu": [1, 1], "coeff": -1}],
+            }
+        )
+
 
 class TestGroth:
     def test_monomial_output_in_graded_lex_order(self, capsys):
@@ -71,6 +82,62 @@ class TestGroth:
                 {"exp": [1, 1], "coeff": -1},
             ],
         }
+
+    def test_graded_lex_order(self, capsys):
+        # Degree 3 of (2,1)/3 interleaves the orbits of (2,1,0) and (1,1,1).
+        _, out = run_cli(capsys, "groth", "--lambda", "2,1", "--n", "3")
+        exps = [tuple(term["exp"]) for term in json.loads(out)["terms"]]
+        assert exps == sorted(exps, key=lambda exp: (sum(exp), exp))
+        assert [exp for exp in exps if sum(exp) == 3][2:5] == [
+            (1, 0, 2), (1, 1, 1), (1, 2, 0)
+        ]
+
+    def test_bit_exact_across_runs(self):
+        argv = [sys.executable, "-m", "grothsnp", "groth", "--lambda", "3,1", "--n", "3"]
+        outs = {
+            subprocess.run(
+                argv, env={**env_with_src(), "PYTHONHASHSEED": seed},
+                capture_output=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(outs) == 1
+
+    def test_orbits_match_the_full_expansion(self, capsys):
+        """The dominant terms spread over their orbits print what the full
+        Schur assembly prints."""
+        from grothsnp import grothendieck_lenart, partitions_in_box
+
+        pairs = [
+            (lam, n)
+            for lam in partitions_in_box(3, 3)
+            for n in range(max(1, len(lam)), 6)
+        ]
+        assert len(pairs) == 74
+        for lam, n in [*pairs, (Partition((4, 2, 1)), 7)]:
+            terms = grothendieck_lenart(lam, n).sorted_terms()
+            expected = battery.dump_json(
+                {"n": n, "terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
+            )
+            parts = ",".join(map(str, lam.parts))
+            assert run_cli(capsys, "groth", "--lambda", parts, "--n", str(n)) == (
+                0, expected
+            ), (lam, n)
+
+    def test_builds_no_schur_polynomial(self, capsys, monkeypatch):
+        from grothsnp import grothendieck_setvalued
+
+        def no_schur_polynomial(mu, n):
+            raise AssertionError("groth expanded a Schur polynomial")
+
+        terms = grothendieck_setvalued(Partition((3, 1)), 4).sorted_terms()
+        expected = battery.dump_json(
+            {"n": 4, "terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
+        )
+        monkeypatch.setattr(
+            "grothsnp.grothendieck.schur_polynomial", no_schur_polynomial
+        )
+        assert run_cli(capsys, "groth", "--lambda", "3,1", "--n", "4") == (0, expected)
 
 
 class TestChain:
@@ -92,6 +159,22 @@ class TestNewton:
         assert [c["degree"] for c in doc["components"]] == [1, 2]
         assert doc["components"][0]["lattice_points"] == [[0, 1], [1, 0]]
         assert doc["components"][1]["lattice_points"] == [[1, 1]]
+
+    def test_json_is_sorted(self, capsys):
+        _, out = run_cli(capsys, "newton", "--lambda", "1,1", "--n", "2")
+        assert json.loads(out)["components"] == [
+            {
+                "degree": 2,
+                "weight": [1, 1],
+                "n": 2,
+                "vertices": [[1, 1]],
+                "lattice_points": [[1, 1]],
+            }
+        ]
+        _, out = run_cli(capsys, "newton", "--lambda", "2", "--n", "2")
+        first = json.loads(out)["components"][0]
+        assert first["vertices"] == [[0, 2], [2, 0]]
+        assert first["lattice_points"] == [[0, 2], [1, 1], [2, 0]]
 
 
 class TestSnp:

@@ -1,6 +1,4 @@
-"""Sparse exact-integer polynomials: construction, sums, components, serialization."""
-
-import json
+"""Sparse exact-integer polynomials: construction, sums, components."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,25 +89,3 @@ class TestQueries:
         assert f.degrees() == [0, 3]
         assert SparsePolynomial(2, {}).max_degree() is None
         assert SparsePolynomial(2, {}).degrees() == []
-
-
-class TestSerialization:
-    def test_graded_lex_order(self):
-        f = SparsePolynomial(
-            2, {(2, 0): 1, (0, 1): 2, (1, 0): 3, (0, 2): 4, (1, 1): 5}
-        )
-        doc = f.to_json_dict()
-        assert doc == {
-            "n": 2,
-            "terms": [
-                {"exp": [0, 1], "coeff": 2},
-                {"exp": [1, 0], "coeff": 3},
-                {"exp": [0, 2], "coeff": 4},
-                {"exp": [1, 1], "coeff": 5},
-                {"exp": [2, 0], "coeff": 1},
-            ],
-        }
-
-    def test_bit_exact_across_runs(self):
-        f = SparsePolynomial(2, {(3, 1): -2, (0, 0): 1, (1, 3): 2})
-        assert json.dumps(f.to_json_dict()) == json.dumps(f.to_json_dict())

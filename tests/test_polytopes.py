@@ -122,18 +122,6 @@ class TestPermutahedron:
         with pytest.raises(ValueError):
             Permutahedron(weight=(2, 1), n=3)
 
-    def test_json_is_sorted(self):
-        doc = perm_of((1, 1), 2).to_json_dict()
-        assert doc == {
-            "weight": [1, 1],
-            "n": 2,
-            "vertices": [[1, 1]],
-            "lattice_points": [[1, 1]],
-        }
-        doc2 = perm_of((2, 0), 2).to_json_dict()
-        assert doc2["vertices"] == [[0, 2], [2, 0]]
-        assert doc2["lattice_points"] == [[0, 2], [1, 1], [2, 0]]
-
 
 class TestHullMembership:
     def test_cloud_point(self):
