@@ -461,6 +461,16 @@ class TestMuChain:
                 g = grothendieck_lenart(lam, n)
                 assert g.max_degree() == lam.size() + mu_chain(lam, n).length
 
+    def test_json_pads_to_n(self):
+        chain = mu_chain(LAM310, 3)
+        assert [list(mu.padded(chain.n)) for mu in chain.mus] == [
+            [3, 1, 0],
+            [3, 2, 0],
+            [3, 2, 1],
+            [3, 2, 2],
+        ]
+        assert list(chain.rows) == [2, 3, 3]
+
     def test_rows_beyond_n_error(self):
         with pytest.raises(ValueError):
             mu_chain(Partition((1, 1, 1)), 2)
