@@ -23,9 +23,9 @@ sweeping and again on writing), a stdout that cannot be written, exhausted
 memory or an interrupt (Ctrl-C), each reported on one stderr line by
 grothsnp.battery.deliver; that module also runs the checks.
 
-With --jobs K above 1 the pairs go to a pool of at most K worker processes,
-which leave Ctrl-C to the parent and send it a MemoryError to report; the
-report is the same as with --jobs 1 apart from the seconds of each pair.
+--jobs is accepted and validated; the pairs run in one process, in sweep
+order, so the report is the same at any --jobs apart from the seconds of
+each pair.
 
 Example:
 
@@ -41,9 +41,8 @@ import time
 from grothsnp import battery
 
 
-def run_battery(task: tuple[tuple[int, ...], int]) -> dict:
+def run_battery(parts: tuple[int, ...], n: int) -> dict:
     """Run every applicable check for one (lambda, n) pair."""
-    parts, n = task
     started = time.perf_counter()
     checks = battery.run_checks(parts, n)
     return {
@@ -55,47 +54,15 @@ def run_battery(task: tuple[tuple[int, ...], int]) -> dict:
     }
 
 
-def run_pooled(task: tuple[tuple[int, ...], int]) -> dict:
-    """run_battery in a pool worker. Sent from deep in the pair, with its memory
-    still held, a MemoryError kills the worker; raised here, it reaches pool.map."""
-    try:
-        return run_battery(task)
-    except MemoryError:
-        pass  # raised again below, once the pair's frames are freed
-    raise MemoryError
-
-
-def ignore_sigint() -> None:
-    """Pool worker initializer: leave Ctrl-C to the parent, which reports it
-    once and terminates the pool, so workers print no tracebacks."""
-    import signal  # here, like multiprocessing: only pool workers need it
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 def sweep(args: argparse.Namespace) -> dict:
     from grothsnp import partitions_in_box  # after parsing: --help needs no math
 
-    tasks = [
-        (lam.parts, n)
+    results = [
+        run_battery(lam.parts, n)
         for n in args.n_values
         for lam in partitions_in_box(args.max_rows, args.max_part)
         if len(lam.parts) <= n
     ]
-    if args.jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # here, so that a serial sweep never loads it
-
-        # The workers fork from here: the layers run_check imports load once,
-        # now, rather than once in every worker.
-        from grothsnp import grothendieck, polytopes  # noqa: F401
-
-        with multiprocessing.Pool(
-            min(args.jobs, len(tasks)), initializer=ignore_sigint
-        ) as pool:
-            results = pool.map(run_pooled, tasks)
-    else:
-        results = [run_battery(task) for task in tasks]
-
     failures = [entry for entry in results if not entry["ok"]]
     return {
         "config": {
@@ -128,7 +95,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0,
                         help="echoed in the report; no check reads it (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes over the pairs (default 1)")
+                        help="accepted and validated; the pairs run in one "
+                             "process (default 1)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)

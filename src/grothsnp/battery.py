@@ -176,12 +176,17 @@ def deliver(
 ) -> int:
     """Run one entry point's work under the exit-2 contract; returns its exit
     status. produce() returns (status, report, note). With out, the report
-    goes to that file, whose directory is checked before produce runs, and
-    the note, if any, to stdout; without out, the report goes to stdout. An
-    unwritable --out or stdout, a file the work cannot write (an OSError that
-    names it), a MemoryError or Ctrl-C ends in one stderr line and 2."""
+    goes to that file, and the note, if any, to stdout; before produce runs,
+    out must name a file, not a directory, in a writable directory. Without
+    out, the report goes to stdout. An unwritable --out or stdout, a file the
+    work cannot write (an OSError that names it), a MemoryError or Ctrl-C
+    ends in one stderr line and 2."""
     refusal = f"cannot write --out {out}: "
     if out is not None:
+        if os.path.isdir(out):
+            return fail(refusal + os.strerror(errno.EISDIR), prog)
+        if not os.path.basename(out):
+            return fail(refusal + "names no file", prog)
         parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):
             return fail(refusal + f"no directory {parent}", prog)

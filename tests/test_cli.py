@@ -4,7 +4,6 @@ import errno
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -459,21 +458,32 @@ class TestUnwritableOut:
             raise AssertionError("computed before checking --out")
 
         monkeypatch.setattr("grothsnp.cli.run", no_run)
-        target = tmp_path / "missing" / "report.json"
-        status = main(["verify", "--lambda", "2,1", "--n", "2", "--out", str(target)])
+        monkeypatch.chdir(tmp_path)
+        # A file in a missing directory, then three targets that name no file:
+        # a directory, the empty name and a name with a trailing separator.
+        for target in [os.path.join("missing", "report.json"), os.curdir, "",
+                       "missing" + os.sep]:
+            status = main(["verify", "--lambda", "2,1", "--n", "2", "--out", target])
+            captured = capsys.readouterr()
+            assert status == 2, target
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"grothsnp: error: cannot write --out {target}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_refused(self, capsys, tmp_path):
+        # The report is small, so its write fails only in the flush at close,
+        # after the work has run.
+        target = tmp_path / "chain.json"
+        target.symlink_to("/dev/full")
+        status = main(["chain", "--lambda", "1", "--n", "2", "--out", str(target)])
         captured = capsys.readouterr()
         assert status == 2
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"grothsnp: error: cannot write --out {target}: ")
-
-    def test_failed_write_is_refused(self, capsys, tmp_path):
-        status = main(["chain", "--lambda", "1", "--n", "2", "--out", str(tmp_path)])
-        lines = capsys.readouterr().err.splitlines()
-        assert status == 2
-        assert len(lines) == 1
-        assert lines[0].startswith(f"grothsnp: error: cannot write --out {tmp_path}: ")
+        assert captured.err.splitlines() == [
+            f"grothsnp: error: cannot write --out {target}: {os.strerror(errno.ENOSPC)}"
+        ]
 
     def test_desk_sweep_refuses_a_missing_directory(self, tmp_path):
         target = tmp_path / "missing" / "sweep.json"
@@ -841,7 +851,7 @@ class TestDeskSweepBattery:
     @pytest.mark.parametrize("n", [3, 4])
     def test_pair_runs_the_verify_battery(self, capsys, n):
         desk_sweep = load_desk_sweep()
-        swept = desk_sweep.run_battery(((2, 1), n))["checks"]
+        swept = desk_sweep.run_battery((2, 1), n)["checks"]
         _, out = run_cli(
             capsys,
             "verify", "--lambda", "2,1", "--n", str(n),
@@ -912,16 +922,17 @@ def without_seconds(report: str) -> str:
 
 class TestDeskSweepOut:
     def test_file_is_the_stdout_report(self, capsys, tmp_path):
+        # The same report at any --jobs: the pairs run in one process.
         desk_sweep = load_desk_sweep()
         target = tmp_path / "sweep.json"
         assert desk_sweep.main([*SWEEP_ARGV, "--out", str(target)]) == 0
         capsys.readouterr()
-        assert desk_sweep.main(SWEEP_ARGV) == 0
-        streamed = capsys.readouterr().out
-        assert json.loads(streamed)["ok"] is True
-        assert without_seconds(target.read_text(encoding="utf-8")) == without_seconds(
-            streamed
-        )
+        written = without_seconds(target.read_text(encoding="utf-8"))
+        for jobs in ("1", "2"):
+            assert desk_sweep.main([*SWEEP_ARGV, "--jobs", jobs]) == 0
+            streamed = capsys.readouterr().out
+            assert json.loads(streamed)["ok"] is True
+            assert without_seconds(streamed) == written, jobs
 
     def test_stdout_is_one_summary_line(self, capsys, tmp_path):
         desk_sweep = load_desk_sweep()
@@ -948,8 +959,8 @@ def interrupted():
 
 
 # The head of a `python -c` wrapper that plants a check that sleeps in place
-# of battery.run_check, so that the pool's workers, which fork with the
-# rebinding, are still busy when the test interrupts them.
+# of battery.run_check, so that the sweep is still busy when the test
+# interrupts it.
 SLOW_CHECKS = (
     "import runpy, sys, time\n"
     "import grothsnp.battery\n"
@@ -981,8 +992,8 @@ class TestInterrupt:
         not hasattr(os, "killpg") or shutil.which("ps") is None,
         reason="needs POSIX process groups and ps",
     )
-    def test_ctrl_c_in_the_worker_pool(self):
-        # Only the sweep has workers: verify runs its checks in one process.
+    def test_ctrl_c_in_the_sweep(self):
+        # --jobs 2 is accepted, and the pairs run in the one process: no child.
         argv = [SLOW_CHECKS + "sys.argv = sys.argv[1:]\n"
                 "runpy.run_path(sys.argv[0], run_name='__main__')",
                 str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"]
@@ -997,18 +1008,13 @@ class TestInterrupt:
         )
         try:
             time.sleep(1.5)
-            # The workers alone first: they must ignore SIGINT and stay silent.
             listing = subprocess.run(
                 ["ps", "-o", "pid=", "--ppid", str(proc.pid)],
                 capture_output=True,
                 text=True,
             )
-            workers = [int(pid) for pid in listing.stdout.split()]
-            assert len(workers) == 2
-            for pid in workers:
-                os.kill(pid, signal.SIGINT)
-            time.sleep(0.5)
-            # Then Ctrl-C, which reaches the whole foreground process group.
+            assert listing.stdout.split() == []
+            # Ctrl-C reaches the whole foreground process group.
             os.killpg(proc.pid, signal.SIGINT)
             out, err = proc.communicate(timeout=60)
         finally:
@@ -1080,14 +1086,8 @@ class TestOutOfMemory:
         assert proc.stdout == ""
         assert proc.stderr == "grothsnp: error: out of memory\n"
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="workers inherit the patched run_checks only when forked",
-    )
-    def test_desk_sweep_worker_out_of_memory(self, capsys, monkeypatch):
+    def test_desk_sweep_out_of_memory(self, capsys, monkeypatch):
         desk_sweep = load_desk_sweep()
-        # The pool sends its task function to the workers by module and name.
-        monkeypatch.setitem(sys.modules, "desk_sweep", desk_sweep)
         run_checks = battery.run_checks
 
         def out_of_memory_at_one_box(parts, n, names=battery.CHECKS):
@@ -1103,13 +1103,11 @@ class TestOutOfMemory:
         assert captured.err.splitlines() == ["desk_sweep.py: error: out of memory"]
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork"
-        or importlib.util.find_spec("resource") is None,
-        reason="needs forked workers and POSIX rlimits",
+        importlib.util.find_spec("resource") is None, reason="needs POSIX rlimits"
     )
-    def test_desk_sweep_worker_that_fills_its_memory(self):
-        # Sent from the hog's frame, with the full memory still held, the
-        # MemoryError would kill the worker, and pool.map would wait forever.
+    def test_desk_sweep_that_fills_its_memory(self):
+        # The MemoryError is raised in the hog's frame, with the full memory
+        # still held; the one line is printed once that frame is freed.
         import resource
 
         limit = 96 * 1024 * 1024
@@ -1185,6 +1183,7 @@ class TestEntryPoint:
             ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"],
             ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1",
              "--jobs", "2"],
+            [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"],
         ],
     )
     def test_no_multiprocessing_import_without_a_pool(self, argv):
@@ -1222,23 +1221,6 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
         assert MATH_LAYERS - imported == {"grothsnp.exactlp"}
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="workers inherit the parent's modules only when forked",
-    )
-    def test_pool_workers_inherit_the_check_layers(self):
-        # A worker's imports show up on the stderr it shares with the parent:
-        # the layers are imported once, in the parent, before the pool forks.
-        argv = [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"]
-        proc, _ = run_importtime(argv)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["ok"] is True
-        for layer in ("grothsnp.grothendieck", "grothsnp.polytopes"):
-            lines = [line for line in proc.stderr.splitlines()
-                     if line.startswith("import time:")
-                     and line.rsplit("|", 1)[1].strip() == layer]
-            assert len(lines) == 1, layer
 
     def test_verify_with_brute_snp_in_a_child(self):
         argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3", "--trials", "5"]
