@@ -60,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_part < 0:
         parser.error("--max-part must be nonnegative")
+    if not args.out_dir:
+        parser.error("--out-dir must name a directory")
 
     def produce() -> tuple[int, str, None]:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -1,13 +1,11 @@
-"""Exact linear feasibility over the rationals, pivoted in integers.
+"""Exact convex-hull membership of an integer point, pivoted in integers.
 
-The only question asked here is whether a target vector is a convex
-combination of finitely many given points. It is answered with a phase-1
-simplex that is fraction-free (Edmonds 1967; Bareiss 1968): the tableau
-holds integers over one common denominator d, the last pivot, and each
-pivot divides exactly by the previous one. No floats, no tolerances, and no
-Fraction inside the loop. Rational inputs are first scaled to integers by
-the lcm L of their denominators, since q lies in conv(P) iff Lq lies in
-conv(LP), with the same weights.
+The only question asked here is whether an integer target vector is a
+convex combination of finitely many integer points. It is answered with a
+phase-1 simplex that is fraction-free (Edmonds 1967; Bareiss 1968): the
+tableau holds integers over one common denominator d, the last pivot, and
+each pivot divides exactly by the previous one. No floats, no tolerances
+and no rationals: the weights come back as integer numerators over d.
 
 Bland's least-index rule makes the pivoting finite. Artificial columns are
 retired for good the moment they leave the basis; until then they are basic.
@@ -16,28 +14,8 @@ So no artificial column can ever enter, and none is stored.
 
 from __future__ import annotations
 
-from math import lcm
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Vector = Sequence
-
-
-def _integral(vectors: Sequence[Vector]) -> list[list[int]]:
-    """The vectors scaled to integers: every entry times the lcm of all the
-    denominators. int entries are used as they are; any other entry is read
-    through Fraction first."""
-    from fractions import Fraction
-
-    rows = [[x if type(x) is int else Fraction(x) for x in v] for v in vectors]
-    scale = lcm(*(x.denominator for row in rows for x in row if type(x) is not int))
-    return [
-        [x * scale if type(x) is int else x.numerator * (scale // x.denominator)
-         for x in row]
-        for row in rows
-    ]
+from operator import index
+from typing import Sequence
 
 
 def _phase1(pts: list[list[int]], goal: list[int]) -> tuple[list[int], int] | None:
@@ -100,17 +78,21 @@ def _phase1(pts: list[list[int]], goal: list[int]) -> tuple[list[int], int] | No
 
 
 def convex_certificate(
-    points: Sequence[Vector], target: Vector
-) -> tuple[Fraction, ...] | None:
+    points: Sequence[Sequence[int]], target: Sequence[int]
+) -> tuple[list[int], int] | None:
     """Convex weights writing target as a mix of the points, or None.
 
     The system solved is sum_j c_j * points[j] = target, sum_j c_j = 1,
-    c_j >= 0. A returned tuple is an exact certificate and is re-verified
-    against the system before being handed back.
+    c_j >= 0, over integer points and target; every entry is read through
+    operator.index, so a non-integer is refused with TypeError. The weights
+    come back as integer numerators over one denominator d > 0, c_j =
+    numerators[j] / d, an exact certificate that is re-verified against the
+    system before being handed back.
     """
     if not points:
         return None
-    *pts, goal = _integral([*points, target])
+    pts = [[index(x) for x in p] for p in points]
+    goal = [index(x) for x in target]
     if any(len(p) != len(goal) for p in pts):
         raise ValueError("all points must share the target's dimension")
     found = _phase1(pts, goal)
@@ -123,6 +105,4 @@ def convex_certificate(
     for i, coord in enumerate(goal):
         if sum(w * p[i] for w, p in zip(weights, pts)) != d * coord:
             raise RuntimeError("simplex returned an invalid certificate")
-    from fractions import Fraction
-
-    return tuple(Fraction(w, d) for w in weights)
+    return weights, d

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence
 
 from .partitions import ExponentVector, Frozen, Partition, dominance_leq, majorizes
 from .polynomials import SparsePolynomial
@@ -33,9 +32,6 @@ from .tableaux import (
     set_valued_dominant_contents,
     ssyt_contents,
 )
-
-if TYPE_CHECKING:
-    from .partitions import RationalVector
 
 
 class CheckResult(Frozen):
@@ -258,12 +254,6 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
     return CheckResult(True)
 
 
-def _as_fractions(numerators: Sequence[int], denominator: int) -> RationalVector:
-    from fractions import Fraction
-
-    return tuple(Fraction(x, denominator) for x in numerators)
-
-
 def check_claim_b(chain: MuChain) -> CheckResult:
     """Convex mixes of points of the chain's permutahedra are majorized by the
     matching mix of the chain shapes themselves, for all points and weights.
@@ -306,10 +296,13 @@ def check_claim_c(chain: MuChain) -> CheckResult:
     for surplus in range(1, chain.length):
         mixed = [a + b for a, b in zip(padded[surplus - 1], padded[surplus + 1])]
         if not majorizes([2 * x for x in padded[surplus]], mixed):
+            from fractions import Fraction
+
             return CheckResult(
                 False,
                 f"vertex K={surplus}, i={surplus - 1}, j={surplus + 1}: mix "
-                f"{_as_fractions(mixed, 2)} escapes chain shape at K={surplus}",
+                f"{tuple(Fraction(x, 2) for x in mixed)} "
+                f"escapes chain shape at K={surplus}",
             )
     return CheckResult(True)
 

@@ -4,9 +4,10 @@ Everything here is lattice-exact. By Rado's theorem the lattice points of a
 permutahedron are the orbits of the dominant weights below its own weight in
 dominance order, which one walk under the weight's prefix sums lists
 (`partitions.dominated_partitions`), and its vertices are the orbit of that
-weight. Hull membership is decided by rational linear feasibility instead, so
-the two saturation routes (geometry sweep versus degreewise permutahedra) stay
-independent and can audit each other.
+weight. Hull membership of an integer point is decided by exact linear
+feasibility in integers instead (`exactlp`), so the two saturation routes
+(geometry sweep versus degreewise permutahedra) stay independent and can
+audit each other.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def rado_contains(theta: Partition, delta: Partition) -> bool:
 
 
 def hull_membership(q, cloud: PointCloud) -> bool:
-    """Exact test for q lying in the convex hull of the cloud."""
+    """Exact test for the integer point q lying in the convex hull of the cloud."""
     if not cloud.points:
         raise ValueError("hull membership against an empty cloud")
     if len(q) != cloud.n:

@@ -175,6 +175,42 @@ class TestNewton:
         assert first["vertices"] == [[0, 2], [2, 0]]
         assert first["lattice_points"] == [[0, 2], [1, 1], [2, 0]]
 
+    def test_components_match_the_full_expansion(self, capsys):
+        """Each component prints the support of G_lambda in its degree as its
+        lattice points, and the orbit of that support's lexicographic maximum,
+        the dominant weight, as its vertices."""
+        from itertools import permutations
+
+        from grothsnp import grothendieck_lenart, partitions_in_box
+
+        pairs = [
+            (lam, n)
+            for lam in partitions_in_box(3, 3)
+            for n in range(max(1, len(lam)), 6)
+        ]
+        assert len(pairs) == 74
+        for lam, n in pairs:
+            support = {}
+            for exp, _ in grothendieck_lenart(lam, n).sorted_terms():
+                support.setdefault(sum(exp), []).append(list(exp))
+            components = [
+                {
+                    "degree": degree,
+                    "weight": points[-1],
+                    "n": n,
+                    "vertices": [list(v) for v in sorted(set(permutations(points[-1])))],
+                    "lattice_points": points,
+                }
+                for degree, points in support.items()
+            ]
+            expected = battery.dump_json(
+                {"lambda": list(lam.parts), "n": n, "components": components}
+            )
+            parts = ",".join(map(str, lam.parts))
+            assert run_cli(capsys, "newton", "--lambda", parts, "--n", str(n)) == (
+                0, expected
+            ), (lam, n)
+
 
 class TestSnp:
     def test_fast_route(self, capsys):
@@ -516,6 +552,29 @@ class TestUnwritableOut:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"export_figure_data.py: error: cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--max-part", "-1", "--out-dir", "figures"], "--max-part must be nonnegative"),
+            (["--out-dir", ""], "--out-dir must name a directory"),
+        ],
+        ids=["max-part=-1", "empty-out-dir"],
+    )
+    def test_figure_export_usage_error(self, tmp_path, argv, reason):
+        # Refused in the argument checks, before any directory is made.
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "export_figure_data.py"), *argv],
+            capture_output=True,
+            text=True,
+            env=env_with_src(),
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: export_figure_data.py ")
+        assert proc.stderr.splitlines()[-1] == f"export_figure_data.py: error: {reason}"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_figure_export_names_a_csv_whose_flush_fails(self, capsys, tmp_path):
@@ -1189,7 +1248,8 @@ class TestEntryPoint:
     def test_no_multiprocessing_import_without_a_pool(self, argv):
         # Neither dataclasses (which loads inspect) nor fractions is part of
         # start-up: the value types are __slots__ classes, and Fraction is
-        # imported by the few functions that build one.
+        # imported only where one is built, in partitions.convex_combination
+        # and in the failure detail of check_claim_c.
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         assert "grothsnp.battery" in imported

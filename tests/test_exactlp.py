@@ -1,11 +1,12 @@
-"""Exact rational convex-membership certificates."""
+"""Exact convex-membership certificates for integer points and targets: the
+weights come back as integer numerators over one denominator."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from grothsnp import exactlp
+from grothsnp import PointCloud, exactlp, hull_membership
 from grothsnp.exactlp import convex_certificate
 
 
@@ -91,6 +92,14 @@ def fraction_phase1(points, target):
     return tuple(weights)
 
 
+def weights_of(cert):
+    """The certificate (numerators, d) as Fraction weights, or None."""
+    if cert is None:
+        return None
+    numerators, d = cert
+    return tuple(Fraction(w, d) for w in numerators)
+
+
 def reconstruct(weights, points):
     dim = len(points[0])
     return tuple(
@@ -101,13 +110,13 @@ def reconstruct(weights, points):
 class TestBasics:
     def test_cloud_point_is_inside(self):
         points = [(2, 0), (0, 2), (1, 5)]
-        cert = convex_certificate(points, (1, 5))
+        cert = weights_of(convex_certificate(points, (1, 5)))
         assert cert is not None
         assert sum(cert) == 1
         assert reconstruct(cert, points) == (1, 5)
 
     def test_midpoint_of_a_segment(self):
-        cert = convex_certificate([(2, 0), (0, 2)], (1, 1))
+        cert = weights_of(convex_certificate([(2, 0), (0, 2)], (1, 1)))
         assert cert == (Fraction(1, 2), Fraction(1, 2))
 
     def test_point_off_the_segment(self):
@@ -120,15 +129,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             convex_certificate([(1, 0), (0, 1, 0)], (1, 0))
 
-    def test_rational_target(self):
-        cert = convex_certificate(
-            [(0, 0), (1, 0), (0, 1)], (Fraction(1, 3), Fraction(1, 3))
-        )
-        assert cert is not None
-        assert reconstruct(cert, [(0, 0), (1, 0), (0, 1)]) == (
-            Fraction(1, 3),
-            Fraction(1, 3),
-        )
+    def test_certificate_is_integer_numerators_over_one_denominator(self):
+        numerators, d = convex_certificate([(0, 0), (3, 0), (0, 3)], (1, 1))
+        assert all(type(w) is int for w in numerators) and type(d) is int
+        assert d > 0 and sum(numerators) == d
 
 
 class TestDegenerate:
@@ -165,10 +169,14 @@ class TestRandomized:
             raws = [rng.randint(0, 9) for _ in points]
             if sum(raws) == 0:
                 raws[0] = 1
+            # The mix sum(raws[j] * points[j]) / total, with everything
+            # scaled by total to stay in integers.
             total = sum(raws)
-            weights = [Fraction(a, total) for a in raws]
-            target = reconstruct(weights, points)
-            cert = convex_certificate(points, target)
+            target = tuple(
+                sum(a * x for a, x in zip(raws, column)) for column in zip(*points)
+            )
+            points = [tuple(total * x for x in p) for p in points]
+            cert = weights_of(convex_certificate(points, target))
             assert cert is not None
             assert sum(cert) == 1
             assert all(w >= 0 for w in cert)
@@ -219,13 +227,6 @@ def random_system(rng):
     return points, target
 
 
-def assert_certifies(cert, points, target):
-    assert cert is not None
-    assert all(w >= 0 for w in cert)
-    assert sum(cert) == 1
-    assert reconstruct(cert, points) == tuple(Fraction(x) for x in target)
-
-
 class TestAgainstFractionReference:
     def test_same_certificate_on_random_integer_systems(self):
         rng = random.Random(5)
@@ -233,43 +234,26 @@ class TestAgainstFractionReference:
         for _ in range(3000):
             points, target = random_system(rng)
             expected = fraction_phase1(points, target)
-            assert convex_certificate(points, target) == expected, (points, target)
+            found = weights_of(convex_certificate(points, target))
+            assert found == expected, (points, target)
             inside += expected is not None
         assert 600 < inside < 2400  # both verdicts are well exercised
 
 
-class TestRationalInputs:
-    def test_rational_points_and_target(self):
-        points = [(Fraction(1, 2), 0), (0, Fraction(2, 3)), (Fraction(-1, 4), 1)]
-        target = (Fraction(1, 12), Fraction(5, 9))  # the centroid
-        assert_certifies(convex_certificate(points, target), points, target)
-        assert convex_certificate(points, (1, 1)) is None
+class TestIntegerInputs:
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
+    def test_non_integers_are_refused_before_pivoting(self, monkeypatch, entry):
+        def no_pivoting(pts, goal):
+            raise AssertionError("a non-integer entry reached the simplex")
 
-    def test_random_rational_mixes_are_certified(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            dim = rng.randint(1, 3)
-            points = [
-                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim))
-                for _ in range(rng.randint(1, 5))
-            ]
-            raws = [rng.randint(0, 4) for _ in points]
-            raws[0] += 1
-            weights = [Fraction(a, sum(raws)) for a in raws]
-            target = reconstruct(weights, points)
-            assert_certifies(convex_certificate(points, target), points, target)
-
-    def test_non_fraction_entries_are_read_through_fraction(self):
-        cert = convex_certificate([("0", 0.0), ("1/2", 1.5)], ("1/4", 0.75))
-        assert cert == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_scaling_keeps_the_weights(self):
-        points = [(0, 0), (3, 0), (0, 3), (3, 3)]
-        target = (1, 2)
-        scaled = [tuple(Fraction(x, 7) for x in p) for p in points]
-        assert convex_certificate(scaled, tuple(Fraction(x, 7) for x in target)) == (
-            convex_certificate(points, target)
-        )
+        monkeypatch.setattr(exactlp, "_phase1", no_pivoting)
+        points = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(TypeError):
+            convex_certificate(points, (entry, 0))
+        with pytest.raises(TypeError):
+            convex_certificate([*points, (entry, 1)], (0, 0))
+        with pytest.raises(TypeError):
+            hull_membership((entry, entry), PointCloud(2, frozenset(points)))
 
 
 class TestCertificateRecheck:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +347,14 @@ class TestDominantTerms:
         assert grothendieck_lenart_dominant(Partition((1,)), 2) == expected
         assert grothendieck_setvalued_dominant(Partition((1,)), 2) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 120])
+    def test_one_box_is_the_closed_form(self, n):
+        """G_(1) = 1 - prod(1 - x_i): its dominant terms are (1^k, 0^(n-k))
+        with coefficient (-1)^(k+1)."""
+        expected = {(1,) * k + (0,) * (n - k): (-1) ** (k + 1) for k in range(1, n + 1)}
+        assert grothendieck_lenart_dominant(Partition((1,)), n) == expected
+        assert grothendieck_setvalued_dominant(Partition((1,)), n) == expected
+
     def test_rows_beyond_n_error(self):
         with pytest.raises(ValueError):
             grothendieck_lenart_dominant(Partition((1, 1, 1)), 2)
@@ -632,7 +641,11 @@ class TestClaimC:
         rng = random.Random(top)
         for _ in range(60):
             weights, surplus = _reference_integer_moment(rng, top)
-            assert convex_certificate(vertices[surplus], weights) is not None
+            # The simplex takes integers: scale by the common denominator.
+            rows = [*vertices[surplus], weights]
+            scale = lcm(*(x.denominator for row in rows for x in row))
+            *points, target = [[int(x * scale) for x in row] for row in rows]
+            assert convex_certificate(points, target) is not None
 
 
 def _unit_vector(top, k):
