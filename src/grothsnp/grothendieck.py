@@ -8,7 +8,8 @@ tableaux. The two must agree exactly, which is the suite's strongest oracle.
 Since G is symmetric, the verification battery compares them at dominant
 contents only, where each route has a branching count of its own, and
 `groth` spreads the Lenart side's dominant terms over their orbits. The full
-monomial expansions serve the brute-force geometry and the tests.
+monomial expansions serve the brute-force geometry and the tests, and only
+they import `polynomials` and `tableaux`, when called.
 
 A memo keyed by (lambda, n) keeps its last entry only: every check of a
 pair asks for that pair, and no pair reads another's, so a sweep holds one
@@ -22,16 +23,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-from .partitions import ExponentVector, Frozen, Partition, dominance_leq, majorizes
-from .polynomials import SparsePolynomial
-from .tableaux import (
+from .branching import (
     gelfand_tsetlin_contents,
     lenart_shape_counts,
-    set_valued_contents,
     set_valued_dominant_contents,
-    ssyt_contents,
 )
+from .partitions import ExponentVector, Frozen, Partition, dominance_leq, majorizes
+
+if TYPE_CHECKING:
+    from .polynomials import SparsePolynomial
 
 
 class CheckResult(Frozen):
@@ -154,11 +156,16 @@ def schur_expansion(lam: Partition, n: int) -> SchurExpansion:
 @lru_cache(maxsize=None)
 def schur_polynomial(mu: Partition, n: int) -> SparsePolynomial:
     """Monomial expansion of the Schur polynomial: sum over SSYT contents."""
+    from .polynomials import SparsePolynomial
+    from .tableaux import ssyt_contents
+
     return SparsePolynomial(n, ssyt_contents(mu, n))
 
 
 def grothendieck_lenart(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial assembled from its Schur expansion."""
+    from .polynomials import SparsePolynomial
+
     acc: dict[tuple[int, ...], int] = {}
     for mu, coeff in schur_expansion(lam, n).terms:
         for w, count in schur_polynomial(mu, n).items():
@@ -175,6 +182,9 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
     """
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
+    from .polynomials import SparsePolynomial
+    from .tableaux import set_valued_contents
+
     return SparsePolynomial(n, set_valued_contents(lam, n))
 
 

@@ -13,8 +13,8 @@ audit each other.
 from __future__ import annotations
 
 from itertools import product
-from operator import gt
-from typing import Iterator
+from operator import gt, index
+from typing import TYPE_CHECKING, Iterator
 
 from .grothendieck import MuChain, grothendieck_lenart_dominant, mu_chain
 from .partitions import (
@@ -24,7 +24,9 @@ from .partitions import (
     dominance_leq,
     dominated_partitions,
 )
-from .polynomials import SparsePolynomial
+
+if TYPE_CHECKING:
+    from .polynomials import SparsePolynomial
 
 
 class Permutahedron(Frozen):
@@ -110,13 +112,14 @@ def hull_membership(q, cloud: PointCloud) -> bool:
     """Exact test for the integer point q lying in the convex hull of the cloud."""
     if not cloud.points:
         raise ValueError("hull membership against an empty cloud")
+    q = tuple(map(index, q))  # before the lookup, where (2.0, 0.0) == (2, 0)
     if len(q) != cloud.n:
         raise ValueError("query point dimension does not match the cloud")
-    if tuple(q) in cloud.points:
+    if q in cloud.points:
         return True
     from .exactlp import convex_certificate  # here: only the simplex needs it
 
-    return convex_certificate(sorted(cloud.points), tuple(q)) is not None
+    return convex_certificate(sorted(cloud.points), q) is not None
 
 
 class SnpVerdict(Frozen):

@@ -1193,8 +1193,12 @@ class TestOutOfMemory:
 
 MATH_LAYERS = {
     f"grothsnp.{name}"
-    for name in ("partitions", "polynomials", "tableaux", "grothendieck", "polytopes", "exactlp")
+    for name in (
+        "partitions", "polynomials", "tableaux", "branching", "grothendieck", "polytopes",
+        "exactlp",
+    )
 }
+FULL_EXPANSIONS = {"grothsnp.polynomials", "grothsnp.tableaux"}
 
 
 def run_importtime(argv):
@@ -1280,12 +1284,31 @@ class TestEntryPoint:
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
-        assert MATH_LAYERS - imported == {"grothsnp.exactlp"}
+        assert MATH_LAYERS - imported == {"grothsnp.exactlp", *FULL_EXPANSIONS}
+
+    @pytest.mark.parametrize(
+        "command",
+        [["expand"], ["chain"], ["groth"], ["newton"], ["snp"], ["figure-data"]],
+        ids=lambda command: command[0],
+    )
+    def test_dominant_commands_load_no_full_expansion(self, command):
+        argv = ["-m", "grothsnp", *command, "--lambda", "2,1", "--n", "3"]
+        proc, imported = run_importtime(argv)
+        assert proc.returncode == 0
+        assert "grothsnp.branching" in imported
+        assert not imported & FULL_EXPANSIONS
+
+    def test_snp_brute_loads_the_full_expansions(self):
+        argv = ["-m", "grothsnp", "snp", "--brute", "--lambda", "2,1", "--n", "3"]
+        proc, imported = run_importtime(argv)
+        assert proc.returncode == 0
+        assert FULL_EXPANSIONS <= imported
 
     def test_verify_with_brute_snp_in_a_child(self):
         argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3", "--trials", "5"]
-        proc, _ = run_importtime(argv)
+        proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["ok"] is True
         assert doc["checks"][-1] == {"name": "brute-snp", "ok": True, "detail": ""}
+        assert FULL_EXPANSIONS <= imported

@@ -255,6 +255,12 @@ class TestIntegerInputs:
         with pytest.raises(TypeError):
             hull_membership((entry, entry), PointCloud(2, frozenset(points)))
 
+    @pytest.mark.parametrize("query", [(2.0, 0.0), (Fraction(2), 0)], ids=["float", "Fraction"])
+    def test_a_non_integer_query_equal_to_a_cloud_point_is_refused(self, query):
+        # (2.0, 0.0) == (2, 0), so the support lookup alone would accept it.
+        with pytest.raises(TypeError):
+            hull_membership(query, PointCloud(2, frozenset({(2, 0), (0, 2)})))
+
 
 class TestCertificateRecheck:
     # Numerators over d for the points (0, 0), (2, 0), (4, 0) and target (1, 0).

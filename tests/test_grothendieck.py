@@ -1,6 +1,8 @@
 """Grothendieck polynomials, the greedy chain, and the majorization checks."""
 
+import inspect
 import random
+import types
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -24,14 +26,15 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
-from grothsnp import battery, grothendieck
+from grothsnp import battery, branching, grothendieck
+from grothsnp.branching import lenart_shape_counts
 from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
 )
 from grothsnp.partitions import convex_combination, dominance_leq, majorizes
-from grothsnp.tableaux import _fill, lenart_shape_counts
+from grothsnp.tableaux import _fill
 
 LAM310 = Partition((3, 1))
 DIFFERENTIAL_CASES = [
@@ -374,6 +377,50 @@ class TestDominantTerms:
             "ok": False,
             "detail": "tableau models disagree",
         }
+
+    @pytest.mark.parametrize(
+        "lenart, setvalued",
+        [
+            (branching.gelfand_tsetlin_contents, branching.set_valued_dominant_contents),
+            (grothendieck_lenart_dominant, grothendieck_setvalued_dominant),
+        ],
+        ids=["kernels", "models"],
+    )
+    def test_the_two_sides_share_no_helper(self, lenart, setvalued):
+        # The cross-oracle check is only as independent as the two sides.
+        assert not grothsnp_functions(lenart) & grothsnp_functions(setvalued)
+
+    def test_the_helper_walk_sees_through_memos_and_calls(self):
+        assert grothsnp_functions(grothendieck_lenart_dominant) >= {
+            schur_expansion,
+            branching.gelfand_tsetlin_contents,
+            branching.lenart_shape_counts,
+        }
+
+
+def grothsnp_functions(fn) -> set:
+    """The functions of grothsnp that fn reaches by a global name, in its own
+    code or nested code, and then in theirs; memos are unwrapped. Classes
+    such as Partition are left out."""
+    found: set = set()
+    pending = [fn]
+    while pending:
+        func = inspect.unwrap(pending.pop())
+        codes = [func.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                value = func.__globals__.get(name)
+                if (
+                    callable(value)
+                    and not isinstance(value, type)
+                    and getattr(value, "__module__", "").startswith("grothsnp.")
+                    and value not in found
+                ):
+                    found.add(value)
+                    pending.append(value)
+    return found
 
 
 def scan_chain(lam, n):

@@ -15,6 +15,7 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
+from grothsnp.branching import gelfand_tsetlin_contents, set_valued_dominant_contents
 from grothsnp.partitions import ExponentVector
 from grothsnp.tableaux import (
     Tableau,
@@ -23,8 +24,6 @@ from grothsnp.tableaux import (
     enumerate_lenart_tableaux,
     enumerate_set_valued,
     enumerate_ssyt,
-    gelfand_tsetlin_contents,
-    set_valued_dominant_contents,
     ssyt_contents,
 )
 
