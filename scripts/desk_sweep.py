@@ -14,7 +14,7 @@ union of chain polytopes wherever grothsnp.battery runs that sweep: for n at
 most 3, within the work bound of snp --brute. --trials and --seed are
 validated and echoed in the report's config; no check reads them.
 
-Every check is exact rational arithmetic; there are no tolerances. The
+Every check is exact integer arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
 wall-clock timings and an overall verdict. Exit status is 0 if every check
 of every pair passed, 1 if a check failed (the report is still written), and

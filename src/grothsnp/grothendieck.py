@@ -30,7 +30,7 @@ from .branching import (
     lenart_shape_counts,
     set_valued_dominant_contents,
 )
-from .partitions import ExponentVector, Frozen, Partition, dominance_leq, majorizes
+from .partitions import ExponentVector, Frozen, Partition, majorizes
 
 if TYPE_CHECKING:
     from .polynomials import SparsePolynomial
@@ -253,7 +253,7 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
         k = mu.size() - base
         if k > chain.length:
             return CheckResult(False, f"coefficient at {mu.parts} beyond top degree")
-        if not dominance_leq(mu, chain.mus[k]):
+        if not majorizes(chain.mus[k].parts, mu.parts):
             return CheckResult(
                 False, f"{mu.parts} not dominated by {chain.mus[k].parts} at k={k}"
             )

@@ -1,10 +1,11 @@
-"""Partitions, dominance order, and exact majorization arithmetic.
+"""Partitions, dominance order, and integer majorization.
 
 Everything here is an immutable value and every function is pure. The
-arithmetic is exact, with no floats and no tolerances. There is one prefix-sum
-order, `majorizes`; dominance of partitions is majorization of their parts.
-It takes integers and ``fractions.Fraction`` values alike, so callers compare
-rational vectors as integer numerators over a common denominator.
+arithmetic is in integers, with no floats and no tolerances. There is one
+prefix-sum order, `majorizes`; dominance of partitions is majorization of
+their parts. It reads integers only, so callers compare rational vectors as
+integer numerators over a common denominator, the form in which
+`convex_combination` returns a mix.
 
 The enumerators share one loop, `dominated_partitions`, which lists the
 partitions a weight dominates by a walk under its prefix sums; the
@@ -15,13 +16,7 @@ from __future__ import annotations
 
 from itertools import accumulate, zip_longest
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Rational = Union[int, Fraction]
-    RationalVector = tuple[Fraction, ...]
+from typing import Iterator, Sequence
 
 ExponentVector = tuple[int, ...]
 
@@ -146,25 +141,23 @@ class Partition(Frozen):
         return Partition(tuple(grown))
 
 
-def dominance_leq(theta: Partition, delta: Partition) -> bool:
-    """Dominance order on equal-size partitions: theta is below delta."""
-    if theta.size() != delta.size():
-        raise ValueError("dominance undefined across sizes")
-    return majorizes(delta.parts, theta.parts)
-
-
-def majorizes(mu: Sequence[Rational], v: Sequence[Rational]) -> bool:
-    """True iff v is majorized by mu (equal sums, dominated prefix sums).
+def majorizes(mu: Sequence[int], v: Sequence[int]) -> bool:
+    """True iff the integer vector v is majorized by mu (equal sums, dominated
+    prefix sums); for partitions, iff v is below mu in dominance order.
 
     mu must be weakly decreasing; v, in any order, is compared through its
-    decreasing rearrangement, the shorter side padded with zeros.
+    decreasing rearrangement, the shorter side padded with zeros. Entries are
+    read through operator.index, so anything but an integer (a float, a
+    string, a rational number) raises TypeError rather than being compared.
     """
-    if any(x < 0 for x in v):
+    mu = tuple(map(index, mu))
+    v = sorted(map(index, v), reverse=True)
+    if v and v[-1] < 0:
         raise ValueError("majorization requires nonnegative entries")
     if sum(v) != sum(mu):
         raise ValueError("majorization undefined across unequal sums")
     acc_v = acc_m = 0
-    for x, m in zip_longest(sorted(v, reverse=True), mu, fillvalue=0):
+    for x, m in zip_longest(v, mu, fillvalue=0):
         acc_v += x
         acc_m += m
         if acc_v > acc_m:
@@ -173,30 +166,27 @@ def majorizes(mu: Sequence[Rational], v: Sequence[Rational]) -> bool:
 
 
 def convex_combination(
-    weights: Sequence[Rational], vectors: Sequence[Sequence[Rational]]
-) -> RationalVector:
-    """Componentwise weighted sum of vectors, exact rationals throughout.
+    weights: Sequence[int], vectors: Sequence[Sequence[int]]
+) -> ExponentVector:
+    """The mix of vectors with nonnegative integer weights of positive total
+    d, scaled by d: the integer vector sum_k weights[k] * vectors[k], whose
+    entries over d are those of the convex combination.
 
     Nothing in the package calls it: the tests use it as their reference,
     and perfbench/tracing.py wraps it by name.
     """
-    from fractions import Fraction
-
-    coeffs = tuple(Fraction(w) for w in weights)
+    coeffs = tuple(map(index, weights))
     if len(coeffs) != len(vectors):
         raise ValueError("one weight per vector required")
     if any(c < 0 for c in coeffs):
         raise ValueError("convex weights must be nonnegative")
-    if sum(coeffs) != 1:
-        raise ValueError("convex weights must sum to 1")
-    if not vectors:
-        raise ValueError("need at least one vector")
+    if not any(coeffs):
+        raise ValueError("convex weights must have a positive total")
     n = len(vectors[0])
     if any(len(vec) != n for vec in vectors):
         raise ValueError("vectors must share a common length")
     return tuple(
-        sum((c * Fraction(vec[i]) for c, vec in zip(coeffs, vectors)), Fraction(0))
-        for i in range(n)
+        sum(c * index(x) for c, x in zip(coeffs, column)) for column in zip(*vectors)
     )
 
 

@@ -8,6 +8,7 @@ components.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Mapping
 
 from .partitions import ExponentVector
@@ -27,12 +28,14 @@ class SparsePolynomial:
             raise ValueError("variable count must be nonnegative")
         cleaned: dict[ExponentVector, int] = {}
         for exp, coeff in (terms or {}).items():
+            # Integers only: anything else raises TypeError, not truncated.
+            key = tuple(map(index, exp))
+            coeff = index(coeff)
             if coeff == 0:
                 continue
-            key = tuple(exp)
             if len(key) != n or min(key, default=0) < 0:
                 raise ValueError(f"bad exponent {exp} for ambient {n}")
-            cleaned[key] = int(coeff)
+            cleaned[key] = coeff
         self.n = n
         self._terms = cleaned
 

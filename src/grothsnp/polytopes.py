@@ -14,16 +14,10 @@ from __future__ import annotations
 
 from itertools import product
 from operator import gt, index
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .grothendieck import MuChain, grothendieck_lenart_dominant, mu_chain
-from .partitions import (
-    ExponentVector,
-    Frozen,
-    Partition,
-    dominance_leq,
-    dominated_partitions,
-)
+from .partitions import ExponentVector, Frozen, Partition, dominated_partitions, majorizes
 
 if TYPE_CHECKING:
     from .polynomials import SparsePolynomial
@@ -35,6 +29,7 @@ class Permutahedron(Frozen):
     __slots__ = ("weight", "n")
 
     def __init__(self, weight: tuple[int, ...], n: int) -> None:
+        weight = tuple(map(index, weight))  # integers only, or TypeError
         super().__init__(weight, n)
         if len(weight) != n:
             raise ValueError("weight must have exactly n coordinates")
@@ -49,11 +44,12 @@ class Permutahedron(Frozen):
 
 
 class PointCloud(Frozen):
-    """A finite set of points of one common dimension."""
+    """A finite set of integer points of one common dimension."""
 
     __slots__ = ("n", "points")
 
-    def __init__(self, n: int, points: frozenset) -> None:
+    def __init__(self, n: int, points: Iterable) -> None:
+        points = frozenset(tuple(map(index, p)) for p in points)
         super().__init__(n, points)
         if any(len(p) != n for p in points):
             raise ValueError("all points must have the cloud's dimension")
@@ -105,7 +101,7 @@ def newton_components(chain: MuChain) -> list[tuple[int, Permutahedron]]:
 
 def rado_contains(theta: Partition, delta: Partition) -> bool:
     """Permutahedron containment P_theta inside P_delta, decided by dominance."""
-    return dominance_leq(theta, delta)
+    return majorizes(delta.parts, theta.parts)
 
 
 def hull_membership(q, cloud: PointCloud) -> bool:
@@ -169,7 +165,7 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     support = f.support()
     if not support:
         raise ValueError("zero polynomial has no Newton polytope")
-    cloud = PointCloud(f.n, frozenset(support))
+    cloud = PointCloud(f.n, support)
     # <d, x> <= h holds on the whole hull when h is the largest <d, p> over
     # the support. The zero direction's height is 0, which no point breaks.
     heights = list(map(max, zip(*map(_directional_sums, support))))

@@ -1252,8 +1252,8 @@ class TestEntryPoint:
     def test_no_multiprocessing_import_without_a_pool(self, argv):
         # Neither dataclasses (which loads inspect) nor fractions is part of
         # start-up: the value types are __slots__ classes, and Fraction is
-        # imported only where one is built, in partitions.convex_combination
-        # and in the failure detail of check_claim_c.
+        # imported only where one is built, in the failure detail of
+        # check_claim_c.
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         assert "grothsnp.battery" in imported

@@ -3,9 +3,8 @@
 import inspect
 import random
 import types
-from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +32,7 @@ from grothsnp.grothendieck import (
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
 )
-from grothsnp.partitions import convex_combination, dominance_leq, majorizes
+from grothsnp.partitions import convex_combination, majorizes
 from grothsnp.tableaux import _fill
 
 LAM310 = Partition((3, 1))
@@ -551,7 +550,7 @@ class TestClaimA:
         chain = mu_chain(LAM310, 3)
         for mu, _ in schur_expansion(LAM310, 3).terms:
             if mu.size() == 5:
-                assert dominance_leq(mu, chain.mus[1])
+                assert majorizes(chain.mus[1].parts, mu.parts)
 
     def test_empty_shape(self):
         assert check_claim_a(Partition(()), 3)
@@ -608,8 +607,9 @@ class TestClaimB:
 
     @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
     def test_fraction_trials_are_majorized(self, parts, n):
-        # the Fraction sampler that the exact check replaced: mixes of
-        # shuffled chain shapes stay within the matching mix of the shapes
+        # the Fraction sampler that the exact check replaced, in integers:
+        # mixes of shuffled chain shapes stay within the matching mix of the
+        # shapes, both scaled by the same total
         chain = mu_chain(Partition(parts), n)
         padded = [mu.padded(n) for mu in chain.mus]
         rng = random.Random(5)
@@ -630,8 +630,7 @@ class TestClaimB:
     def test_mix_of_vertices_is_reflexive(self):
         chain = mu_chain(LAM310, 3)
         padded = [m.padded(3) for m in chain.mus]
-        weights = tuple(Fraction(1, len(padded)) for _ in padded)
-        mixed = convex_combination(weights, padded)
+        mixed = convex_combination((1,) * len(padded), padded)
         assert majorizes(mixed, mixed)
 
 
@@ -643,20 +642,19 @@ class TestClaimC:
     def test_half_half_weights_give_the_middle_shape(self):
         chain = mu_chain(LAM310, 3)
         padded = [m.padded(3) for m in chain.mus]
-        mixed = convex_combination(
-            (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)), padded
-        )
-        assert majorizes(padded[1], mixed)
+        mixed = convex_combination((1, 0, 1, 0), padded)
+        assert majorizes([2 * x for x in padded[1]], mixed)
 
     def test_weight_sampler_hits_integer_moments(self):
-        # the Fraction reference sampler that the vertex check replaced
+        # the Fraction reference sampler that the vertex check replaced, in
+        # integers: weights over their total with moment K times that total
         rng = random.Random(99)
         for _ in range(300):
             weights, target = _reference_integer_moment(rng, 5)
-            assert sum(weights) == 1
+            assert sum(weights) > 0
             assert all(w >= 0 for w in weights)
             moment = sum(k * w for k, w in enumerate(weights))
-            assert moment == target
+            assert moment == target * sum(weights)
             assert 0 <= target <= 5
 
     @pytest.mark.parametrize("top", range(7))
@@ -665,15 +663,15 @@ class TestClaimC:
         vertex of Q_K has at most two nonzero coordinates, found by solving
         sum c = 1, sum k c_k = K on one index or a pair of them."""
         for surplus in range(top + 1):
-            basic = {_unit_vector(top, surplus)}
+            basic = {(tuple(int(k == surplus) for k in range(top + 1)), 1)}
             for i in range(top + 1):
                 for j in range(i + 1, top + 1):
-                    c_j = Fraction(surplus - i, j - i)
-                    if 0 <= c_j <= 1:
-                        c = list(_unit_vector(top, i))
-                        c[i], c[j] = 1 - c_j, c_j
-                        basic.add(tuple(c))
-            assert set(_vertex_weights(top, surplus)) == basic
+                    # c_j = (K - i)/(j - i) and c_i = 1 - c_j, both in [0, 1]
+                    if i <= surplus <= j:
+                        c = [0] * (top + 1)
+                        c[i], c[j] = j - surplus, surplus - i
+                        basic.add(_reduced(c, j - i))
+            assert {_reduced(c, d) for c, d in _vertex_weights(top, surplus)} == basic
 
     @pytest.mark.parametrize("top", range(7))
     def test_vertices_certify_every_drawn_weight(self, top):
@@ -682,39 +680,42 @@ class TestClaimC:
         vertices = {}
         for surplus in range(top + 1):
             vertices[surplus] = _vertex_weights(top, surplus)
-            for c in vertices[surplus]:
-                assert min(c) >= 0 and sum(c) == 1
-                assert sum(k * x for k, x in enumerate(c)) == surplus
+            for c, d in vertices[surplus]:
+                assert min(c) >= 0 and sum(c) == d
+                assert sum(k * x for k, x in enumerate(c)) == surplus * d
         rng = random.Random(top)
         for _ in range(60):
             weights, surplus = _reference_integer_moment(rng, top)
-            # The simplex takes integers: scale by the common denominator.
-            rows = [*vertices[surplus], weights]
-            scale = lcm(*(x.denominator for row in rows for x in row))
-            *points, target = [[int(x * scale) for x in row] for row in rows]
+            # The simplex takes one denominator: scale every row to it.
+            rows = [*vertices[surplus], (weights, sum(weights))]
+            scale = lcm(*(d for _, d in rows))
+            *points, target = [[x * (scale // d) for x in c] for c, d in rows]
             assert convex_certificate(points, target) is not None
 
 
-def _unit_vector(top, k):
-    return tuple(Fraction(int(i == k)) for i in range(top + 1))
-
-
 def _vertex_weights(top, surplus):
-    """The points of _moment_vertices as Fraction weight vectors."""
+    """The points of _moment_vertices as weight vectors (numerators, a + b)."""
     points = []
     for i, j, a, b in _moment_vertices(top, surplus):
-        c = [Fraction(0)] * (top + 1)
-        c[i] += Fraction(a, a + b)
-        c[j] += Fraction(b, a + b)
-        points.append(tuple(c))
+        c = [0] * (top + 1)
+        c[i] += a
+        c[j] += b
+        points.append((tuple(c), a + b))
     return points
+
+
+def _reduced(numerators, denominator):
+    """The weight vector numerators/denominator in lowest terms."""
+    g = gcd(denominator, *numerators)
+    return tuple(x // g for x in numerators), denominator // g
 
 
 # References for the claims. The full vertex scan of claim c, which the
 # adjacent-vertex check replaced, decides the same verdicts on every chain.
 # The Fraction samplers, whose seeded trials the exact checks replaced, stay
-# as property tests: their claim-b trials must be majorized, and their
-# claim-c weights must be covered by the vertices.
+# as property tests in integers, each weight vector as numerators over their
+# total: their claim-b trials must be majorized, and their claim-c weights
+# must be covered by the vertices.
 
 
 def _moment_vertices(top, surplus):
@@ -731,18 +732,14 @@ def _moment_vertices(top, surplus):
             yield i, j, j - surplus, surplus - i
 
 
-def _mix(numerators, vectors):
-    """Componentwise sum of numerators[k] * vectors[k]."""
-    return [sum(a * x for a, x in zip(numerators, column)) for column in zip(*vectors)]
-
-
 def _full_scan_claim_c(chain):
     """Whether every vertex of every Q_K keeps its mix majorized by the K-th
     chain shape, in integers scaled by the vertex's denominator."""
     padded = [mu.padded(chain.n) for mu in chain.mus]
     return all(
         majorizes(
-            [(a + b) * x for x in padded[surplus]], _mix((a, b), (padded[i], padded[j]))
+            [(a + b) * x for x in padded[surplus]],
+            convex_combination((a, b), (padded[i], padded[j])),
         )
         for surplus in range(chain.length + 1)
         for i, j, a, b in _moment_vertices(chain.length, surplus)
@@ -750,39 +747,53 @@ def _full_scan_claim_c(chain):
 
 
 def _reference_weights(rng, count):
+    """Random nonnegative integer weights with a positive total."""
     scale = max(1, 10**4 // max(count, 1))
     raws = [rng.randint(0, scale) for _ in range(count)]
     if sum(raws) == 0:
         raws[rng.randrange(count)] = 1
-    total = sum(raws)
-    return tuple(Fraction(a, total) for a in raws)
+    return tuple(raws)
 
 
 def _reference_claim_b_trial(rng, padded):
-    points = []
+    """A mix of points of the chain's permutahedra, each point a mix of
+    rearrangements of its shape, and the same mix of the shapes, both scaled
+    to integers by the product of the outer and the inner totals."""
+    points, totals = [], []
     for w in padded:
         spots = []
         for _ in range(rng.randint(1, 3)):
             shuffled = list(w)
             rng.shuffle(shuffled)
             spots.append(tuple(shuffled))
-        points.append(convex_combination(_reference_weights(rng, len(spots)), spots))
+        inner = _reference_weights(rng, len(spots))
+        points.append(convex_combination(inner, spots))
+        totals.append(sum(inner))
     weights = _reference_weights(rng, len(padded))
-    return convex_combination(weights, points), convex_combination(weights, padded)
+    # Point k is scaled by its own total; bring each to the product of them.
+    common = prod(totals)
+    rescaled = [[common // d * x for x in point] for point, d in zip(points, totals)]
+    shape = convex_combination(weights, padded)
+    return convex_combination(weights, rescaled), [common * x for x in shape]
 
 
 def _reference_integer_moment(rng, top):
+    """Drawn weights moved to an integer moment K, sum k*c_k = K*sum c, by
+    shifting weight from the top indices to index 0. The weights are scaled
+    by lcm(1..top), so each shift, an excess over its index, is an integer."""
     if top == 0:
-        return (Fraction(1),), 0
-    c = list(_reference_weights(rng, top + 1))
+        return (1,), 0
+    scale = lcm(*range(1, top + 1))
+    c = [scale * x for x in _reference_weights(rng, top + 1)]
+    total = sum(c)
     moment = sum(k * c[k] for k in range(top + 1))
-    target = int(moment)
-    excess = moment - target
+    target = moment // total
+    excess = moment - target * total
     j = top
     while excess > 0:
         while c[j] == 0:
             j -= 1
-        shift = min(c[j], excess / j)
+        shift = min(c[j], excess // j)
         c[j] -= shift
         c[0] += shift
         excess -= shift * j
@@ -791,12 +802,13 @@ def _reference_integer_moment(rng, top):
 
 def _reference_claim_c(chain, trials, seed):
     """Whether every sampled mix with integer surplus K is majorized by the
-    K-th chain shape, in Fractions."""
+    K-th chain shape, both scaled by the weights' total."""
     padded = [mu.padded(chain.n) for mu in chain.mus]
     rng = random.Random(seed)
     for _ in range(trials):
         weights, surplus = _reference_integer_moment(rng, chain.length)
-        if not majorizes(padded[surplus], convex_combination(weights, padded)):
+        shape = [sum(weights) * x for x in padded[surplus]]
+        if not majorizes(shape, convex_combination(weights, padded)):
             return False
     return True
 
@@ -822,23 +834,20 @@ def _box_moved_to_row_one(chain, k, row):
     return _planted(chain, k, tuple(parts))
 
 
-def _scaled_down(numerators, denominator):
-    return tuple(Fraction(x, denominator) for x in numerators)
-
-
 class TestIntegerPath:
     @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
     def test_claim_c_weights_and_mixes_equal_the_fraction_ones(self, parts, n):
-        # each vertex's integer mix over a + b is the Fraction mix of its
-        # weights, and is majorized by the K-th shape in Fractions too
+        # each vertex's mix of two shapes over a + b is the mix of all the
+        # shapes by its weight vector over a + b, and is majorized by the K-th
+        # shape scaled by a + b
         padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
         top = len(padded) - 1
         for surplus in range(top + 1):
             vertices = _moment_vertices(top, surplus)
-            for (i, j, a, b), weights in zip(vertices, _vertex_weights(top, surplus)):
-                mixed = _scaled_down(_mix((a, b), (padded[i], padded[j])), a + b)
+            for (i, j, a, b), (weights, d) in zip(vertices, _vertex_weights(top, surplus)):
+                mixed = convex_combination((a, b), (padded[i], padded[j]))
                 assert mixed == convex_combination(weights, padded)
-                assert majorizes(padded[surplus], mixed)
+                assert majorizes([d * x for x in padded[surplus]], mixed)
 
     def test_failure_details_keep_the_fraction_format(self, monkeypatch):
         # Claim b names the shape and its reversal; claim c prints its mix in
@@ -864,12 +873,15 @@ class TestIntegerPath:
 
 
 def _reference_first_identity(chain, weights):
-    """Whether the mix of the chain shapes with Fraction weights has prefix sum
-    base + sum_k min(k, l)*c_k at every row, by convex_combination."""
+    """Whether the mix of the chain shapes with integer weights c of total d
+    has prefix sum d*base + sum_k min(k, l)*c_k at every row, the identity
+    scaled by d, by convex_combination."""
     mixed = convex_combination(weights, [mu.padded(chain.n) for mu in chain.mus])
+    total = sum(weights)
     for r in range(1, chain.n + 1):
         last = max((i for i, row in enumerate(chain.rows, start=1) if row <= r), default=0)
-        closed = sum(chain.lam.parts[:r]) + sum(min(k, last) * c for k, c in enumerate(weights))
+        base_r = total * sum(chain.lam.parts[:r])
+        closed = base_r + sum(min(k, last) * c for k, c in enumerate(weights))
         if sum(mixed[:r]) != closed:
             return False
     return True
@@ -882,7 +894,7 @@ class TestLemmaClosedForm:
         # The last shape also fixes the final surplus of the second identity,
         # which an earlier shape may then fail first.
         chain = mu_chain(Partition(parts), n)
-        uniform = [Fraction(1, chain.length + 1)] * (chain.length + 1)
+        uniform = [1] * (chain.length + 1)
         assert _reference_first_identity(chain, uniform)
         for k, mu in enumerate(chain.mus):
             planted = _planted(chain, k, (mu.part(1) + 1, *mu.parts[1:]))
@@ -900,7 +912,7 @@ class TestLemmas:
 
     def test_uniform_weights(self):
         chain = mu_chain(LAM310, 3)
-        assert _reference_first_identity(chain, (Fraction(1, 4),) * 4)
+        assert _reference_first_identity(chain, (1,) * 4)
 
     def test_row_one_prefix_is_rigid(self):
         # every chain shape keeps the first row of the base shape
@@ -913,7 +925,8 @@ class TestLemmas:
 
     def test_weights_over_different_denominators(self):
         chain = mu_chain(LAM310, 3)
-        weights = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
+        # (1/3, 1/4, 1/6, 1/4) over their common denominator 12
+        weights = (4, 3, 2, 3)
         assert _reference_first_identity(chain, weights)
 
     def test_first_identity_failure_names_its_shape_and_row(self):

@@ -98,6 +98,36 @@ def test_verify_loads_no_random():
     assert proc.stdout.splitlines()[-1] == "False 0"
 
 
+@pytest.mark.parametrize(
+    "main,argv",
+    [
+        ("from grothsnp.cli import main", ["verify", "--lambda", "3,2,1", "--n", "4"]),
+        (
+            "import runpy\n"
+            f"main = runpy.run_path({str(ROOT / 'scripts' / 'desk_sweep.py')!r})['main']",
+            ["--max-part", "2", "--max-rows", "2", "--n-values", "2,3"],
+        ),
+    ],
+    ids=["verify", "desk_sweep"],
+)
+def test_children_load_no_fractions(main, argv):
+    # Every check decides in integers; only a failing claim c prints its mix
+    # as Fractions. -S keeps site out, since a .pth file may import fractions.
+    probe = (
+        f"import sys\n{main}\n"
+        f"status = main({argv!r})\n"
+        "print('fractions' in sys.modules, status)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False 0"
+
+
 def test_loading_battery_freezes_the_heap_at_exit():
     # Exit handlers run last in, first out, so the handler registered before
     # the import runs after the freeze that the import registers.

@@ -1,5 +1,7 @@
 """Sparse exact-integer polynomials: construction, sums, components."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,24 @@ class TestConstruction:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(1, 0): 1.5},
+            {(1, 0): 1.0},
+            {(1, 0): Fraction(3, 2)},
+            {(1, 0): Fraction(0)},
+            {(1.0, 2.0): 1},
+            {(1.0, 2.0): 0},
+        ],
+        ids=["float", "integral-float", "Fraction", "zero-Fraction", "float-exponent",
+             "float-exponent-zero-coefficient"],
+    )
+    def test_non_integer_terms_are_refused(self, terms):
+        # no truncation of 1.5 to 1, and no float exponent kept
+        with pytest.raises(TypeError):
+            SparsePolynomial(2, terms)
 
 
 class TestRingOperations:

@@ -1,5 +1,6 @@
 """Permutahedra, hull membership, Rado containment, and saturation verdicts."""
 
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -24,7 +25,7 @@ from grothsnp import (
 )
 from grothsnp import exactlp, polytopes
 from grothsnp.grothendieck import grothendieck_lenart_dominant
-from grothsnp.partitions import dominance_leq, majorizes
+from grothsnp.partitions import majorizes
 
 
 def perm_of(parts, n):
@@ -79,7 +80,7 @@ def dominated_by_filter(weight, n):
     return {
         nu.padded(n)
         for nu in partitions_of_size(lam.size(), n, lam.part(1))
-        if dominance_leq(nu, lam)
+        if majorizes(lam.parts, nu.parts)
     }
 
 
@@ -122,6 +123,16 @@ class TestPermutahedron:
         with pytest.raises(ValueError):
             Permutahedron(weight=(2, 1), n=3)
 
+    @pytest.mark.parametrize(
+        "weight",
+        [(2.5, 0.5), (2.0, 1), (Fraction(2), 1), ("2", 1)],
+        ids=["float", "integral-float", "Fraction", "str"],
+    )
+    def test_non_integer_weight_is_refused(self, weight):
+        # no truncation of (2.5, 0.5), and no weight that only equals (2, 1)
+        with pytest.raises(TypeError):
+            Permutahedron(weight=weight, n=2)
+
 
 class TestHullMembership:
     def test_cloud_point(self):
@@ -142,6 +153,11 @@ class TestHullMembership:
             hull_membership((1, 1, 1), PointCloud(2, frozenset({(0, 0)})))
         with pytest.raises(ValueError):
             PointCloud(2, frozenset({(1, 2, 3)}))
+
+    @pytest.mark.parametrize("point", [(2.0, 0), (Fraction(1, 2), 0)], ids=["float", "Fraction"])
+    def test_non_integer_cloud_point_is_refused(self, point):
+        with pytest.raises(TypeError):
+            PointCloud(2, frozenset({(0, 2), point}))
 
     def test_full_scale_lattice_hull_consistency(self):
         """The majorization description of integer points agrees with the
@@ -166,7 +182,7 @@ class TestRado:
         assert rado_contains(Partition((3, 1, 1)), Partition((3, 2)))
 
     def test_size_mismatch_is_an_error(self):
-        with pytest.raises(ValueError, match="dominance undefined across sizes"):
+        with pytest.raises(ValueError, match="majorization undefined across unequal sums"):
             rado_contains(Partition((2,)), Partition((2, 1)))
 
     def test_extensional_equivalence_small(self):
