@@ -30,7 +30,7 @@ each pair.
 Example:
 
     python3 scripts/desk_sweep.py --max-part 3 --max-rows 3 \
-        --n-values 2,3 --trials 200 --jobs 4 --out sweep.json
+        --n-values 2,3 --out sweep.json
 """
 
 from __future__ import annotations

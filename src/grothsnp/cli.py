@@ -165,7 +165,7 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
         {
             "degree": degree,
             "weight": list(perm.weight),
-            "n": perm.n,
+            "n": args.n,
             "vertices": [list(v) for v in sorted(vertices(perm))],
             "lattice_points": [list(v) for v in sorted(lattice_points(perm))],
         }

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import index
 from typing import TYPE_CHECKING
 
 from .branching import (
@@ -60,12 +61,12 @@ class SchurExpansion(Frozen):
     def __init__(
         self, lam: Partition, n: int, terms: tuple[tuple[Partition, int], ...]
     ) -> None:
-        super().__init__(lam, n, terms)
+        super().__init__(lam, index(n), terms)  # an integer n, or TypeError
         base = lam.size()
         for mu, coeff in terms:
             if coeff == 0:
                 raise ValueError("expansion must not store zero coefficients")
-            if len(mu) > n or not mu.contains(lam):
+            if len(mu) > self.n or not mu.contains(lam):
                 raise ValueError(f"shape {mu.parts} outside the admissible range")
             if any(mu.part(i) > lam.part(i) + i - 1 for i in range(1, len(mu) + 1)):
                 raise ValueError(f"shape {mu.parts} violates the row growth bound")
@@ -100,7 +101,7 @@ class MuChain(Frozen):
         mus: tuple[Partition, ...],
         rows: tuple[int, ...],
     ) -> None:
-        super().__init__(lam, n, mus, rows)
+        super().__init__(lam, index(n), mus, rows)  # an integer n, or TypeError
         if len(self.lam) > self.n:
             raise ValueError("base shape has more rows than the ambient allows")
         if len(self.mus) != len(self.rows) + 1 or self.mus[0] != self.lam:
@@ -142,8 +143,6 @@ class MuChain(Frozen):
 @lru_cache(maxsize=1)
 def schur_expansion(lam: Partition, n: int) -> SchurExpansion:
     """Expand the Grothendieck polynomial of lam over the Schur basis."""
-    if len(lam) > n:
-        raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
     base = lam.size()
     terms = [
         (Partition(shape), (-1) ** (sum(shape) - base) * count)
@@ -226,8 +225,6 @@ def mu_chain(lam: Partition, n: int) -> MuChain:
     surplus is below r-1 and the row above is longer. The top shape
     exhausts the degree range of the Grothendieck polynomial.
     """
-    if len(lam) > n:
-        raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")
     mus = [lam]
     rows: list[int] = []
     # A box in row r changes only whether rows r and r + 1 qualify, so the

@@ -24,6 +24,7 @@ class SparsePolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[ExponentVector, int] | None = None):
+        n = index(n)  # an integer variable count, or TypeError
         if n < 0:
             raise ValueError("variable count must be nonnegative")
         cleaned: dict[ExponentVector, int] = {}

@@ -26,13 +26,11 @@ if TYPE_CHECKING:
 class Permutahedron(Frozen):
     """Convex hull of all coordinate permutations of a weakly decreasing weight."""
 
-    __slots__ = ("weight", "n")
+    __slots__ = ("weight",)
 
-    def __init__(self, weight: tuple[int, ...], n: int) -> None:
+    def __init__(self, weight: tuple[int, ...]) -> None:
         weight = tuple(map(index, weight))  # integers only, or TypeError
-        super().__init__(weight, n)
-        if len(weight) != n:
-            raise ValueError("weight must have exactly n coordinates")
+        super().__init__(weight)
         if any(x < 0 for x in weight):
             raise ValueError("weight coordinates must be nonnegative")
         if any(a < b for a, b in zip(weight, weight[1:])):
@@ -40,7 +38,7 @@ class Permutahedron(Frozen):
 
     @classmethod
     def of_partition(cls, lam: Partition, n: int) -> "Permutahedron":
-        return cls(weight=lam.padded(n), n=n)
+        return cls(lam.padded(n))
 
 
 class PointCloud(Frozen):
@@ -49,9 +47,9 @@ class PointCloud(Frozen):
     __slots__ = ("n", "points")
 
     def __init__(self, n: int, points: Iterable) -> None:
-        points = frozenset(tuple(map(index, p)) for p in points)
-        super().__init__(n, points)
-        if any(len(p) != n for p in points):
+        # An integer dimension and integer points, or TypeError.
+        super().__init__(index(n), frozenset(tuple(map(index, p)) for p in points))
+        if any(len(p) != self.n for p in self.points):
             raise ValueError("all points must have the cloud's dimension")
 
 
@@ -78,14 +76,15 @@ def permutahedron_vertices(p: Permutahedron) -> set[ExponentVector]:
 
 
 def _dominated(p: Permutahedron) -> set[ExponentVector]:
-    """The partitions with at most n rows that the weight dominates, padded
-    to n coordinates: one walk under the weight's prefix sums."""
-    return {nu + (0,) * (p.n - len(nu)) for nu in dominated_partitions(p.weight)}
+    """The partitions the weight dominates, padded to its length: one walk
+    under the weight's prefix sums."""
+    n = len(p.weight)
+    return {nu + (0,) * (n - len(nu)) for nu in dominated_partitions(p.weight)}
 
 
 def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
-    """Integer points by Rado's theorem: the orbits of the partitions with at
-    most n rows that the weight dominates."""
+    """Integer points by Rado's theorem: the orbits of the partitions that
+    the weight dominates."""
     return {point for nu in _dominated(p) for point in _orbit(nu)}
 
 

@@ -227,6 +227,40 @@ class TestSnp:
             [3, 2, 2],
         ]
 
+    def test_fast_route_matches_the_full_expansion(self, capsys):
+        """Each component prints its degree of G_lambda and, as its weight, the
+        lexicographic maximum of the support in that degree."""
+        from grothsnp import grothendieck_lenart, partitions_in_box
+
+        pairs = [
+            (lam, n)
+            for lam in partitions_in_box(3, 3)
+            for n in range(max(1, len(lam)), 6)
+        ]
+        assert len(pairs) == 74
+        for lam, n in pairs:
+            top = {}
+            for exp, _ in grothendieck_lenart(lam, n).sorted_terms():
+                top[sum(exp)] = list(exp)  # graded-lex order: the last is the max
+            expected = battery.dump_json(
+                {
+                    "lambda": list(lam.parts),
+                    "n": n,
+                    "method": "fast",
+                    "snp": True,
+                    "violation": None,
+                    "components": [
+                        {"degree": degree, "weight": weight}
+                        for degree, weight in top.items()
+                    ],
+                    "detail": "",
+                }
+            )
+            parts = ",".join(map(str, lam.parts))
+            assert run_cli(capsys, "snp", "--lambda", parts, "--n", str(n)) == (
+                0, expected
+            ), (lam, n)
+
     def test_brute_route(self, capsys):
         status, out = run_cli(capsys, "snp", "--lambda", "3,1,0", "--n", "3", "--brute")
         assert status == 0

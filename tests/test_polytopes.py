@@ -67,7 +67,7 @@ def test_orbits_match_the_references(weight):
     """Lattice points as orbits of dominated partitions equal the composition
     sweep with `majorizes`; vertices as the orbit of the weight equal the set
     of all its orderings. Weights repeat parts and end in zeros."""
-    perm = Permutahedron(weight=weight, n=len(weight))
+    perm = Permutahedron(weight)
     assert permutahedron_lattice_points(perm) == lattice_points_by_sweep(weight)
     assert permutahedron_vertices(perm) == set(permutations(weight))
 
@@ -115,13 +115,16 @@ class TestPermutahedron:
                 for pt in points:
                     assert set(permutations(pt)) <= points
 
+    def test_the_weight_is_the_only_field(self):
+        # the dimension is the weight's length, so there is no n to disagree
+        assert Permutahedron.__slots__ == ("weight",)
+        assert perm_of((2, 1), 4) == Permutahedron((2, 1, 0, 0))
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            Permutahedron(weight=(1, 2), n=2)
+            Permutahedron(weight=(1, 2))
         with pytest.raises(ValueError):
-            Permutahedron(weight=(2, -1), n=2)
-        with pytest.raises(ValueError):
-            Permutahedron(weight=(2, 1), n=3)
+            Permutahedron(weight=(2, -1))
 
     @pytest.mark.parametrize(
         "weight",
@@ -131,7 +134,7 @@ class TestPermutahedron:
     def test_non_integer_weight_is_refused(self, weight):
         # no truncation of (2.5, 0.5), and no weight that only equals (2, 1)
         with pytest.raises(TypeError):
-            Permutahedron(weight=weight, n=2)
+            Permutahedron(weight=weight)
 
 
 class TestHullMembership:
@@ -339,7 +342,7 @@ class TestFastRoute:
 
     def test_newton_components_pair_each_chain_shape_with_its_degree(self):
         components = polytopes.newton_components(mu_chain(Partition((3, 1)), 3))
-        assert [(degree, p.weight, p.n) for degree, p in components] == [
+        assert [(degree, p.weight, len(p.weight)) for degree, p in components] == [
             (4, (3, 1, 0), 3),
             (5, (3, 2, 0), 3),
             (6, (3, 2, 1), 3),
