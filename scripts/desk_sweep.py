@@ -1,18 +1,15 @@
 """Sweep the verification battery over every partition in a box.
 
 For each partition lambda with at most --max-rows rows and parts at most
---max-part, and for each variable count in --n-values, this runs the full
-desk-scale battery: the two tableau models are compared coefficient by
-coefficient at every dominant content (a weakly decreasing exponent, which
-fixes its whole orbit since both models are symmetric), the Newton polytope
-of every homogeneous component is checked against the predicted
-permutahedron, the support-dominance and chain-cover claims are tested, the
-Minkowski-sum claim (b), the chain-mix claim (c) and the prefix-sum lemmas
-are decided exactly from the chain shapes, for all weights, and the convex
-hull of the full support is rebuilt by brute force and compared against the
-union of chain polytopes wherever grothsnp.battery runs that sweep: for n at
-most 3, within the work bound of snp --brute. --trials and --seed are
-validated and echoed in the report's config; no check reads them.
+--max-part, and for each variable count in --n-values, this runs the battery
+of `grothsnp verify` on the Partition that the box yields: the two tableau
+models are compared at every dominant content, each homogeneous component's
+Newton polytope is checked against its permutahedron, claims a, b and c and
+the prefix-sum lemmas are decided exactly from the chain shapes, and the hull
+of the support of the full set-valued expansion is rebuilt by brute force and
+compared with the union of chain polytopes wherever grothsnp.battery runs
+that sweep: for n at most 3, within the work bound of snp --brute. --trials
+and --seed are validated and echoed in the report's config; none is read.
 
 Every check is exact integer arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
@@ -37,16 +34,20 @@ from __future__ import annotations
 
 import argparse
 import time
+from typing import TYPE_CHECKING
 
 from grothsnp import battery
 
+if TYPE_CHECKING:
+    from grothsnp import Partition
 
-def run_battery(parts: tuple[int, ...], n: int) -> dict:
+
+def run_battery(lam: Partition, n: int) -> dict:
     """Run every applicable check for one (lambda, n) pair."""
     started = time.perf_counter()
-    checks = battery.run_checks(parts, n)
+    checks = battery.run_checks(lam, n)
     return {
-        "lambda": list(parts),
+        "lambda": list(lam.parts),
         "n": n,
         "ok": all(entry["ok"] for entry in checks),
         "seconds": round(time.perf_counter() - started, 3),
@@ -58,7 +59,7 @@ def sweep(args: argparse.Namespace) -> dict:
     from grothsnp import partitions_in_box  # after parsing: --help needs no math
 
     results = [
-        run_battery(lam.parts, n)
+        run_battery(lam, n)
         for n in args.n_values
         for lam in partitions_in_box(args.max_rows, args.max_part)
         if len(lam.parts) <= n

@@ -1,32 +1,34 @@
 """The verification battery, shared by `grothsnp verify` and the desk sweep.
 
-run_checks calls run_check(name, lambda parts, n) once per check in the
-calling process, which returns one record `{"name", "ok", "detail"}` per
-check, in the order the checks were named. run_check dispatches on the name
-in one if/elif and reads the check through its home module (grothendieck.X,
-polytopes.X) at each call, so a tracer or a test that rebinds a check there
-is seen. Every check is exact, so a check takes no trial count or seed, and
-the records are the same on every run. This module alone decides where the
-brute-force sweep runs: run_checks skips brute-snp above BRUTE_SNP_MAX_N
-variables or past BRUTE_WORK_LIMIT, the work bound at which snp --brute is
-refused.
+run_checks calls run_check(name, lam, n) once per check in the calling
+process, on the Partition lam that its caller holds; each call returns one
+record `{"name", "ok", "detail"}`, in the order the checks were named.
+run_check dispatches on the name in one if/elif and reads the check through
+its home module (grothendieck.X, polytopes.X) at each call, so a tracer or a
+test that rebinds a check there is seen. Every check is exact, so a check
+takes no trial count or seed, and the records are the same on every run. This
+module alone decides where the brute-force sweep runs: run_checks skips
+brute-snp above BRUTE_SNP_MAX_N variables or past BRUTE_WORK_LIMIT, the work
+bound at which snp --brute is refused.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
 models, which decides equality of the full polynomials because both are
 symmetric; a test pins that symmetry against the full monomial expansions.
+brute-snp, the one check that uses no symmetry, reads the full set-valued
+expansion (Buch's model), not the Lenart side that the other checks share.
 
 The module also holds the exit-2 contract of every entry point: `fail`
 prints the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable or closed
 stdout, and deliver alone runs an entry point's work: it checks --out first,
 writes the report, and turns a file the work cannot write, exhausted memory
-or Ctrl-C into that line. dump_json writes every JSON report and the manifest.
-The scripts load it before they parse their arguments, so it imports only the
-standard library when loaded, and `--help` compiles no math layer: run_check
-imports the math layers when it is first called. Loading it freezes the heap
-at exit, so no entry point, `--help` included, walks its live objects in the
-interpreter's final collections.
+or Ctrl-C into that line. dump_json writes every JSON report and the figure
+manifest. The scripts load it before they parse their arguments, so it
+imports only the standard library when loaded, and `--help` compiles no math
+layer: run_check imports the math layers when it is first called. Loading it
+freezes the heap at exit, so no entry point, `--help` included, walks its
+live objects in the interpreter's final collections.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ import errno
 import gc
 import os
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:
+    from . import partitions
 
 # At exit the interpreter's last collections walk every live object, all that
 # `site` loaded included; a frozen heap is freed by reference counts alone.
@@ -73,12 +78,10 @@ def brute_work(parts: Sequence[int], n: int) -> int:
     return (max(parts, default=0) + 1) ** n * 3**n
 
 
-def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
-    """The record of the check name on lambda = parts in n variables."""
+def run_check(name: str, lam: partitions.Partition, n: int) -> dict:
+    """The record of the check name on lam in n variables."""
     from . import grothendieck as groth, polytopes
-    from .partitions import Partition
 
-    lam = Partition(parts)
     if name == "cross-oracle":
         lenart = groth.grothendieck_lenart_dominant(lam, n)
         same = lenart == groth.grothendieck_setvalued_dominant(lam, n)
@@ -95,7 +98,7 @@ def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
     elif name == "lemmas":
         result = groth.check_lemmas_random(groth.mu_chain(lam, n))
     elif name == "brute-snp":
-        verdict = polytopes.snp_check_bruteforce(groth.grothendieck_lenart(lam, n))
+        verdict = polytopes.snp_check_bruteforce(groth.grothendieck_setvalued(lam, n))
         expected = set()
         for _, perm in polytopes.newton_components(groth.mu_chain(lam, n)):
             expected |= polytopes.permutahedron_lattice_points(perm)
@@ -110,7 +113,7 @@ def run_check(name: str, parts: tuple[int, ...], n: int) -> dict:
 
 
 def run_checks(
-    parts: tuple[int, ...], n: int, names: Sequence[str] = CHECKS
+    lam: partitions.Partition, n: int, names: Sequence[str] = CHECKS
 ) -> list[dict]:
     """The records of the checks among names that run in n variables, in the
     order of names, each from one run_check call.
@@ -121,8 +124,8 @@ def run_checks(
     the exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
     second each; the cap stays at 3 because perfbench/oracles.py expects
     brute-snp exactly for n <= 3."""
-    brute = n <= BRUTE_SNP_MAX_N and brute_work(parts, n) <= BRUTE_WORK_LIMIT
-    return [run_check(name, parts, n) for name in names if name != "brute-snp" or brute]
+    brute = n <= BRUTE_SNP_MAX_N and brute_work(lam.parts, n) <= BRUTE_WORK_LIMIT
+    return [run_check(name, lam, n) for name in names if name != "brute-snp" or brute]
 
 
 def dump_json(obj) -> str:

@@ -176,11 +176,11 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
-    from .grothendieck import grothendieck_lenart
+    from .grothendieck import grothendieck_setvalued
     from .polytopes import snp_check_bruteforce, snp_check_symmetric_fast
 
     verdict = (
-        snp_check_bruteforce(grothendieck_lenart(args.lam, args.n))
+        snp_check_bruteforce(grothendieck_setvalued(args.lam, args.n))
         if args.brute
         else snp_check_symmetric_fast(args.lam, args.n)
     )
@@ -212,7 +212,7 @@ def _verify_names(args: argparse.Namespace) -> Sequence[str]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    results = battery.run_checks(args.lam.parts, args.n, _verify_names(args))
+    results = battery.run_checks(args.lam, args.n, _verify_names(args))
     all_ok = all(entry["ok"] for entry in results)
     payload = {
         "lambda": list(args.lam.parts),

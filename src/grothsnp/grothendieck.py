@@ -7,16 +7,16 @@ the set-valued route sums signed monomials over set-valued semistandard
 tableaux. The two must agree exactly, which is the suite's strongest oracle.
 Since G is symmetric, the verification battery compares them at dominant
 contents only, where each route has a branching count of its own, and
-`groth` spreads the Lenart side's dominant terms over their orbits. The full
-monomial expansions serve the brute-force geometry and the tests, and only
-they import `polynomials` and `tableaux`, when called.
+`groth` spreads the Lenart side's dominant terms over their orbits. The
+brute-force geometry reads the full set-valued expansion and the tests read
+both full expansions; only these import `polynomials` and `tableaux`, when
+called.
 
 A memo keyed by (lambda, n) keeps its last entry only: every check of a
 pair asks for that pair, and no pair reads another's, so a sweep holds one
-pair's results at a time. grothendieck_lenart keeps none, since the
-brute-force sweep asks for it once per pair. schur_polynomial keeps all its
-entries, because it is keyed by Schur shape and the expansions of different
-pairs share shapes.
+pair's results at a time. The full expansions keep none, since the
+brute-force sweep asks for one once per pair. schur_polynomial, keyed by
+Schur shape, keeps all its entries; no check reads it.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def grothendieck_setvalued(lam: Partition, n: int) -> SparsePolynomial:
     """Grothendieck polynomial as the signed series over set-valued tableaux.
 
     A tableau with m labels in total contributes (-1)^(m - |lam|) times its
-    content monomial. This full expansion is the tests' reference for the
-    set-valued dominant terms; the package itself reads those only.
+    content monomial. The brute-force sweep reads this full expansion, and
+    the tests take it as the reference for the set-valued dominant terms.
     """
     if len(lam) > n:
         raise ValueError(f"shape {lam.parts} has more rows than variables ({n})")

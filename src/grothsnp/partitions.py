@@ -28,9 +28,7 @@ class Frozen:
 
     A value equals another of the same class with an equal field tuple, hashes
     as that tuple, and prints as Name(field=value, ...): the rules of a frozen
-    dataclass, without importing dataclasses. Pickling and copying rebuild it
-    through __init__ from the field tuple, since their default restores slots
-    through setattr, which a value refuses.
+    dataclass, without importing dataclasses.
     """
 
     __slots__ = ()
@@ -65,9 +63,6 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
 
 
 def _integer_part(p) -> int:

@@ -284,7 +284,7 @@ class TestSnp:
         def no_expansion(lam, n):
             raise AssertionError("G_lambda expanded before the refusal")
 
-        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_lenart", no_expansion)
+        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_setvalued", no_expansion)
         with pytest.raises(SystemExit) as err:
             main(["snp", "--lambda", parts, "--n", str(n), "--brute"])
         assert err.value.code == 2
@@ -385,12 +385,12 @@ class TestVerify:
     def test_brute_snp_runs_within_the_work_limit(self, monkeypatch, parts, n, brute):
         # (47 + 1)^3 * 3^3 = 2,985,984 and (576 + 1)^2 * 3^2 = 2,996,361 are
         # within 3,000,000; one more in lambda_1 passes it. Nothing is expanded.
-        monkeypatch.setattr(battery, "run_check", lambda name, parts, n: name)
+        monkeypatch.setattr(battery, "run_check", lambda name, lam, n: name)
         expected = [name for name in battery.CHECKS if name != "brute-snp" or brute]
-        assert battery.run_checks(parts, n) == expected
+        assert battery.run_checks(Partition(parts), n) == expected
 
     def test_failure_reports_exit_one(self, capsys, monkeypatch):
-        def forced_failure(name, parts, n):
+        def forced_failure(name, lam, n):
             return {"name": name, "ok": False, "detail": "forced"}
 
         monkeypatch.setattr("grothsnp.battery.run_check", forced_failure)
@@ -804,7 +804,7 @@ class TestFillLimit:
     )
     def test_refused_before_filling(self, capsys, monkeypatch, tmp_path, argv):
         missing = tmp_path / "missing"
-        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_lenart", no_expansion)
+        monkeypatch.setattr("grothsnp.grothendieck.grothendieck_setvalued", no_expansion)
         assert main([*argv, "--out", str(missing / "report.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -944,7 +944,7 @@ class TestDeskSweepBattery:
     @pytest.mark.parametrize("n", [3, 4])
     def test_pair_runs_the_verify_battery(self, capsys, n):
         desk_sweep = load_desk_sweep()
-        swept = desk_sweep.run_battery((2, 1), n)["checks"]
+        swept = desk_sweep.run_battery(Partition((2, 1)), n)["checks"]
         _, out = run_cli(
             capsys,
             "verify", "--lambda", "2,1", "--n", str(n),
@@ -954,7 +954,7 @@ class TestDeskSweepBattery:
         assert ("brute-snp" in [c["name"] for c in swept]) == (n <= 3)
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
-        def forced_failure(name, parts, n):
+        def forced_failure(name, lam, n):
             return {"name": name, "ok": False, "detail": "forced"}
 
         desk_sweep = load_desk_sweep()
@@ -1057,7 +1057,7 @@ def interrupted():
 SLOW_CHECKS = (
     "import runpy, sys, time\n"
     "import grothsnp.battery\n"
-    "def slow_check(name, parts, n):\n"
+    "def slow_check(name, lam, n):\n"
     "    time.sleep(60)\n"
     "grothsnp.battery.run_check = slow_check\n"
 )
@@ -1129,7 +1129,7 @@ def out_of_memory(*args):
 MEMORY_HOG = (
     "import runpy, sys\n"
     "import grothsnp.battery\n"
-    "def hog(parts, n, names=None):\n"
+    "def hog(lam, n, names=None):\n"
     "    pieces = []\n"
     "    while True:\n"
     "        pieces.append(bytearray(4096))\n"
@@ -1183,8 +1183,8 @@ class TestOutOfMemory:
         desk_sweep = load_desk_sweep()
         run_checks = battery.run_checks
 
-        def out_of_memory_at_one_box(parts, n, names=battery.CHECKS):
-            return out_of_memory() if parts == (1,) else run_checks(parts, n, names)
+        def out_of_memory_at_one_box(lam, n, names=battery.CHECKS):
+            return out_of_memory() if lam.parts == (1,) else run_checks(lam, n, names)
 
         monkeypatch.setattr(battery, "run_checks", out_of_memory_at_one_box)
         status = desk_sweep.main(

@@ -25,7 +25,7 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
-from grothsnp import battery, branching, grothendieck
+from grothsnp import battery, branching, grothendieck, polytopes, tableaux
 from grothsnp.branching import lenart_shape_counts
 from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
@@ -370,7 +370,7 @@ class TestDominantTerms:
         monkeypatch.setattr(
             grothendieck, "grothendieck_setvalued_dominant", lambda lam, n: terms
         )
-        record = battery.run_check("cross-oracle", lam.parts, 3)
+        record = battery.run_check("cross-oracle", lam, 3)
         assert record == {
             "name": "cross-oracle",
             "ok": False,
@@ -990,6 +990,66 @@ class TestPlantedDefects:
             assert not check_lemmas_random(chain), (chain.mus, chain.n)
 
 
+def _double_one_coefficient(terms):
+    top = max(terms)
+    return {**terms, top: 2 * terms[top]}
+
+
+def _drop_one_term(terms):
+    top = max(terms)
+    return {exp: c for exp, c in terms.items() if exp != top}
+
+
+def _drop_the_last(partitions):
+    return list(partitions)[:-1]
+
+
+def _drop_a_middle_degree_exponent(terms):
+    degrees = sorted({sum(exp) for exp in terms})
+    middle = degrees[len(degrees) // 2]
+    hole = min(exp for exp in terms if sum(exp) == middle)
+    return {exp: c for exp, c in terms.items() if exp != hole}
+
+
+class TestDefectMatrix:
+    """Which checks of the battery fail for each planted defect. cross-oracle
+    witnesses a coefficient or term of either model's dominant terms,
+    component-snp a term of the Lenart side or a partition missing from a
+    permutahedron, and brute-snp, at n <= 3 only, a hole in the full
+    set-valued expansion, which no other check reads."""
+
+    @pytest.mark.parametrize(
+        "module, name, defect, at_n3, at_n4",
+        [
+            pytest.param(grothendieck, "gelfand_tsetlin_contents", _double_one_coefficient,
+                         {"cross-oracle"}, {"cross-oracle"}, id="gt-coefficient-wrong"),
+            pytest.param(grothendieck, "gelfand_tsetlin_contents", _drop_one_term,
+                         {"cross-oracle", "component-snp"}, {"cross-oracle", "component-snp"},
+                         id="gt-term-dropped"),
+            pytest.param(grothendieck, "set_valued_dominant_contents", _double_one_coefficient,
+                         {"cross-oracle"}, {"cross-oracle"}, id="set-valued-coefficient-wrong"),
+            pytest.param(grothendieck, "set_valued_dominant_contents", _drop_one_term,
+                         {"cross-oracle"}, {"cross-oracle"}, id="set-valued-term-dropped"),
+            pytest.param(polytopes, "dominated_partitions", _drop_the_last,
+                         {"component-snp", "brute-snp"}, {"component-snp"},
+                         id="dominated-partition-dropped"),
+            pytest.param(tableaux, "set_valued_contents", _drop_a_middle_degree_exponent,
+                         {"brute-snp"}, set(), id="set-valued-hole"),
+        ],
+    )
+    def test_failing_checks(self, monkeypatch, module, name, defect, at_n3, at_n4):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: defect(original(*args)))
+        failing = {}
+        for parts, n in (((3, 2, 1), 3), ((4, 2), 4)):
+            grothendieck.grothendieck_lenart_dominant.cache_clear()
+            records = battery.run_checks(Partition(parts), n)
+            failing[n] = {record["name"] for record in records if not record["ok"]}
+        # The memo holds a result of the planted defect: the next test must not read it.
+        grothendieck.grothendieck_lenart_dominant.cache_clear()
+        assert failing == {3: at_n3, 4: at_n4}
+
+
 class TestCaching:
     def test_repeated_calls_return_identical_objects(self):
         assert schur_expansion(LAM310, 3) is schur_expansion(LAM310, 3)
@@ -997,20 +1057,19 @@ class TestCaching:
 
     def test_pair_keyed_memos_hold_one_pair(self):
         """The checks of a pair share its entries, and the memos keyed by
-        (lambda, n) hold one pair at a time; schur_polynomial keeps its
-        entries for later pairs, whose expansions share shapes."""
+        (lambda, n) hold one pair at a time. No check reads schur_polynomial:
+        brute-snp reads the set-valued expansion."""
         per_pair = {  # (hits, misses) in one battery
-            "schur_expansion": (2, 1),
+            "schur_expansion": (1, 1),
             "grothendieck_lenart_dominant": (1, 1),
             "mu_chain": (5, 1),
         }
         names = (*per_pair, "schur_polynomial")
         for name in names:
             getattr(grothendieck, name).cache_clear()
-        # (2,2)/3 expands over three of the five shapes of (2,1)/3.
-        for parts, schur in (((2, 1), (0, 5, 5)), ((2, 2), (3, 0, 5))):
+        for parts in ((2, 1), (2, 2)):
             before = {name: getattr(grothendieck, name).cache_info() for name in names}
-            battery.run_checks(parts, 3)
+            battery.run_checks(Partition(parts), 3)
             seen = {}
             for name in names:
                 info = getattr(grothendieck, name).cache_info()
@@ -1020,4 +1079,4 @@ class TestCaching:
                     info.currsize,
                 )
             expected = {name: (*counts, 1) for name, counts in per_pair.items()}
-            assert seen == {**expected, "schur_polynomial": schur}, parts
+            assert seen == {**expected, "schur_polynomial": (0, 0, 0)}, parts

@@ -44,12 +44,11 @@ BOX_COMMANDS = (
     ["expand"], ["groth"], ["chain"], ["newton"], ["snp"], ["snp", "--brute"],
     ["verify"], ["figure-data"],
 )
-# The operations of perfbench/run.py: (lambda, n) and --trials.
+# (lambda, n, --trials) of the verify-n45 and models-n6 operations in perfbench/run.py
 BENCHMARK_VERIFY = [
-    *[(lam, n, 1000) for lam, n in
-      [("3,1", 4), ("3,2,1", 4), ("2,2,1", 5), ("3,2,1", 5), ("4,2,1", 5)]],
-    *[(lam, n, 1) for lam, n in
-      [("3,1", 6), ("2,2,1", 6), ("3,3", 6), ("4,2", 6), ("3,2,1", 6)]],
+    ("3,1", 4, 1000), ("3,2,1", 4, 1000), ("2,2,1", 5, 1000), ("3,2,1", 5, 1000),
+    ("4,2,1", 5, 1000),
+    ("3,1", 6, 1), ("2,2,1", 6, 1), ("3,3", 6, 1), ("4,2", 6, 1), ("3,2,1", 6, 1),
 ]
 SWEEP_N3 = "--max-part 3 --max-rows 3 --n-values 2,3 --trials 20 --seed 1 --jobs 1"
 

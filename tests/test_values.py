@@ -2,13 +2,11 @@
 
 Each type is a __slots__ class on the shared Frozen base. Its twin here is a
 frozen dataclass of the same name and fields, built without validation, which
-gives the reference hash and repr; equality, immutability, every ValueError,
-keyword construction, pickling and copying are checked directly.
+gives the reference hash and repr; equality, immutability, every ValueError
+and keyword construction are checked directly.
 """
 
-import copy
 import dataclasses
-import pickle
 
 import pytest
 
@@ -108,19 +106,6 @@ class TestContract:
             cls = type(value)
             assert cls(**dict(zip(cls.__slots__, fields(value)))) == value
 
-    def test_pickle_round_trip(self, pair):
-        for value in pair:
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                back = pickle.loads(pickle.dumps(value, protocol))
-                assert type(back) is type(value)
-                assert back == value and fields(back) == fields(value)
-
-    def test_copy_round_trips(self, pair):
-        for value in pair:
-            for back in (copy.copy(value), copy.deepcopy(value)):
-                assert type(back) is type(value)
-                assert back == value and hash(back) == hash(value)
-
 
 def test_partition_equality_sees_the_stripped_parts():
     assert Partition((3, 1, 0)) == Partition((3, 1))
@@ -137,8 +122,10 @@ def test_defaults():
 
 def test_value_types_are_hashable_in_sets_and_dicts():
     values = [a for a, _ in samples()]
-    assert len(set(values + [copy.deepcopy(v) for v in values])) == len(values)
-    assert {v: i for i, v in enumerate(values)}[copy.deepcopy(values[3])] == 3
+    rebuilt = [type(v)(*fields(v)) for v in values]  # equal, not the same object
+    assert all(a is not b for a, b in zip(values, rebuilt))
+    assert len(set(values + rebuilt)) == len(values)
+    assert {v: i for i, v in enumerate(values)}[rebuilt[3]] == 3
 
 
 def test_checkresult_truth_follows_ok():
