@@ -11,12 +11,14 @@ runs, each named by its command line and run in-process:
 - the sweep-n3 desk sweep, with each pair's wall-clock seconds masked;
 - four shapes with more rows than variables, each refused as a usage error.
 
-The file also holds the digests of `groth` at (4,3,2,1), n = 8, a 53 MB
-report that CI compares from a child; this test does not run it.
+The file also holds the digests of four runs at scale, which CI compares
+from a child and this test does not run: `groth` at (4,3,2,1), n = 8, a
+53 MB report; `expand` and `verify` at (6,5,4,3,2,1), n = 12; and the
+degreewise `snp` at (4,3,2,1), n = 8.
 
 The tests that pin output against the mathematics stay where they are; this
 one pins it against the commit that wrote the file. A change that alters
-output on purpose regenerates the file, the at-scale run included, and names
+output on purpose regenerates the file, the runs at scale included, and names
 the changed keys:
 
     PYTHONPATH=src python tests/test_manifest.py --write
@@ -38,7 +40,12 @@ from grothsnp.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 SWEEP = "scripts/desk_sweep.py"
-AT_SCALE = ["grothsnp", "groth", "--lambda", "4,3,2,1", "--n", "8"]
+AT_SCALE = [
+    ["grothsnp", "groth", "--lambda", "4,3,2,1", "--n", "8"],
+    ["grothsnp", "expand", "--lambda", "6,5,4,3,2,1", "--n", "12"],
+    ["grothsnp", "verify", "--lambda", "6,5,4,3,2,1", "--n", "12"],
+    ["grothsnp", "snp", "--lambda", "4,3,2,1", "--n", "8"],
+]
 
 BOX_COMMANDS = (
     ["expand"], ["groth"], ["chain"], ["newton"], ["snp"], ["snp", "--brute"],
@@ -104,7 +111,8 @@ def record(argv: list[str]) -> dict:
 
 def test_outputs_match_the_manifest():
     pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    del pinned[shlex.join(AT_SCALE)]  # compared by CI, from a child
+    for argv in AT_SCALE:
+        del pinned[shlex.join(argv)]  # compared by CI, from a child
     seen = {shlex.join(argv): record(argv) for argv in runs()}
     assert len(seen) == 552 + 10 + 1 + 4
     assert seen.keys() == pinned.keys()
@@ -117,6 +125,6 @@ if __name__ == "__main__":
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
     lines = [
         f"  {json.dumps(shlex.join(argv))}: {json.dumps(record(argv))}"
-        for argv in [*runs(), AT_SCALE]
+        for argv in [*runs(), *AT_SCALE]
     ]
     MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
