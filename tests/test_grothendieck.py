@@ -1011,12 +1011,27 @@ def _drop_a_middle_degree_exponent(terms):
     return {exp: c for exp, c in terms.items() if exp != hole}
 
 
+def _failing_checks() -> dict[int, dict[str, str]]:
+    """The detail of each failing check of the battery, by n, on (3,2,1) at
+    n = 3 and (4,2) at n = 4, each pair read afresh from the Lenart memo."""
+    failing = {}
+    for parts, n in (((3, 2, 1), 3), ((4, 2), 4)):
+        grothendieck.grothendieck_lenart_dominant.cache_clear()
+        records = battery.run_checks(Partition(parts), n)
+        failing[n] = {r["name"]: r["detail"] for r in records if not r["ok"]}
+    # The memo holds a result of the planted defect: the next test must not read it.
+    grothendieck.grothendieck_lenart_dominant.cache_clear()
+    return failing
+
+
 class TestDefectMatrix:
     """Which checks of the battery fail for each planted defect. cross-oracle
     witnesses a coefficient or term of either model's dominant terms,
     component-snp a term of the Lenart side or a partition missing from a
     permutahedron, and brute-snp, at n <= 3 only, a hole in the full
-    set-valued expansion, which no other check reads."""
+    set-valued expansion, which no other check reads. brute-snp has two
+    guards against that hole: the simplex puts it in the hull, and without
+    the simplex the hull lattice points miss a point of a chain polytope."""
 
     @pytest.mark.parametrize(
         "module, name, defect, at_n3, at_n4",
@@ -1040,14 +1055,28 @@ class TestDefectMatrix:
     def test_failing_checks(self, monkeypatch, module, name, defect, at_n3, at_n4):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: defect(original(*args)))
-        failing = {}
-        for parts, n in (((3, 2, 1), 3), ((4, 2), 4)):
-            grothendieck.grothendieck_lenart_dominant.cache_clear()
-            records = battery.run_checks(Partition(parts), n)
-            failing[n] = {record["name"] for record in records if not record["ok"]}
-        # The memo holds a result of the planted defect: the next test must not read it.
-        grothendieck.grothendieck_lenart_dominant.cache_clear()
+        failing = {n: set(details) for n, details in _failing_checks().items()}
         assert failing == {3: at_n3, 4: at_n4}
+
+    @pytest.mark.parametrize(
+        "blind, detail",
+        [
+            pytest.param(False, "lattice point (2, 3, 3) lies in the hull but not the support",
+                         id="simplex"),
+            pytest.param(True, "hull lattice points differ from the chain polytopes",
+                         id="chain-polytopes"),
+        ],
+    )
+    def test_brute_snp_witnesses_a_set_valued_hole(self, monkeypatch, blind, detail):
+        original = tableaux.set_valued_contents
+        monkeypatch.setattr(
+            tableaux,
+            "set_valued_contents",
+            lambda *args: _drop_a_middle_degree_exponent(original(*args)),
+        )
+        if blind:  # no box point outside the support joins the hull
+            monkeypatch.setattr(polytopes, "hull_membership", lambda point, cloud: False)
+        assert _failing_checks() == {3: {"brute-snp": detail}, 4: {}}
 
 
 class TestCaching:
