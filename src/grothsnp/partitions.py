@@ -28,7 +28,8 @@ class Frozen:
 
     A value equals another of the same class with an equal field tuple, hashes
     as that tuple, and prints as Name(field=value, ...): the rules of a frozen
-    dataclass, without importing dataclasses.
+    dataclass, without importing dataclasses. pickle, copy.copy and
+    copy.deepcopy refuse a value with a TypeError that names its class.
     """
 
     __slots__ = ()
@@ -63,6 +64,9 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError(f"cannot pickle or copy a {type(self).__qualname__}")
 
 
 def _integer_part(p) -> int:

@@ -6,7 +6,9 @@ gives the reference hash and repr; equality, immutability, every ValueError
 and keyword construction are checked directly.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -100,6 +102,12 @@ class TestContract:
             with pytest.raises(AttributeError):
                 delattr(a, name)
         assert not hasattr(a, "__dict__")
+
+    @pytest.mark.parametrize("refuse", [pickle.dumps, copy.copy, copy.deepcopy])
+    def test_pickling_and_copying_raise(self, pair, refuse):
+        a, _ = pair
+        with pytest.raises(TypeError, match=rf"\b{type(a).__qualname__}$"):
+            refuse(a)
 
     def test_keyword_construction(self, pair):
         for value in pair:
