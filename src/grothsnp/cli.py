@@ -176,8 +176,9 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
-    from .grothendieck import grothendieck_setvalued
-    from .polytopes import snp_check_bruteforce, snp_check_symmetric_fast
+    from .grothendieck import grothendieck_setvalued, mu_chain
+    from .polytopes import newton_components, snp_check_bruteforce
+    from .polytopes import snp_check_symmetric_fast
 
     verdict = (
         snp_check_bruteforce(grothendieck_setvalued(args.lam, args.n))
@@ -197,8 +198,8 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
         ]
     else:
         payload["components"] = [
-            {"degree": args.lam.size() + k, "weight": list(perm.weight)}
-            for k, perm in enumerate(verdict.components)
+            {"degree": degree, "weight": list(perm.weight)}
+            for degree, perm in newton_components(mu_chain(args.lam, args.n))
         ]
     payload["detail"] = verdict.detail
     return (0 if verdict.is_snp else 1), battery.dump_json(payload)

@@ -122,21 +122,20 @@ class SnpVerdict(Frozen):
 
     violation holds the lexicographically least offending lattice point when
     the check fails; hull_lattice_points is filled by the brute-force route
-    (all integer points of the Newton polytope); components is filled by the
-    fast route (one permutahedron per homogeneous degree).
+    (all integer points of the Newton polytope). The fast route's polytopes
+    are the chain's permutahedra, whatever the verdict: newton_components.
     """
 
-    __slots__ = ("is_snp", "violation", "hull_lattice_points", "components", "detail")
+    __slots__ = ("is_snp", "violation", "hull_lattice_points", "detail")
 
     def __init__(
         self,
         is_snp: bool,
         violation: ExponentVector | None = None,
         hull_lattice_points: frozenset = frozenset(),
-        components: tuple[Permutahedron, ...] = (),
         detail: str = "",
     ) -> None:
-        super().__init__(is_snp, violation, hull_lattice_points, components, detail)
+        super().__init__(is_snp, violation, hull_lattice_points, detail)
 
 
 def _directional_sums(point: ExponentVector) -> list[int]:
@@ -158,8 +157,9 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     that breaks one lies outside the hull; the rest go to the exact simplex,
     and a point it puts inside the hull is a saturation violation. The filter
     uses no symmetry and no permutahedra, so this route stays independent of
-    snp_check_symmetric_fast. The verdict records all hull lattice points, so
-    a passing result doubles as a full Newton polytope description.
+    snp_check_symmetric_fast. The box is walked in lexicographic order, so
+    the first violation is the least. The verdict records all hull lattice
+    points, so a passing result doubles as a full Newton polytope description.
     """
     support = f.support()
     if not support:
@@ -168,25 +168,20 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     # <d, x> <= h holds on the whole hull when h is the largest <d, p> over
     # the support. The zero direction's height is 0, which no point breaks.
     heights = list(map(max, zip(*map(_directional_sums, support))))
-    hull_points: set[ExponentVector] = set()
-    violations: list[ExponentVector] = []
-    for point in product(*(range(min(c), max(c) + 1) for c in zip(*support))):
-        if point in cloud.points:
-            hull_points.add(point)
-        elif any(map(gt, _directional_sums(point), heights)):
-            continue  # outside the hull, no simplex needed
-        elif hull_membership(point, cloud):
-            hull_points.add(point)
-            violations.append(point)
-    if violations:
-        first = min(violations)
-        return SnpVerdict(
-            is_snp=False,
-            violation=first,
-            hull_lattice_points=frozenset(hull_points),
-            detail=f"lattice point {first} lies in the hull but not the support",
-        )
-    return SnpVerdict(is_snp=True, hull_lattice_points=frozenset(hull_points))
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*support)))
+    violations = [
+        point
+        for point in box
+        if point not in cloud.points
+        and not any(map(gt, _directional_sums(point), heights))
+        and hull_membership(point, cloud)
+    ]
+    hull_points = cloud.points.union(violations)
+    if not violations:
+        return SnpVerdict(is_snp=True, hull_lattice_points=hull_points)
+    first = violations[0]
+    detail = f"lattice point {first} lies in the hull but not the support"
+    return SnpVerdict(False, first, hull_points, detail)
 
 
 def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
@@ -210,7 +205,6 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     if supports.keys() != expected.keys():
         stray = sorted(supports.keys() ^ expected.keys())
         return SnpVerdict(is_snp=False, detail=f"degree set mismatch at degrees {stray}")
-    components = []
     for degree, perm in expected.items():
         points = _dominated(perm)
         supp = supports[degree]
@@ -219,8 +213,6 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
             return SnpVerdict(
                 is_snp=False,
                 violation=first,
-                components=tuple(components),
                 detail=f"support/polytope mismatch in degree {degree} at {first}",
             )
-        components.append(perm)
-    return SnpVerdict(is_snp=True, components=tuple(components))
+    return SnpVerdict(is_snp=True)

@@ -43,7 +43,6 @@ def samples():
             SnpVerdict(
                 False,
                 violation=(1, 1),
-                components=(Permutahedron((2, 0)),),
                 detail="lattice point (1, 1) lies in the hull but not the support",
             ),
         ),
@@ -124,7 +123,7 @@ def test_partition_equality_sees_the_stripped_parts():
 
 def test_defaults():
     assert fields(CheckResult(True)) == (True, "")
-    assert fields(SnpVerdict(False)) == (False, None, frozenset(), (), "")
+    assert fields(SnpVerdict(False)) == (False, None, frozenset(), "")
     assert Partition().parts == ()
 
 
