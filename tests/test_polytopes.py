@@ -1,5 +1,6 @@
 """Permutahedra, hull membership, Rado containment, and saturation verdicts."""
 
+import json
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -23,7 +24,7 @@ from grothsnp import (
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
-from grothsnp import exactlp, polytopes
+from grothsnp import cli, exactlp, polytopes
 from grothsnp.grothendieck import grothendieck_lenart_dominant
 from grothsnp.partitions import majorizes
 
@@ -398,11 +399,9 @@ def broken_cases():
     yield Partition((2, 1)), 3, (5, 3, 0), -1
 
 
-@pytest.mark.parametrize("lam, n, exp, coeff", list(broken_cases()))
-def test_fast_route_failures_match_the_full_route(monkeypatch, lam, n, exp, coeff):
-    """A dominant coefficient changed in the Lenart kernel makes the fast
-    check fail with the violation and detail that the full-support check
-    gives on the polynomial with the whole orbit changed."""
+def plant(monkeypatch, lam, n, exp, coeff):
+    """Set the dominant coefficient at exp to coeff where the fast check
+    reads the Lenart kernel."""
     dominant = dict(grothendieck_lenart_dominant(lam, n).items())
     dominant[exp] = coeff
     monkeypatch.setattr(
@@ -410,6 +409,14 @@ def test_fast_route_failures_match_the_full_route(monkeypatch, lam, n, exp, coef
         "grothendieck_lenart_dominant",
         lambda lam, n: SparsePolynomial(n, dominant),
     )
+
+
+@pytest.mark.parametrize("lam, n, exp, coeff", list(broken_cases()))
+def test_fast_route_failures_match_the_full_route(monkeypatch, lam, n, exp, coeff):
+    """A dominant coefficient changed in the Lenart kernel makes the fast
+    check fail with the violation and detail that the full-support check
+    gives on the polynomial with the whole orbit changed."""
+    plant(monkeypatch, lam, n, exp, coeff)
     full = dict(grothendieck_lenart(lam, n).items())
     for point in permutations(exp):
         full[point] = coeff
@@ -417,6 +424,27 @@ def test_fast_route_failures_match_the_full_route(monkeypatch, lam, n, exp, coef
     verdict = snp_check_symmetric_fast(lam, n)
     assert not verdict.is_snp
     assert (verdict.violation, verdict.detail) == (violation, detail)
+
+
+@pytest.mark.parametrize("lam, n, exp, coeff", list(broken_cases()))
+def test_failing_fast_report_lists_every_chain_component(
+    monkeypatch, capsys, lam, n, exp, coeff
+):
+    """With a planted defect, snp exits 1 and still lists the (degree,
+    weight) of every chain component, as newton does, with the verdict's
+    violation and detail."""
+    argv = ["--lambda", ",".join(map(str, lam.parts)), "--n", str(n)]
+    assert cli.main(["newton", *argv]) == 0
+    newton = json.loads(capsys.readouterr().out)["components"]
+    plant(monkeypatch, lam, n, exp, coeff)
+    verdict = snp_check_symmetric_fast(lam, n)
+    assert cli.main(["snp", *argv]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["components"] == [
+        {"degree": c["degree"], "weight": c["weight"]} for c in newton
+    ]
+    violation = list(verdict.violation) if verdict.violation else None
+    assert (doc["violation"], doc["detail"]) == (violation, verdict.detail)
 
 
 @given(
