@@ -122,8 +122,8 @@ class SnpVerdict(Frozen):
 
     violation holds the lexicographically least offending lattice point when
     the check fails; hull_lattice_points is filled by the brute-force route
-    (all integer points of the Newton polytope). The fast route's polytopes
-    are the chain's permutahedra, whatever the verdict: newton_components.
+    (all integer points of the Newton polytope). The fast route records no
+    polytopes: whatever its verdict, they are newton_components of the chain.
     """
 
     __slots__ = ("is_snp", "violation", "hull_lattice_points", "detail")

@@ -2,8 +2,9 @@
 
 Each type is a __slots__ class on the shared Frozen base. Its twin here is a
 frozen dataclass of the same name and fields, built without validation, which
-gives the reference hash and repr; equality, immutability, every ValueError
-and keyword construction are checked directly.
+gives the reference hash and repr; equality, immutability, the refusal to
+pickle or copy, every ValueError and keyword construction are checked
+directly.
 """
 
 import copy
