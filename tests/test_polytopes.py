@@ -331,8 +331,17 @@ def test_prefilter_keeps_the_unfiltered_verdict(cloud):
 
 
 class TestFastRoute:
-    def test_newton_components_pair_each_chain_shape_with_its_degree(self):
+    def test_displayed_case_lists_four_polytopes(self):
         assert snp_check_symmetric_fast(Partition((3, 1)), 3).is_snp
+        components = polytopes.newton_components(mu_chain(Partition((3, 1)), 3))
+        assert [p.weight for _, p in components] == [
+            (3, 1, 0),
+            (3, 2, 0),
+            (3, 2, 1),
+            (3, 2, 2),
+        ]
+
+    def test_newton_components_pair_each_chain_shape_with_its_degree(self):
         components = polytopes.newton_components(mu_chain(Partition((3, 1)), 3))
         assert [(degree, p.weight, len(p.weight)) for degree, p in components] == [
             (4, (3, 1, 0), 3),
