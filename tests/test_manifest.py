@@ -11,10 +11,10 @@ runs, each named by its command line and run in-process:
 - the sweep-n3 desk sweep, with each pair's wall-clock seconds masked;
 - four shapes with more rows than variables, each refused as a usage error.
 
-The file also holds the digests of four runs at scale, which CI compares
+The file also holds the digests of five runs at scale, which CI compares
 from a child and this test does not run: `groth` at (4,3,2,1), n = 8, a
 53 MB report; `expand` and `verify` at (6,5,4,3,2,1), n = 12; and the
-degreewise `snp` at (4,3,2,1), n = 8.
+degreewise `snp` and `newton` at (4,3,2,1), n = 8, the second a 46 MB report.
 
 The tests that pin output against the mathematics stay where they are; this
 one pins it against the commit that wrote the file. A change that alters
@@ -45,6 +45,7 @@ AT_SCALE = [
     ["grothsnp", "expand", "--lambda", "6,5,4,3,2,1", "--n", "12"],
     ["grothsnp", "verify", "--lambda", "6,5,4,3,2,1", "--n", "12"],
     ["grothsnp", "snp", "--lambda", "4,3,2,1", "--n", "8"],
+    ["grothsnp", "newton", "--lambda", "4,3,2,1", "--n", "8"],
 ]
 
 BOX_COMMANDS = (
