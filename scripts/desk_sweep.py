@@ -47,7 +47,7 @@ def run_battery(lam: Partition, n: int) -> dict:
     started = time.perf_counter()
     checks = battery.run_checks(lam, n)
     return {
-        "lambda": list(lam.parts),
+        "lambda": lam.parts,
         "n": n,
         "ok": all(entry["ok"] for entry in checks),
         "seconds": round(time.perf_counter() - started, 3),
@@ -69,7 +69,7 @@ def sweep(args: argparse.Namespace) -> dict:
         "config": {
             "max_part": args.max_part,
             "max_rows": args.max_rows,
-            "n_values": list(args.n_values),
+            "n_values": args.n_values,
             "trials": args.trials,
             "seed": args.seed,
         },

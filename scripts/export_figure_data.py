@@ -40,7 +40,7 @@ def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     lines = text.splitlines()
     degrees = sorted({int(line.rsplit(",", 1)[1]) for line in lines})
     return {
-        "lambda": list(lam.parts),
+        "lambda": lam.parts,
         "n": n,
         "file": filename,
         "lattice_points": len(lines),

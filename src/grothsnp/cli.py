@@ -132,8 +132,8 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import schur_expansion
 
     terms = schur_expansion(args.lam, args.n).terms
-    listed = [{"mu": list(mu.parts), "coeff": coeff} for mu, coeff in terms]
-    payload = {"lambda": list(args.lam.parts), "n": args.n, "terms": listed}
+    listed = [{"mu": mu.parts, "coeff": coeff} for mu, coeff in terms]
+    payload = {"lambda": args.lam.parts, "n": args.n, "terms": listed}
     return 0, battery.dump_json(payload)
 
 
@@ -144,7 +144,7 @@ def _run_groth(args: argparse.Namespace) -> tuple[int, str]:
     # G_lambda by symmetry: each dominant term over its orbit, in graded-lex order
     dominant = grothendieck_lenart_dominant(args.lam, args.n)
     terms = sorted((sum(w), exp, c) for w, c in dominant.items() for exp in _orbit(w))
-    listed = [{"exp": list(exp), "coeff": c} for _, exp, c in terms]
+    listed = [{"exp": exp, "coeff": c} for _, exp, c in terms]
     return 0, battery.dump_json({"n": args.n, "terms": listed})
 
 
@@ -152,8 +152,8 @@ def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
     from .grothendieck import mu_chain
 
     chain = mu_chain(args.lam, args.n)
-    mus = [list(mu.padded(args.n)) for mu in chain.mus]
-    return 0, battery.dump_json({"mus": mus, "rows": list(chain.rows)})
+    mus = [mu.padded(args.n) for mu in chain.mus]
+    return 0, battery.dump_json({"mus": mus, "rows": chain.rows})
 
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
@@ -164,14 +164,14 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
     components = [
         {
             "degree": degree,
-            "weight": list(perm.weight),
+            "weight": perm.weight,
             "n": args.n,
-            "vertices": [list(v) for v in sorted(vertices(perm))],
-            "lattice_points": [list(v) for v in sorted(lattice_points(perm))],
+            "vertices": sorted(vertices(perm)),
+            "lattice_points": sorted(lattice_points(perm)),
         }
         for degree, perm in newton_components(mu_chain(args.lam, args.n))
     ]
-    payload = {"lambda": list(args.lam.parts), "n": args.n, "components": components}
+    payload = {"lambda": args.lam.parts, "n": args.n, "components": components}
     return 0, battery.dump_json(payload)
 
 
@@ -186,19 +186,17 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
         else snp_check_symmetric_fast(args.lam, args.n)
     )
     payload = {
-        "lambda": list(args.lam.parts),
+        "lambda": args.lam.parts,
         "n": args.n,
         "method": "brute" if args.brute else "fast",
         "snp": verdict.is_snp,
-        "violation": list(verdict.violation) if verdict.violation else None,
+        "violation": verdict.violation,
     }
     if args.brute:
-        payload["hull_lattice_points"] = [
-            list(pt) for pt in sorted(verdict.hull_lattice_points)
-        ]
+        payload["hull_lattice_points"] = sorted(verdict.hull_lattice_points)
     else:
         payload["components"] = [
-            {"degree": degree, "weight": list(perm.weight)}
+            {"degree": degree, "weight": perm.weight}
             for degree, perm in newton_components(mu_chain(args.lam, args.n))
         ]
     payload["detail"] = verdict.detail
@@ -216,7 +214,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     results = battery.run_checks(args.lam, args.n, _verify_names(args))
     all_ok = all(entry["ok"] for entry in results)
     payload = {
-        "lambda": list(args.lam.parts),
+        "lambda": args.lam.parts,
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,

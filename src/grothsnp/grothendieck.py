@@ -297,19 +297,17 @@ def check_claim_c(chain: MuChain) -> CheckResult:
     that k -> p_r(k) lies on or above its chord from i to j at K. A sequence
     does so for every chord iff it is discretely concave, so the claim holds
     for all weights iff mu^(K-1) + mu^(K+1) is majorized by 2*mu^(K) for
-    0 < K < N: the vertices (K-1, K, K+1), checked in integers.
+    0 < K < N: the vertices (K-1, K, K+1), checked in integers. A failure
+    names the doubled mix over its denominator 2.
     """
     padded = [mu.padded(chain.n) for mu in chain.mus]
     for surplus in range(1, chain.length):
-        mixed = [a + b for a, b in zip(padded[surplus - 1], padded[surplus + 1])]
+        mixed = tuple(a + b for a, b in zip(padded[surplus - 1], padded[surplus + 1]))
         if not majorizes([2 * x for x in padded[surplus]], mixed):
-            from fractions import Fraction
-
             return CheckResult(
                 False,
                 f"vertex K={surplus}, i={surplus - 1}, j={surplus + 1}: mix "
-                f"{tuple(Fraction(x, 2) for x in mixed)} "
-                f"escapes chain shape at K={surplus}",
+                f"{mixed}/2 escapes chain shape at K={surplus}",
             )
     return CheckResult(True)
 

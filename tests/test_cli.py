@@ -1285,9 +1285,8 @@ class TestEntryPoint:
     )
     def test_no_multiprocessing_import_without_a_pool(self, argv):
         # Neither dataclasses (which loads inspect) nor fractions is part of
-        # start-up: the value types are __slots__ classes, and Fraction is
-        # imported only where one is built, in the failure detail of
-        # check_claim_c.
+        # start-up: the value types are __slots__ classes, and no module of
+        # the package imports fractions.
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         assert "grothsnp.battery" in imported

@@ -849,17 +849,16 @@ class TestIntegerPath:
                 assert mixed == convex_combination(weights, padded)
                 assert majorizes([d * x for x in padded[surplus]], mixed)
 
-    def test_failure_details_keep_the_fraction_format(self, monkeypatch):
-        # Claim b names the shape and its reversal; claim c prints its mix in
-        # Fractions, as the Fraction implementation did.
+    def test_failure_details_print_integers(self, monkeypatch):
+        # Claim b names the shape and its reversal; claim c prints its doubled
+        # mix over the denominator 2.
         monkeypatch.setattr(grothendieck, "majorizes", lambda mu, v: False)
         chain = mu_chain(LAM310, 3)
         assert check_claim_b(chain).detail == (
             "k=0: rearrangement (0, 1, 3) escapes shape (3, 1, 0)"
         )
         assert check_claim_c(chain).detail == (
-            "vertex K=1, i=0, j=2: mix (Fraction(3, 1), Fraction(3, 2), "
-            "Fraction(1, 2)) escapes chain shape at K=1"
+            "vertex K=1, i=0, j=2: mix (6, 3, 1)/2 escapes chain shape at K=1"
         )
 
     def test_claim_c_failure_names_its_vertex(self):
@@ -867,8 +866,7 @@ class TestIntegerPath:
         # (3,1) and (4,2) escapes (3,2)
         chain = _box_moved_to_row_one(mu_chain(LAM310, 3), 2, 3)
         assert check_claim_c(chain).detail == (
-            "vertex K=1, i=0, j=2: mix (Fraction(7, 2), Fraction(3, 2), "
-            "Fraction(0, 1)) escapes chain shape at K=1"
+            "vertex K=1, i=0, j=2: mix (7, 3, 0)/2 escapes chain shape at K=1"
         )
 
 
