@@ -89,10 +89,10 @@ def convex_certificate(
     numerators[j] / d, an exact certificate that is re-verified against the
     system before being handed back.
     """
+    goal = [index(x) for x in target]
     if not points:
         return None
     pts = [[index(x) for x in p] for p in points]
-    goal = [index(x) for x in target]
     if any(len(p) != len(goal) for p in pts):
         raise ValueError("all points must share the target's dimension")
     found = _phase1(pts, goal)

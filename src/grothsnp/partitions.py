@@ -101,9 +101,6 @@ class Partition(Frozen):
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 

@@ -31,12 +31,11 @@ class SparsePolynomial:
         for exp, coeff in (terms or {}).items():
             # Integers only: anything else raises TypeError, not truncated.
             key = tuple(map(index, exp))
-            coeff = index(coeff)
-            if coeff == 0:
-                continue
             if len(key) != n or min(key, default=0) < 0:
                 raise ValueError(f"bad exponent {exp} for ambient {n}")
-            cleaned[key] = coeff
+            coeff = index(coeff)
+            if coeff != 0:
+                cleaned[key] = coeff
         self.n = n
         self._terms = cleaned
 
@@ -58,9 +57,6 @@ class SparsePolynomial:
             and self.n == other.n
             and self._terms == other._terms
         )
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)

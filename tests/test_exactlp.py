@@ -252,6 +252,8 @@ class TestIntegerInputs:
             convex_certificate(points, (entry, 0))
         with pytest.raises(TypeError):
             convex_certificate([*points, (entry, 1)], (0, 0))
+        with pytest.raises(TypeError):  # read before the empty-points return
+            convex_certificate([], (entry, 0))
         with pytest.raises(TypeError):
             hull_membership((entry, entry), PointCloud(2, frozenset(points)))
 

@@ -1,6 +1,7 @@
 """The package surface: every name in grothsnp.__all__ loads with its home
 module on first use, and importing the package loads no math layer."""
 
+import ast
 import importlib
 import json
 import os
@@ -111,8 +112,8 @@ def test_verify_loads_no_random():
     ids=["verify", "desk_sweep"],
 )
 def test_children_load_no_fractions(main, argv):
-    # Every check decides in integers; only a failing claim c prints its mix
-    # as Fractions. -S keeps site out, since a .pth file may import fractions.
+    # Every check decides and reports in integers. -S keeps site out, since a
+    # .pth file may import fractions.
     probe = (
         f"import sys\n{main}\n"
         f"status = main({argv!r})\n"
@@ -126,6 +127,37 @@ def test_children_load_no_fractions(main, argv):
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def _non_integer(node: ast.AST) -> str | None:
+    """What node brings in that is not integer arithmetic, or None."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = []
+    rational = [m for m in modules if m.split(".")[0] in ("fractions", "decimal")]
+    if rational:
+        return f"imports {rational[0]}"
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return f"float constant {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+        return "float() call"
+    return None
+
+
+def test_the_package_holds_no_rational_and_no_float():
+    # Every layer computes and reports in integers.
+    found = [
+        f"{path.name}:{node.lineno}: {what}"
+        for path in sorted((ROOT / "src" / "grothsnp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (what := _non_integer(node))
+    ]
+    assert not found
 
 
 def test_loading_battery_freezes_the_heap_at_exit():

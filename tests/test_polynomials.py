@@ -34,10 +34,14 @@ class TestConstruction:
     def test_key_length_is_checked(self):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent"):  # before a zero is dropped
+            SparsePolynomial(2, {(1, 2, 3): 0})
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent"):  # before a zero is dropped
+            SparsePolynomial(2, {(-1, 0): 0})
 
     @pytest.mark.parametrize(
         "terms",
