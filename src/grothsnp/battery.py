@@ -130,7 +130,8 @@ def run_checks(
 
 def dump_json(obj) -> str:
     """obj as the JSON text every report and manifest is written in: two-space
-    indent and a final newline."""
+    indent and a final newline. A tuple is written as the same array as a
+    list, so reports pass the layers' tuples as they are."""
     import json
 
     return json.dumps(obj, indent=2) + "\n"
