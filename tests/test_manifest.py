@@ -9,7 +9,10 @@ runs, each named by its command line and run in-process:
 - the ten verify operations of the verify-n45 and models-n6 benchmark
   workloads, with their flags at --seed 1;
 - the sweep-n3 desk sweep, with each pair's wall-clock seconds masked;
-- four shapes with more rows than variables, each refused as a usage error.
+- four shapes with more rows than variables, each refused as a usage error;
+- the figure export at --n 2 and --n 3 (--max-part 3), each into a fresh
+  temporary directory that its key and its stdout name as OUT; its record
+  also holds one digest over the name and bytes of every file written there.
 
 The file also holds the digests of five runs at scale, which CI compares
 from a child and this test does not run: `groth` at (4,3,2,1), n = 8, a
@@ -19,7 +22,7 @@ degreewise `snp` and `newton` at (4,3,2,1), n = 8, the second a 46 MB report.
 The tests that pin output against the mathematics stay where they are; this
 one pins it against the commit that wrote the file. A change that alters
 output on purpose regenerates the file, the runs at scale included, and names
-the changed keys:
+the changed keys, which the command prints, one line each:
 
     PYTHONPATH=src python tests/test_manifest.py --write
 """
@@ -32,6 +35,7 @@ import json
 import re
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 from grothsnp import partitions_in_box
@@ -40,6 +44,8 @@ from grothsnp.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 SWEEP = "scripts/desk_sweep.py"
+EXPORT = "scripts/export_figure_data.py"
+OUT = "OUT"  # an export run's --out-dir, a fresh temporary directory
 AT_SCALE = [
     ["grothsnp", "groth", "--lambda", "4,3,2,1", "--n", "8"],
     ["grothsnp", "expand", "--lambda", "6,5,4,3,2,1", "--n", "12"],
@@ -81,6 +87,7 @@ def runs() -> list[list[str]]:
         ["grothsnp", command, "--lambda", "1,1,1", "--n", "2"]
         for command in ("snp", "chain", "expand", "newton")
     ]
+    argvs += [[EXPORT, "--n", n, "--max-part", "3", "--out-dir", OUT] for n in ("2", "3")]
     return argvs
 
 
@@ -89,25 +96,34 @@ def digest(text: str) -> str:
 
 
 def record(argv: list[str]) -> dict:
-    """The exit status and the stdout and stderr digests of one in-process run."""
+    """The exit status and the stdout and stderr digests of one in-process
+    run, and for an export the digest of the files it wrote."""
     prog, *args = argv
-    if prog == SWEEP:
-        spec = importlib.util.spec_from_file_location("desk_sweep", ROOT / SWEEP)
+    if prog in (SWEEP, EXPORT):
+        spec = importlib.util.spec_from_file_location(Path(prog).stem, ROOT / prog)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         main = module.main
     else:
         main = cli_main
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(args)
-        except SystemExit as exc:  # a usage error, raised by argparse
-            status = exc.code
-    stdout = out.getvalue()
-    if prog == SWEEP:
-        stdout = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', stdout)
-    return {"status": status, "stdout": digest(stdout), "stderr": digest(err.getvalue())}
+    with tempfile.TemporaryDirectory() as out_dir:
+        args = [out_dir if arg == OUT else arg for arg in args]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(args)
+            except SystemExit as exc:  # a usage error, raised by argparse
+                status = exc.code
+        stdout = out.getvalue()
+        if prog == SWEEP:
+            stdout = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', stdout)
+        entry = {"status": status, "stdout": digest(stdout.replace(out_dir, OUT)),
+                 "stderr": digest(err.getvalue().replace(out_dir, OUT))}
+        if prog == EXPORT:
+            files = sorted(Path(out_dir).iterdir())
+            blob = b"".join(f.name.encode() + b"\0" + f.read_bytes() + b"\0" for f in files)
+            entry["files"] = hashlib.sha256(blob).hexdigest()[:16]
+    return entry
 
 
 def test_outputs_match_the_manifest():
@@ -115,7 +131,7 @@ def test_outputs_match_the_manifest():
     for argv in AT_SCALE:
         del pinned[shlex.join(argv)]  # compared by CI, from a child
     seen = {shlex.join(argv): record(argv) for argv in runs()}
-    assert len(seen) == 552 + 10 + 1 + 4
+    assert len(seen) == 552 + 10 + 1 + 4 + 2
     assert seen.keys() == pinned.keys()
     changed = [key for key in seen if seen[key] != pinned[key]]
     assert not changed, f"{len(changed)} runs changed output, first: {changed[:10]}"
@@ -124,8 +140,14 @@ def test_outputs_match_the_manifest():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
-    lines = [
-        f"  {json.dumps(shlex.join(argv))}: {json.dumps(record(argv))}"
-        for argv in [*runs(), *AT_SCALE]
-    ]
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    new = {shlex.join(argv): record(argv) for argv in [*runs(), *AT_SCALE]}
+    for key in sorted(old.keys() - new.keys()):
+        print(f"removed: {key}")
+    for key, entry in new.items():
+        if key not in old:
+            print(f"added: {key}")
+        elif entry != old[key]:
+            print(f"changed: {key}")
+    lines = [f"  {json.dumps(key)}: {json.dumps(entry)}" for key, entry in new.items()]
     MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
