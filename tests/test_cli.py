@@ -346,8 +346,9 @@ class TestVerify:
     ):
         # every check of the full battery, claim b included, reads neither option
         if planted:
-            # (3,2,1) with its row-3 box moved to row 1, which claims a and
-            # c, the lemmas and brute-snp catch
+            # the chain's shape (3,2,1) with its row-3 box moved to row 1,
+            # planted at both lookups of mu_chain, so every check that reads
+            # the chain sees it: all but cross-oracle and claim b fail
             chain = mu_chain(Partition((3, 1)), 3)
             bad = object.__new__(MuChain)
             for name in ("lam", "n", "rows"):
@@ -355,6 +356,7 @@ class TestVerify:
             mus = chain.mus[:2] + (Partition((4, 2)),) + chain.mus[3:]
             object.__setattr__(bad, "mus", mus)
             monkeypatch.setattr("grothsnp.grothendieck.mu_chain", lambda lam, n: bad)
+            monkeypatch.setattr("grothsnp.polytopes.mu_chain", lambda lam, n: bad)
         records = []
         for trials, seed in (("1", "0"), ("1000", "0"), ("1", "7"), ("1000", "7")):
             status, out = run_cli(
@@ -366,7 +368,8 @@ class TestVerify:
         assert all(checks == records[0] for checks in records)
         assert [c["name"] for c in records[0]] == list(battery.CHECKS)
         failed = [c["name"] for c in records[0] if not c["ok"]]
-        assert failed == (["claim-a", "claim-c", "lemmas", "brute-snp"] if planted else [])
+        planted_failures = ["component-snp", "claim-a", "claim-c", "lemmas", "brute-snp"]
+        assert failed == (planted_failures if planted else [])
 
     def test_brute_snp_is_skipped_beyond_three_variables(self, capsys):
         status, out = run_cli(
