@@ -101,8 +101,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)
-    try:
-        args.n_values = tuple(int(tok) for tok in args.n_values.split(",") if tok.strip())
+    try:  # blanks and commas alone name no n; an empty token beside an n is refused
+        tokens = args.n_values.split(",")
+        args.n_values = tuple(map(int, tokens)) if any(map(str.strip, tokens)) else ()
     except ValueError:
         parser.error(f"could not parse --n-values {args.n_values!r}")
     if args.max_part < 0 or args.max_rows < 0:

@@ -100,7 +100,7 @@ def run_check(name: str, lam: partitions.Partition, n: int) -> dict:
     elif name == "brute-snp":
         verdict = polytopes.snp_check_bruteforce(groth.grothendieck_setvalued(lam, n))
         expected = set()
-        for _, perm in polytopes.newton_components(groth.mu_chain(lam, n)):
+        for _, perm in polytopes.newton_components(lam, n):
             expected |= polytopes.permutahedron_lattice_points(perm)
         ok = verdict.is_snp and verdict.hull_lattice_points == expected
         detail = verdict.detail

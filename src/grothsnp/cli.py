@@ -157,7 +157,6 @@ def _run_chain(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
-    from .grothendieck import mu_chain
     from .polytopes import newton_components, permutahedron_vertices as vertices
     from .polytopes import permutahedron_lattice_points as lattice_points
 
@@ -169,14 +168,14 @@ def _run_newton(args: argparse.Namespace) -> tuple[int, str]:
             "vertices": sorted(vertices(perm)),
             "lattice_points": sorted(lattice_points(perm)),
         }
-        for degree, perm in newton_components(mu_chain(args.lam, args.n))
+        for degree, perm in newton_components(args.lam, args.n)
     ]
     payload = {"lambda": args.lam.parts, "n": args.n, "components": components}
     return 0, battery.dump_json(payload)
 
 
 def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
-    from .grothendieck import grothendieck_setvalued, mu_chain
+    from .grothendieck import grothendieck_setvalued
     from .polytopes import newton_components, snp_check_bruteforce
     from .polytopes import snp_check_symmetric_fast
 
@@ -197,7 +196,7 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
     else:
         payload["components"] = [
             {"degree": degree, "weight": perm.weight}
-            for degree, perm in newton_components(mu_chain(args.lam, args.n))
+            for degree, perm in newton_components(args.lam, args.n)
         ]
     payload["detail"] = verdict.detail
     return (0 if verdict.is_snp else 1), battery.dump_json(payload)
@@ -227,11 +226,10 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 def figure_data(lam: Partition, n: int) -> str:
     """The lattice points of every polytope in the chain of lam as CSV lines
     x,y,z,degree, with "-" in the coordinate columns beyond n <= 3."""
-    from .grothendieck import mu_chain
     from .polytopes import newton_components, permutahedron_lattice_points
 
     lines = []
-    for degree, perm in newton_components(mu_chain(lam, n)):
+    for degree, perm in newton_components(lam, n):
         for pt in sorted(permutahedron_lattice_points(perm)):
             coords = [str(pt[i]) if i < n else "-" for i in range(3)]
             lines.append(",".join(coords + [str(degree)]))

@@ -16,7 +16,7 @@ from itertools import product
 from operator import gt, index
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .grothendieck import MuChain, grothendieck_lenart_dominant, mu_chain
+from .grothendieck import grothendieck_lenart_dominant, mu_chain
 from .partitions import ExponentVector, Frozen, Partition, dominated_partitions, majorizes
 
 if TYPE_CHECKING:
@@ -88,13 +88,13 @@ def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
     return {point for nu in _dominated(p) for point in _orbit(nu)}
 
 
-def newton_components(chain: MuChain) -> list[tuple[int, Permutahedron]]:
-    """The paper's theorem as data: for each shape mu^(k) of the greedy chain
-    of lambda, the degree |lambda| + k and P_{mu^(k)} in chain.n variables,
-    the Newton polytope of the component of G_lambda in that degree."""
+def newton_components(lam: Partition, n: int) -> list[tuple[int, Permutahedron]]:
+    """The paper's theorem as data: for each shape mu^(k) of mu_chain(lam, n),
+    the degree |lam| + k and P_{mu^(k)} in n variables, the Newton polytope of
+    the component of G_lam in that degree; no caller builds the chain."""
     return [
-        (degree, Permutahedron.of_partition(mu, chain.n))
-        for degree, mu in enumerate(chain.mus, chain.lam.size())
+        (degree, Permutahedron.of_partition(mu, n))
+        for degree, mu in enumerate(mu_chain(lam, n).mus, lam.size())
     ]
 
 
@@ -123,7 +123,7 @@ class SnpVerdict(Frozen):
     violation holds the lexicographically least offending lattice point when
     the check fails; hull_lattice_points is filled by the brute-force route
     (all integer points of the Newton polytope). The fast route records no
-    polytopes: whatever its verdict, they are newton_components of the chain.
+    polytopes: whatever its verdict, they are newton_components(lam, n).
     """
 
     __slots__ = ("is_snp", "violation", "hull_lattice_points", "detail")
@@ -198,7 +198,7 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     dominant mismatch.
     """
     dominant = grothendieck_lenart_dominant(lam, n)
-    expected = dict(newton_components(mu_chain(lam, n)))
+    expected = dict(newton_components(lam, n))
     supports: dict[int, set[ExponentVector]] = {}
     for exp, _ in dominant.items():
         supports.setdefault(sum(exp), set()).add(exp)

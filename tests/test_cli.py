@@ -984,6 +984,9 @@ class TestDeskSweepBattery:
                 ("3,2,3", "--n-values repeats a variable count; name each n once"),
                 ("0", "every n must be a positive integer"),
                 ("x", "could not parse --n-values 'x'"),
+                # An empty token beside an n is refused, as --lambda 3,,1 is.
+                ("2,,3", "could not parse --n-values '2,,3'"),
+                ("2,3,", "could not parse --n-values '2,3,'"),
             ]
         ]
         + [

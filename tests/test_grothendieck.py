@@ -1002,6 +1002,17 @@ def _drop_the_last(partitions):
     return list(partitions)[:-1]
 
 
+def _lowest_corner_moved(k):
+    """A defect of mu_chain: shape k with its lowest corner box moved to
+    row 1 (_box_moved_to_row_one)."""
+
+    def defect(chain):
+        moved = (_box_moved_to_row_one(chain, k, row) for row in range(chain.n, 1, -1))
+        return next(planted for planted in moved if planted is not None)
+
+    return defect
+
+
 def _drop_a_middle_degree_exponent(terms):
     degrees = sorted({sum(exp) for exp in terms})
     middle = degrees[len(degrees) // 2]
@@ -1029,30 +1040,42 @@ class TestDefectMatrix:
     permutahedron, and brute-snp, at n <= 3 only, a hole in the full
     set-valued expansion, which no other check reads. brute-snp has two
     guards against that hole: the simplex puts it in the hull, and without
-    the simplex the hull lattice points miss a point of a chain polytope."""
+    the simplex the hull lattice points miss a point of a chain polytope.
+    A wrong chain shape, planted at both lookups of mu_chain, fails every
+    check that reads the chain; neither tableau model reads it, and claim b
+    holds for any chain."""
 
     @pytest.mark.parametrize(
-        "module, name, defect, at_n3, at_n4",
+        "modules, name, defect, at_n3, at_n4",
         [
-            pytest.param(grothendieck, "gelfand_tsetlin_contents", _double_one_coefficient,
+            pytest.param((grothendieck,), "gelfand_tsetlin_contents", _double_one_coefficient,
                          {"cross-oracle"}, {"cross-oracle"}, id="gt-coefficient-wrong"),
-            pytest.param(grothendieck, "gelfand_tsetlin_contents", _drop_one_term,
+            pytest.param((grothendieck,), "gelfand_tsetlin_contents", _drop_one_term,
                          {"cross-oracle", "component-snp"}, {"cross-oracle", "component-snp"},
                          id="gt-term-dropped"),
-            pytest.param(grothendieck, "set_valued_dominant_contents", _double_one_coefficient,
-                         {"cross-oracle"}, {"cross-oracle"}, id="set-valued-coefficient-wrong"),
-            pytest.param(grothendieck, "set_valued_dominant_contents", _drop_one_term,
+            pytest.param((grothendieck,), "set_valued_dominant_contents",
+                         _double_one_coefficient, {"cross-oracle"}, {"cross-oracle"},
+                         id="set-valued-coefficient-wrong"),
+            pytest.param((grothendieck,), "set_valued_dominant_contents", _drop_one_term,
                          {"cross-oracle"}, {"cross-oracle"}, id="set-valued-term-dropped"),
-            pytest.param(polytopes, "dominated_partitions", _drop_the_last,
+            pytest.param((polytopes,), "dominated_partitions", _drop_the_last,
                          {"component-snp", "brute-snp"}, {"component-snp"},
                          id="dominated-partition-dropped"),
-            pytest.param(tableaux, "set_valued_contents", _drop_a_middle_degree_exponent,
+            pytest.param((tableaux,), "set_valued_contents", _drop_a_middle_degree_exponent,
                          {"brute-snp"}, set(), id="set-valued-hole"),
+        ]
+        + [  # each shape of the (3,2,1)/3 chain, and the first four of (4,2)/4
+            pytest.param((grothendieck, polytopes), "mu_chain", _lowest_corner_moved(k),
+                         {"component-snp", "claim-a", "claim-c", "lemmas", "brute-snp"},
+                         {"component-snp", "claim-a", "claim-c", "lemmas"},
+                         id=f"chain-shape-{k}-wrong")
+            for k in range(4)
         ],
     )
-    def test_failing_checks(self, monkeypatch, module, name, defect, at_n3, at_n4):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: defect(original(*args)))
+    def test_failing_checks(self, monkeypatch, modules, name, defect, at_n3, at_n4):
+        original = getattr(modules[0], name)
+        for module in modules:
+            monkeypatch.setattr(module, name, lambda *args: defect(original(*args)))
         failing = {n: set(details) for n, details in _failing_checks().items()}
         assert failing == {3: at_n3, 4: at_n4}
 
