@@ -1002,6 +1002,16 @@ def _drop_the_last(partitions):
     return list(partitions)[:-1]
 
 
+def _drop_the_last_of_a_long_orbit(orbit):
+    points = list(orbit)
+    return points[:-1] if len(points) > 1 else points
+
+
+def _one_count_off_by_one(terms):
+    top = max(terms)
+    return {**terms, top: terms[top] + 1}
+
+
 def _lowest_corner_moved(k):
     """A defect of mu_chain: shape k with its lowest corner box moved to
     row 1 (_box_moved_to_row_one)."""
@@ -1043,7 +1053,13 @@ class TestDefectMatrix:
     the simplex the hull lattice points miss a point of a chain polytope.
     A wrong chain shape, planted at both lookups of mu_chain, fails every
     check that reads the chain; neither tableau model reads it, and claim b
-    holds for any chain."""
+    holds for any chain. At n >= 4 no check reads an orbit: a wrong one
+    fails brute-snp alone, at n <= 3, and the tests against the full
+    expansions pin the orbits that groth, newton and figure-data print.
+    A majorizes or a hull oracle that always says true, and a wrong SSYT
+    count, fail nothing: the first can only hide a failure, the filter
+    sends no point of these cases to the simplex, and no check reads
+    schur_polynomial."""
 
     @pytest.mark.parametrize(
         "modules, name, defect, at_n3, at_n4",
@@ -1063,6 +1079,14 @@ class TestDefectMatrix:
                          id="dominated-partition-dropped"),
             pytest.param((tableaux,), "set_valued_contents", _drop_a_middle_degree_exponent,
                          {"brute-snp"}, set(), id="set-valued-hole"),
+            pytest.param((polytopes,), "_orbit", _drop_the_last_of_a_long_orbit,
+                         {"brute-snp"}, set(), id="orbit-point-dropped"),
+            pytest.param((grothendieck, polytopes), "majorizes", lambda verdict: True,
+                         set(), set(), id="majorizes-always-true"),
+            pytest.param((polytopes,), "hull_membership", lambda verdict: True,
+                         set(), set(), id="hull-oracle-always-inside"),
+            pytest.param((tableaux,), "ssyt_contents", _one_count_off_by_one,
+                         set(), set(), id="ssyt-count-off-by-one"),
         ]
         + [  # each shape of the (3,2,1)/3 chain, and the first four of (4,2)/4
             pytest.param((grothendieck, polytopes), "mu_chain", _lowest_corner_moved(k),
