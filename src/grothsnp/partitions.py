@@ -8,8 +8,8 @@ integer numerators over a common denominator, the form in which
 `convex_combination` returns a mix.
 
 The enumerators share one loop, `dominated_partitions`, which lists the
-partitions a weight dominates by a walk under its prefix sums; the
-partitions of a size within a box are those under the greatest of them.
+partitions a weight dominates, padded to its length, by a walk under its
+prefix sums; those of a size within a box lie under the greatest of them.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def convex_combination(
 
 
 def dominated_partitions(weight: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The parts of every partition with at most len(weight) parts that the
-    weakly decreasing `weight` dominates, in decreasing lexicographic order.
+    """Every partition that the weakly decreasing `weight` dominates, as its
+    parts padded with zeros to len(weight), in decreasing lexicographic order.
 
     One loop over the rows: each part is at most the one before it and keeps
     its prefix sum at or under the weight's, and it is tried only if it,
@@ -205,7 +205,7 @@ def dominated_partitions(weight: Sequence[int]) -> Iterator[tuple[int, ...]]:
     while True:
         left = total - placed
         if left == 0:
-            yield tuple(parts)
+            yield tuple(parts) + (0,) * (rows - len(parts))
         else:
             row = len(parts)
             # At most `left` too, since the ceiling ends at the total.

@@ -75,17 +75,10 @@ def permutahedron_vertices(p: Permutahedron) -> set[ExponentVector]:
     return set(_orbit(p.weight))
 
 
-def _dominated(p: Permutahedron) -> set[ExponentVector]:
-    """The partitions the weight dominates, padded to its length: one walk
-    under the weight's prefix sums."""
-    n = len(p.weight)
-    return {nu + (0,) * (n - len(nu)) for nu in dominated_partitions(p.weight)}
-
-
 def permutahedron_lattice_points(p: Permutahedron) -> set[ExponentVector]:
     """Integer points by Rado's theorem: the orbits of the partitions that
-    the weight dominates."""
-    return {point for nu in _dominated(p) for point in _orbit(nu)}
+    the weight dominates, as the walk lists them, padded to its length."""
+    return {point for nu in dominated_partitions(p.weight) for point in _orbit(nu)}
 
 
 def newton_components(lam: Partition, n: int) -> list[tuple[int, Permutahedron]]:
@@ -193,9 +186,9 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
     this makes the whole Newton polytope saturated. Both sides are unions
     of orbits, the support by symmetry and the lattice points by Rado's
     theorem, so the check compares the dominant terms in degree |lam|+k with
-    the partitions below mu^(k). A mismatch is reported at the least point
-    of the full symmetric difference, the least ascending rearrangement of a
-    dominant mismatch.
+    the walk's partitions below mu^(k), padded to n, one degree's set at a
+    time. A mismatch is reported at the least point of the full symmetric
+    difference, the least ascending rearrangement of a dominant mismatch.
     """
     dominant = grothendieck_lenart_dominant(lam, n)
     expected = dict(newton_components(lam, n))
@@ -206,7 +199,7 @@ def snp_check_symmetric_fast(lam: Partition, n: int) -> SnpVerdict:
         stray = sorted(supports.keys() ^ expected.keys())
         return SnpVerdict(is_snp=False, detail=f"degree set mismatch at degrees {stray}")
     for degree, perm in expected.items():
-        points = _dominated(perm)
+        points = set(dominated_partitions(perm.weight))
         supp = supports[degree]
         if supp != points:
             first = min(tuple(sorted(nu)) for nu in points.symmetric_difference(supp))

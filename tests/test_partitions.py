@@ -263,7 +263,7 @@ class TestDominanceWalk:
                 for n in range(len(weight), len(weight) + 3):
                     walked = list(dominated_partitions(weight.padded(n)))
                     expected = [
-                        nu.parts
+                        nu.padded(n)
                         for nu in recursive_partitions_of_size(size, n)
                         if dominated(nu, weight)
                     ]

@@ -26,7 +26,7 @@ from grothsnp import (
 )
 from grothsnp import cli, exactlp, polytopes
 from grothsnp.grothendieck import grothendieck_lenart_dominant
-from grothsnp.partitions import majorizes
+from grothsnp.partitions import dominated_partitions, majorizes
 
 
 def perm_of(parts, n):
@@ -74,9 +74,9 @@ def test_orbits_match_the_references(weight):
 
 
 def dominated_by_filter(weight, n):
-    """The generate-and-filter route _dominated replaced: every partition of
-    the size in n rows with no part over the weight's first, kept if the
-    weight dominates it."""
+    """The generate-and-filter route the padded walk replaced: every
+    partition of the size in n rows with no part over the weight's first,
+    kept if the weight dominates it."""
     lam = Partition(weight)
     return {
         nu.padded(n)
@@ -91,7 +91,28 @@ def test_dominated_walk_matches_the_filter(size):
     for weight in partitions_of_size(size, size, size):
         for n in range(max(1, len(weight)), 7):
             perm = Permutahedron.of_partition(weight, n)
-            assert polytopes._dominated(perm) == dominated_by_filter(perm.weight, n)
+            walked = set(dominated_partitions(perm.weight))
+            assert walked == dominated_by_filter(perm.weight, n)
+
+
+class TestOrders:
+    """The two orders that a merge of orbits into sorted lattice points
+    relies on, on every weight of the 4 x 4 box padded to n <= 6."""
+
+    WEIGHTS = [
+        lam.padded(n) for lam in partitions_in_box(4, 4) for n in range(max(1, len(lam)), 7)
+    ]
+
+    def test_orbit_lists_each_rearrangement_once_in_increasing_order(self):
+        assert len(self.WEIGHTS) == 265
+        for weight in self.WEIGHTS:
+            assert list(polytopes._orbit(weight)) == sorted(set(permutations(weight)))
+
+    def test_walk_yields_strictly_decreasing_tuples_of_the_weight_length(self):
+        for weight in self.WEIGHTS:
+            walked = list(dominated_partitions(weight))
+            assert all(len(nu) == len(weight) for nu in walked), weight
+            assert all(a > b for a, b in zip(walked, walked[1:])), weight
 
 
 class TestPermutahedron:
