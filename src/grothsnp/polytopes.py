@@ -153,6 +153,14 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
     snp_check_symmetric_fast. The box is walked in lexicographic order, so
     the first violation is the least. The verdict records all hull lattice
     points, so a passing result doubles as a full Newton polytope description.
+
+    On G_lambda the filter is complete: a point reaches the simplex only if
+    it is a hole in the support. Each step of the greedy chain adds one box,
+    so each prefix sum p_j(mu^(k)) grows by 0 or 1 per degree. Where
+    component-snp and claim c hold, the upper envelope of p_j over the
+    degrees is that sequence, so each facet of the Newton polytope reads
+    <1_S, x> <= c or <1_S, x> - |x| <= c for a set S of coordinates, or
+    bounds the degree |x|; each normal lies in {-1,0,1}^n.
     """
     support = f.support()
     if not support:

@@ -13,6 +13,7 @@ from grothsnp import (
     PointCloud,
     SparsePolynomial,
     grothendieck_lenart,
+    grothendieck_setvalued,
     hull_membership,
     mu_chain,
     partitions_in_box,
@@ -321,15 +322,20 @@ class TestBruteForcePrefilter:
         assert verdict.detail == "lattice point (1, 1) lies in the hull but not the support"
 
     def test_no_simplex_call_on_the_desk_sweep(self, lp_queries):
-        pairs = sweep_n3_pairs()
-        assert len(pairs) == 30
+        """Every partition of the 3 x 3 box at n <= 5, past the desk sweep's
+        n <= 3: the filter is complete on G_lambda, so with no hole in the
+        support no point reaches the simplex."""
+        pairs = [
+            (lam, n) for lam in partitions_in_box(3, 3) for n in range(max(1, len(lam)), 6)
+        ]
+        assert len(pairs) == 74
         for lam, n in pairs:
-            assert snp_check_bruteforce(grothendieck_lenart(lam, n)).is_snp
+            assert snp_check_bruteforce(grothendieck_setvalued(lam, n)).is_snp, (lam, n)
         assert lp_queries == []
 
     def test_desk_sweep_matches_the_unfiltered_reference(self):
         for lam, n in sweep_n3_pairs():
-            f = grothendieck_lenart(lam, n)
+            f = grothendieck_setvalued(lam, n)
             assert filtered_bruteforce(f) == reference_bruteforce(f), (lam, n)
 
 
