@@ -18,6 +18,7 @@ The file also holds the digests of five runs at scale, which CI compares
 from a child and this test does not run: `groth` at (4,3,2,1), n = 8, a
 53 MB report; `expand` and `verify` at (6,5,4,3,2,1), n = 12; and the
 degreewise `snp` and `newton` at (4,3,2,1), n = 8, the second a 46 MB report.
+A second test checks that the CI workflow reads each of those digests.
 
 The tests that pin output against the mathematics stay where they are; this
 one pins it against the commit that wrote the file. A change that alters
@@ -135,6 +136,14 @@ def test_outputs_match_the_manifest():
     assert seen.keys() == pinned.keys()
     changed = [key for key in seen if seen[key] != pinned[key]]
     assert not changed, f"{len(changed)} runs changed output, first: {changed[:10]}"
+
+
+def test_every_run_at_scale_has_its_ci_step():
+    """The test above skips the runs at scale, so a run at scale that no CI
+    step compares would be pinned by nothing."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    for argv in AT_SCALE:
+        assert f'["{shlex.join(argv)}"]["stdout"]' in workflow, argv
 
 
 if __name__ == "__main__":
