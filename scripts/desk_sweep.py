@@ -80,45 +80,37 @@ def sweep(args: argparse.Namespace) -> dict:
     }
 
 
+def counts(text: str) -> tuple[int, ...]:
+    """The argparse type of --n-values; blanks and commas alone name no n."""
+    blank = not text.replace(",", "").strip()
+    return () if blank else tuple(map(battery.count, text.split(",")))
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The parsed and validated arguments, --n-values as a tuple of ints; a
-    bad value exits 2 with usage and one error line."""
+    """The parsed arguments; a bad value exits 2 with usage and one error line."""
     parser = battery.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-part", type=int, default=3,
+    parser.add_argument("--max-part", type=battery.size, default=3,
                         help="largest allowed part (default 3)")
-    parser.add_argument("--max-rows", type=int, default=3,
+    parser.add_argument("--max-rows", type=battery.size, default=3,
                         help="largest allowed number of rows (default 3)")
-    parser.add_argument("--n-values", type=str, default="2,3",
+    parser.add_argument("--n-values", type=counts, default="2,3",
                         help="comma-separated variable counts (default 2,3)")
-    parser.add_argument("--trials", type=int, default=200,
+    parser.add_argument("--trials", type=battery.count, default=200,
                         help="echoed in the report; every check is exact and "
                              "no check reads it (default 200)")
     parser.add_argument("--seed", type=int, default=0,
                         help="echoed in the report; no check reads it (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=battery.count, default=1,
                         help="accepted and validated; the pairs run in one "
                              "process (default 1)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)
-    try:  # blanks and commas alone name no n; an empty token beside an n is refused
-        tokens = args.n_values.split(",")
-        args.n_values = tuple(map(int, tokens)) if any(map(str.strip, tokens)) else ()
-    except ValueError:
-        parser.error(f"could not parse --n-values {args.n_values!r}")
-    if args.max_part < 0 or args.max_rows < 0:
-        parser.error("box dimensions must be nonnegative")
     # The box always holds the empty partition, so each n gives a pair.
     if not args.n_values:
         parser.error("--n-values names no variable count; nothing to sweep")
     if len(set(args.n_values)) < len(args.n_values):
         parser.error("--n-values repeats a variable count; name each n once")
-    if any(n < 1 for n in args.n_values):
-        parser.error("every n must be a positive integer")
-    if args.trials < 1:
-        parser.error("trials must be a positive integer")
-    if args.jobs < 1:
-        parser.error("jobs must be a positive integer")
     return args
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 
 from grothsnp import Partition, partitions_in_box
-from grothsnp.battery import ArgumentParser, deliver, dump_json, write_file
+from grothsnp.battery import ArgumentParser, deliver, dump_json, size, write_file
 from grothsnp.cli import figure_data
 
 
@@ -53,13 +53,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=3, choices=(2, 3),
                         help="number of variables, 2 or 3 (default 3)")
-    parser.add_argument("--max-part", type=int, default=3,
+    parser.add_argument("--max-part", type=size, default=3,
                         help="largest allowed part (default 3)")
     parser.add_argument("--out-dir", type=str, required=True,
                         help="directory for the CSVs and manifest")
     args = parser.parse_args(argv)
-    if args.max_part < 0:
-        parser.error("--max-part must be nonnegative")
     if not args.out_dir:
         parser.error("--out-dir must name a directory")
 

@@ -18,17 +18,18 @@ symmetric; a test pins that symmetry against the full monomial expansions.
 brute-snp, the one check that uses no symmetry, reads the full set-valued
 expansion (Buch's model), not the Lenart side that the other checks share.
 
-The module also holds the exit-2 contract of every entry point: `fail`
-prints the one `<prog>: error: <message>` stderr line, write_stdout and the
+The module also holds the exit-2 contract of every entry point: `fail` prints
+the one `<prog>: error: <message>` stderr line, write_stdout and the
 ArgumentParser that routes --help through it report an unwritable or closed
-stdout, and deliver alone runs an entry point's work: it checks --out first,
-writes the report, and turns a file the work cannot write, exhausted memory
-or Ctrl-C into that line. dump_json writes every JSON report and the figure
-manifest. The scripts load it before they parse their arguments, so it
-imports only the standard library when loaded, and `--help` compiles no math
-layer: run_check imports the math layers when it is first called. Loading it
-freezes the heap at exit, so no entry point, `--help` included, walks its
-live objects in the interpreter's final collections.
+stdout, the argparse types count and size refuse an integer below 1 or 0 with
+that line while parsing, and deliver alone runs an entry point's work: it
+checks --out first, writes the report, and turns a file the work cannot
+write, exhausted memory or Ctrl-C into that line. dump_json writes every JSON
+report and the figure manifest. The scripts load it before they parse their
+arguments, so it imports only the standard library when loaded, and `--help`
+compiles no math layer: run_check imports the math layers when it is first
+called. Loading it freezes the heap at exit, so no entry point, `--help`
+included, walks its live objects in the interpreter's final collections.
 """
 
 from __future__ import annotations
@@ -63,13 +64,13 @@ CHECKS = (
 BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_checks
 
 # The brute-force sweep (snp --brute, brute-snp) holds each point of the
-# support's bounding box against up to 3^n inequalities, and no exponent of
-# G_lambda exceeds lambda_1 (a variable appears at most once per column of a
-# set-valued tableau), so (lambda_1 + 1)^n * 3^n bounds its work before
-# G_lambda is expanded. The bound also caps the memory of the sweep, which
-# holds the 3^n sums <d, p> of every support point p at once. Just under the
-# limit, (3,1) at n = 6 sweeps in about 0.5 s at a 30 MiB peak as a child on a
-# 2-vCPU shared host; (2,1) at n = 8 is 14 times over it.
+# support's bounding box against 2^(n+1) <= 3^n (n >= 2) inequalities, and no
+# exponent of G_lambda exceeds lambda_1 (a variable appears at most once per
+# column of a set-valued tableau), so (lambda_1 + 1)^n * 3^n bounds its work
+# before G_lambda is expanded. The bound also caps the memory of the sweep,
+# which holds the 2^(n+1) sums <d, p> of every support point p at once. Just
+# under the limit, (3,2,1) at n = 6 sweeps in about 0.11 s at a 22 MiB peak as
+# a child on a 2-vCPU shared host; (2,1) at n = 8 is 14 times over it.
 BRUTE_WORK_LIMIT = 3_000_000
 
 
@@ -118,9 +119,9 @@ def run_checks(
     """The records of the checks among names that run in n variables, in the
     order of names, each from one run_check call.
 
-    brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound
-    within BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding
-    box of the support, and its 0/+-1 valid inequalities leave no point for
+    brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound within
+    BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding box of
+    the support, and its 0/1 and 0/-1 valid inequalities leave no point for
     the exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
     second each; the cap stays at 3 because perfbench/oracles.py expects
     brute-snp exactly for n <= 3."""
@@ -231,3 +232,17 @@ class ArgumentParser(argparse.ArgumentParser):
         status = write_stdout(self.format_help(), self.prog.split()[0])
         if status is not None:
             self.exit(status)
+
+
+def count(text: str) -> int:
+    """The argparse type of a count, an integer of at least 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def size(text: str) -> int:
+    """The argparse type of a size, an integer of at least 0."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value

@@ -22,6 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import battery
+from .battery import count
 
 if TYPE_CHECKING:
     from .partitions import Partition
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PARTS",
         help="partition as a comma-separated weakly decreasing list, e.g. 3,1,0",
     )
-    common.add_argument("--n", type=int, required=True, help="number of variables")
+    common.add_argument("--n", type=count, required=True, help="number of variables")
     common.add_argument("--out", default=None, metavar="PATH", help="output file")
 
     parser = battery.ArgumentParser(
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--trials",
-        type=int,
+        type=count,
         default=1000,
         help="echoed in the report; every check is exact and no check reads it",
     )
@@ -98,19 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="echoed in the report; no check reads it"
     )
     verify.add_argument(
-        "--jobs", type=int, default=1, metavar="K", help="the checks run in one process"
+        "--jobs", type=count, default=1, metavar="K", help="the checks run in one process"
     )
     command("figure-data", _run_figure_data, "lattice points as CSV")
     return parser
 
 
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Refuse the values argparse cannot check by itself as usage errors
-    (exit 2); the first one found is reported."""
+    """Refuse, as usage errors (exit 2), what no one argument's type checks:
+    figure-data n, rows, then snp --brute work; the first found is reported."""
     if args.command == "figure-data" and args.n > 3:
         parser.error("figure export limited to n ≤ 3")
-    if args.n < 1:
-        parser.error("n must be at least 1")
     if len(args.lam) > args.n:
         parser.error(f"lambda has {len(args.lam)} rows but n = {args.n}")
     if args.command == "snp" and args.brute:
@@ -121,11 +120,6 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
                 f"snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ {limit:,}, "
                 f"got {work:,}; drop --brute for the degreewise check"
             )
-    if args.command == "verify":
-        if args.jobs < 1:
-            parser.error("jobs must be at least 1")
-        if args.trials < 1:
-            parser.error("trials must be at least 1")
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, str]:

@@ -228,7 +228,8 @@ def partitions_of_size(total: int, max_rows: int, max_part: int) -> Iterator[Par
     if total > max_rows * max_part:
         return
     greatest = [min(max_part, max(0, total - max_part * r)) for r in range(max_rows)]
-    yield from map(Partition, dominated_partitions(greatest))
+    for nu in dominated_partitions(greatest):  # zeros trail: Partition strips none
+        yield Partition(nu[: max_rows - nu.count(0)])
 
 
 def partitions_in_box(max_rows: int, max_part: int) -> Iterator[Partition]:

@@ -132,13 +132,11 @@ class SnpVerdict(Frozen):
 
 
 def _directional_sums(point: ExponentVector) -> list[int]:
-    """<d, point> for every d in {-1,0,1}^n, in the order of
-    product((-1, 0, 1), repeat=n): each coordinate c in turn extends every
-    sum over the coordinates before it by -c, 0 and c."""
+    """<d, point> for every d in {0,1}^n, then for every d in {0,-1}^n."""
     sums = [0]
     for c in point:
-        sums = [s + t for s in sums for t in (-c, 0, c)]
-    return sums
+        sums += [s + c for s in sums]
+    return sums + [-s for s in sums]
 
 
 def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
@@ -146,21 +144,22 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
 
     A box point outside the support is first held against the valid
     inequalities <d, x> <= max <d, p> over the support, one for each d in
-    {-1,0,1}^n, with all of a point's sums <d, x> built in one pass. A point
-    that breaks one lies outside the hull; the rest go to the exact simplex,
-    and a point it puts inside the hull is a saturation violation. The filter
-    uses no symmetry and no permutahedra, so this route stays independent of
-    snp_check_symmetric_fast. The box is walked in lexicographic order, so
-    the first violation is the least. The verdict records all hull lattice
-    points, so a passing result doubles as a full Newton polytope description.
+    {0,1}^n and in {0,-1}^n. A point that breaks one lies outside the hull;
+    the rest go to the exact simplex, and a point it puts inside the hull is a
+    saturation violation. The filter uses no symmetry and no permutahedra, so
+    this route stays independent of snp_check_symmetric_fast. The box is
+    walked in lexicographic order, so the first violation is the least. The
+    verdict records all hull lattice points, so a passing result doubles as a
+    full Newton polytope description.
 
     On G_lambda the filter is complete: a point reaches the simplex only if
     it is a hole in the support. Each step of the greedy chain adds one box,
     so each prefix sum p_j(mu^(k)) grows by 0 or 1 per degree. Where
     component-snp and claim c hold, the upper envelope of p_j over the
     degrees is that sequence, so each facet of the Newton polytope reads
-    <1_S, x> <= c or <1_S, x> - |x| <= c for a set S of coordinates, or
-    bounds the degree |x|; each normal lies in {-1,0,1}^n.
+    <1_S, x> <= c or <1_S, x> - |x| <= c, which is -<1_T, x> <= c for the
+    complement T of a set S of coordinates, or bounds the degree |x|; each
+    normal lies in {0,1}^n or in {0,-1}^n.
     """
     support = f.support()
     if not support:

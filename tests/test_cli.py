@@ -465,38 +465,46 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("usage: grothsnp ")
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, line",
         [
-            (["expand", "--lambda", "", "--n", "0"], "n must be at least 1"),
-            (["expand", "--lambda", "3,1,1", "--n", "2"], "lambda has 3 rows but n = 2"),
+            (["expand", "--lambda", "", "--n", "0"],
+             "grothsnp expand: error: argument --n: must be at least 1"),
+            (["expand", "--lambda", "3,1,1", "--n", "2"],
+             "grothsnp: error: lambda has 3 rows but n = 2"),
             (["verify", "--lambda", "3,1", "--n", "3", "--jobs", "0"],
-             "jobs must be at least 1"),
+             "grothsnp verify: error: argument --jobs: must be at least 1"),
             (["verify", "--lambda", "3,1", "--n", "3", "--trials", "0"],
-             "trials must be at least 1"),
+             "grothsnp verify: error: argument --trials: must be at least 1"),
             (["figure-data", "--lambda", "1,0", "--n", "4"],
-             "figure export limited to n ≤ 3"),
-            # Several bad values: the first in the order figure-data n, n,
-            # rows, jobs, trials is the one reported.
+             "grothsnp: error: figure export limited to n ≤ 3"),
+            # Several bad values: a range (battery.count) is refused while
+            # parsing, in the subcommand's line, before any check across
+            # arguments; of those, figure-data n comes before rows.
             (["figure-data", "--lambda", "1,1,1,1,1", "--n", "4"],
-             "figure export limited to n ≤ 3"),
-            (["figure-data", "--lambda", "1", "--n", "0"], "n must be at least 1"),
+             "grothsnp: error: figure export limited to n ≤ 3"),
+            (["figure-data", "--lambda", "1", "--n", "0"],
+             "grothsnp figure-data: error: argument --n: must be at least 1"),
             (["verify", "--lambda", "3,1,1", "--n", "2", "--jobs", "0"],
-             "lambda has 3 rows but n = 2"),
+             "grothsnp verify: error: argument --jobs: must be at least 1"),
             (["verify", "--lambda", "3,1", "--n", "3", "--jobs", "0", "--trials", "0"],
-             "jobs must be at least 1"),
+             "grothsnp verify: error: argument --jobs: must be at least 1"),
+            # argparse names the type in the line that refuses a non-integer.
+            (["verify", "--lambda", "3,1", "--n", "3", "--jobs", "x"],
+             "grothsnp verify: error: argument --jobs: invalid count value: 'x'"),
         ],
         ids=[
             "n=0", "rows>n", "jobs=0", "trials=0", "figure-n>3",
             "figure-n-first", "n-before-rows", "rows-before-jobs", "jobs-before-trials",
+            "jobs=x",
         ],
     )
-    def test_validation_message(self, capsys, argv, message):
+    def test_validation_message(self, capsys, argv, line):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         stderr = capsys.readouterr().err
-        assert stderr.startswith("usage: grothsnp ")
-        assert stderr.splitlines()[-1] == f"grothsnp: error: {message}"
+        assert stderr.startswith(f"usage: {line.split(':')[0]} ")
+        assert stderr.splitlines()[-1] == line
 
 
 class TestOutputFile:
@@ -593,7 +601,8 @@ class TestUnwritableOut:
     @pytest.mark.parametrize(
         "argv, reason",
         [
-            (["--max-part", "-1", "--out-dir", "figures"], "--max-part must be nonnegative"),
+            (["--max-part", "-1", "--out-dir", "figures"],
+             "argument --max-part: must be at least 0"),
             (["--out-dir", ""], "--out-dir must name a directory"),
         ],
         ids=["max-part=-1", "empty-out-dir"],
@@ -982,21 +991,22 @@ class TestDeskSweepBattery:
                 # like an empty sweep, before any check runs.
                 ("2,2", "--n-values repeats a variable count; name each n once"),
                 ("3,2,3", "--n-values repeats a variable count; name each n once"),
-                ("0", "every n must be a positive integer"),
-                ("x", "could not parse --n-values 'x'"),
+                ("0", "argument --n-values: must be at least 1"),
+                ("x", "argument --n-values: invalid counts value: 'x'"),
                 # An empty token beside an n is refused, as --lambda 3,,1 is.
-                ("2,,3", "could not parse --n-values '2,,3'"),
-                ("2,3,", "could not parse --n-values '2,3,'"),
+                ("2,,3", "argument --n-values: invalid counts value: '2,,3'"),
+                ("2,3,", "argument --n-values: invalid counts value: '2,3,'"),
             ]
         ]
         + [
-            pytest.param(["--max-part", "-1"], "box dimensions must be nonnegative",
+            pytest.param(["--max-part", "-1"], "argument --max-part: must be at least 0",
                          id="max-part=-1"),
-            pytest.param(["--max-rows", "-1"], "box dimensions must be nonnegative",
+            pytest.param(["--max-rows", "-1"], "argument --max-rows: must be at least 0",
                          id="max-rows=-1"),
-            pytest.param(["--trials", "0"], "trials must be a positive integer",
+            pytest.param(["--trials", "0"], "argument --trials: must be at least 1",
                          id="trials=0"),
-            pytest.param(["--jobs", "0"], "jobs must be a positive integer", id="jobs=0"),
+            pytest.param(["--jobs", "0"], "argument --jobs: must be at least 1",
+                         id="jobs=0"),
         ],
     )
     def test_empty_sweep_is_a_usage_error(self, argv, reason):

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -306,12 +306,12 @@ def lp_queries(monkeypatch):
 
 class TestBruteForcePrefilter:
     def test_survivors_reach_the_simplex(self, lp_queries):
-        # The facets through (0, 0) have normals (2, -1) and (-1, 2), which are
-        # not 0/+-1 vectors: (0, 1) and (1, 0) pass every 0/+-1 inequality,
-        # and the simplex rejects both.
+        # The facets through (0, 0) have normals (2, -1) and (-1, 2), which
+        # are not 0/1 or 0/-1 vectors: (0, 1), (0, 2), (1, 0) and (2, 0) pass
+        # every 0/1 and 0/-1 inequality, and the simplex rejects all four.
         cloud = {(0, 0), (1, 1), (1, 2), (2, 1)}
         verdict = snp_check_bruteforce(SparsePolynomial(2, dict.fromkeys(cloud, 1)))
-        assert sorted(lp_queries) == [(0, 1), (1, 0)]
+        assert sorted(lp_queries) == [(0, 1), (0, 2), (1, 0), (2, 0)]
         assert verdict.is_snp
         assert verdict.hull_lattice_points == frozenset(cloud)
 
@@ -337,6 +337,41 @@ class TestBruteForcePrefilter:
         for lam, n in sweep_n3_pairs():
             f = grothendieck_setvalued(lam, n)
             assert filtered_bruteforce(f) == reference_bruteforce(f), (lam, n)
+
+    def test_facets_cut_out_the_chain_polytopes(self):
+        """The argument of the snp_check_bruteforce docstring, checked on every
+        partition of the 4 x 4 box at n <= 5. With N the chain's length and
+        l_j its last step that lands in rows 1..j, the points x of
+        [0, lambda_1]^n with |lambda| <= |x| <= |lambda| + N and
+        top_j(x) <= p_j(lambda) + min(|x| - |lambda|, l_j) for every j, each
+        inequality one with a 0/1 or 0/-1 normal for each set of j
+        coordinates, are the lattice points of the chain polytopes."""
+        pairs = [
+            (lam, n) for lam in partitions_in_box(4, 4) for n in range(max(1, len(lam)), 6)
+        ]
+        assert len(pairs) == 195
+        for lam, n in pairs:
+            chain = mu_chain(lam, n)
+            low, high = lam.size(), lam.size() + len(chain.rows)
+            prefix = list(accumulate(lam.padded(n)))
+            last = [
+                max((k for k, row in enumerate(chain.rows, 1) if row <= j), default=0)
+                for j in range(1, n + 1)
+            ]
+            cut = {
+                x
+                for x in product(range(lam.part(1) + 1), repeat=n)
+                if low <= sum(x) <= high
+                and all(
+                    top <= p + min(sum(x) - low, l)
+                    for top, p, l in zip(accumulate(sorted(x, reverse=True)), prefix, last)
+                )
+            }
+            chain_points = set().union(
+                *(permutahedron_lattice_points(perm)
+                  for _, perm in polytopes.newton_components(lam, n))
+            )
+            assert cut == chain_points, (lam, n)
 
 
 @given(
