@@ -8,12 +8,15 @@ Newton polytope is checked against its permutahedron, claims a, b and c and
 the prefix-sum lemmas are decided exactly from the chain shapes, and the hull
 of the support of the full set-valued expansion is rebuilt by brute force and
 compared with the union of chain polytopes wherever grothsnp.battery runs
-that sweep: for n at most 3, within the work bound of snp --brute. --trials
-and --seed are validated and echoed in the report's config; none is read.
+that sweep: for n at most 3, where (lambda_1 + 1)^n * 2^(n+1), the sums it
+takes, is within the work bound of snp --brute. --trials and --seed are
+validated and echoed in the report's config; none is read.
 
 Every check is exact integer arithmetic; there are no tolerances. The
 report is a single JSON document, one entry per (lambda, n) pair, with
-wall-clock timings and an overall verdict. Exit status is 0 if every check
+wall-clock timings and an overall verdict. A check whose values break an
+invariant of the layers fails with the broken invariant as its detail, and
+the sweep goes on to the next pair. Exit status is 0 if every check
 of every pair passed, 1 if a check failed (the report is still written), and
 2 on a usage error, an --out path that cannot be written (checked before
 sweeping and again on writing), a stdout that cannot be written, exhausted

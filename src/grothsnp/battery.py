@@ -5,11 +5,15 @@ process, on the Partition lam that its caller holds; each call returns one
 record `{"name", "ok", "detail"}`, in the order the checks were named.
 run_check dispatches on the name in one if/elif and reads the check through
 its home module (grothendieck.X, polytopes.X) at each call, so a tracer or a
-test that rebinds a check there is seen. Every check is exact, so a check
-takes no trial count or seed, and the records are the same on every run. This
-module alone decides where the brute-force sweep runs: run_checks skips
-brute-snp above BRUTE_SNP_MAX_N variables or past BRUTE_WORK_LIMIT, the work
-bound at which snp --brute is refused.
+test that rebinds a check there is seen. A ValueError raised while a check
+runs, from the validator of a value it builds, is recorded as that check's
+failure, so a broken invariant fails its check and the run still reports.
+Every check is exact, so a check takes no trial count or seed, and the
+records are the same on every run. This module alone decides where the
+brute-force sweep runs: brute_refusal computes its work, the 2^(n+1) sums per
+point of the support's bounding box, and words the refusal of snp --brute
+past BRUTE_WORK_LIMIT; run_checks skips brute-snp where that line is given or
+above BRUTE_SNP_MAX_N variables.
 
 The cross-oracle and component-snp checks read G_lambda at dominant contents
 only. cross-oracle compares the dominant coefficients of the two tableau
@@ -63,53 +67,67 @@ CHECKS = (
 )
 BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_checks
 
-# The brute-force sweep (snp --brute, brute-snp) holds each point of the
-# support's bounding box against 2^(n+1) <= 3^n (n >= 2) inequalities, and no
-# exponent of G_lambda exceeds lambda_1 (a variable appears at most once per
-# column of a set-valued tableau), so (lambda_1 + 1)^n * 3^n bounds its work
-# before G_lambda is expanded. The bound also caps the memory of the sweep,
-# which holds the 2^(n+1) sums <d, p> of every support point p at once. Just
-# under the limit, (3,2,1) at n = 6 sweeps in about 0.11 s at a 22 MiB peak as
-# a child on a 2-vCPU shared host; (2,1) at n = 8 is 14 times over it.
+# The brute-force sweep (snp --brute, brute-snp) takes the 2^(n+1) sums
+# polytopes._directional_sums of each point of the support's bounding box, and
+# no exponent of G_lambda exceeds lambda_1 (a variable appears at most once per
+# column of a set-valued tableau), so (lambda_1 + 1)^n * 2^(n+1) bounds its
+# work before G_lambda is expanded. The bound also caps the memory of the
+# sweep, which holds those sums of every support point at once. Within the
+# limit, (4,2,1) at n = 6 (2,000,000) sweeps in about 0.65 s at a 37 MiB peak
+# as a child on a 2-vCPU shared host; (2,1) at n = 8 is just over it.
 BRUTE_WORK_LIMIT = 3_000_000
 
 
-def brute_work(parts: Sequence[int], n: int) -> int:
-    """The bound (lambda_1 + 1)^n * 3^n on the brute-force sweep's work."""
-    return (max(parts, default=0) + 1) ** n * 3**n
+def brute_refusal(lam: partitions.Partition, n: int) -> str | None:
+    """The line that refuses snp --brute on lam in n variables, or None where
+    the sweep's work (lambda_1 + 1)^n * 2^(n+1) is within BRUTE_WORK_LIMIT."""
+    work = (lam.part(1) + 1) ** n * 2 ** (n + 1)
+    if work <= BRUTE_WORK_LIMIT:
+        return None
+    return (
+        f"snp --brute limited to (lambda_1 + 1)^n * 2^(n+1) ≤ {BRUTE_WORK_LIMIT:,}, "
+        f"got {work:,}; drop --brute for the degreewise check"
+    )
 
 
 def run_check(name: str, lam: partitions.Partition, n: int) -> dict:
-    """The record of the check name on lam in n variables."""
+    """The record of the check name on lam in n variables. A ValueError that
+    the check raises, from a validator of the values it builds, is its
+    failure, with the error as the detail; an unknown name or a shape with
+    more rows than n raises."""
     from . import grothendieck as groth, polytopes
 
-    if name == "cross-oracle":
-        lenart = groth.grothendieck_lenart_dominant(lam, n)
-        same = lenart == groth.grothendieck_setvalued_dominant(lam, n)
-        result = groth.CheckResult(same, "" if same else "tableau models disagree")
-    elif name == "component-snp":
-        verdict = polytopes.snp_check_symmetric_fast(lam, n)
-        result = groth.CheckResult(verdict.is_snp, verdict.detail)
-    elif name == "claim-a":
-        result = groth.check_claim_a(lam, n)
-    elif name == "claim-b":
-        result = groth.check_claim_b(groth.mu_chain(lam, n))
-    elif name == "claim-c":
-        result = groth.check_claim_c(groth.mu_chain(lam, n))
-    elif name == "lemmas":
-        result = groth.check_lemmas_random(groth.mu_chain(lam, n))
-    elif name == "brute-snp":
-        verdict = polytopes.snp_check_bruteforce(groth.grothendieck_setvalued(lam, n))
-        expected = set()
-        for _, perm in polytopes.newton_components(lam, n):
-            expected |= polytopes.permutahedron_lattice_points(perm)
-        ok = verdict.is_snp and verdict.hull_lattice_points == expected
-        detail = verdict.detail
-        if verdict.is_snp and not ok:
-            detail = "hull lattice points differ from the chain polytopes"
-        result = groth.CheckResult(ok, detail)
-    else:
+    if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}")
+    lam.padded(n)  # a shape with more rows than n is the caller's error
+    try:
+        if name == "cross-oracle":
+            lenart = groth.grothendieck_lenart_dominant(lam, n)
+            same = lenart == groth.grothendieck_setvalued_dominant(lam, n)
+            result = groth.CheckResult(same, "" if same else "tableau models disagree")
+        elif name == "component-snp":
+            verdict = polytopes.snp_check_symmetric_fast(lam, n)
+            result = groth.CheckResult(verdict.is_snp, verdict.detail)
+        elif name == "claim-a":
+            result = groth.check_claim_a(lam, n)
+        elif name == "claim-b":
+            result = groth.check_claim_b(groth.mu_chain(lam, n))
+        elif name == "claim-c":
+            result = groth.check_claim_c(groth.mu_chain(lam, n))
+        elif name == "lemmas":
+            result = groth.check_lemmas_random(groth.mu_chain(lam, n))
+        else:  # brute-snp
+            verdict = polytopes.snp_check_bruteforce(groth.grothendieck_setvalued(lam, n))
+            expected = set()
+            for _, perm in polytopes.newton_components(lam, n):
+                expected |= polytopes.permutahedron_lattice_points(perm)
+            ok = verdict.is_snp and verdict.hull_lattice_points == expected
+            detail = verdict.detail
+            if verdict.is_snp and not ok:
+                detail = "hull lattice points differ from the chain polytopes"
+            result = groth.CheckResult(ok, detail)
+    except ValueError as exc:
+        result = groth.CheckResult(False, str(exc))
     return {"name": name, "ok": result.ok, "detail": result.detail}
 
 
@@ -117,15 +135,18 @@ def run_checks(
     lam: partitions.Partition, n: int, names: Sequence[str] = CHECKS
 ) -> list[dict]:
     """The records of the checks among names that run in n variables, in the
-    order of names, each from one run_check call.
+    order of names, each from one run_check call, so a check that breaks an
+    invariant fails its record and the others still run.
 
-    brute-snp runs only for n <= BRUTE_SNP_MAX_N and a brute_work bound within
-    BRUTE_WORK_LIMIT, the limit of snp --brute. It sweeps the bounding box of
-    the support, and its 0/1 and 0/-1 valid inequalities leave no point for
-    the exact simplex on any partition in a 3 x 3 box for n <= 5, at under a
-    second each; the cap stays at 3 because perfbench/oracles.py expects
-    brute-snp exactly for n <= 3."""
-    brute = n <= BRUTE_SNP_MAX_N and brute_work(lam.parts, n) <= BRUTE_WORK_LIMIT
+    brute-snp runs only for n <= BRUTE_SNP_MAX_N and where brute_refusal
+    gives no line: its (lambda_1 + 1)^n * 2^(n+1) sums are within
+    BRUTE_WORK_LIMIT, so it runs for lambda_1 <= 56 at n = 3, 611 at n = 2
+    and 749,999 at n = 1. It sweeps the bounding box of the support, and its
+    0/1 and 0/-1 valid inequalities leave no point for the exact simplex on
+    any partition in a 3 x 3 box for n <= 5, at under a second each; the cap
+    stays at 3 because perfbench/oracles.py expects brute-snp exactly for
+    n <= 3."""
+    brute = n <= BRUTE_SNP_MAX_N and brute_refusal(lam, n) is None
     return [run_check(name, lam, n) for name in names if name != "brute-snp" or brute]
 
 

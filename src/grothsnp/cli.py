@@ -6,9 +6,10 @@ report, so this module alone knows the shape of every report; the math layers
 return data. All output is deterministic: JSON objects are assembled in fixed
 key order, point lists are sorted, and every check is exact, with no sampled
 step, so identical invocations produce byte-identical files. Exit codes: 0
-success or verified, 1 verification failure (the report still goes to the
-output), 2 usage error (snp --brute past the work bound
-battery.BRUTE_WORK_LIMIT among them), an --out path that cannot be written
+success or verified, 1 verification failure, a check whose values break a
+validator's invariant among them (the report still goes to the output), 2
+usage error (snp --brute past the work bound, in the line
+battery.brute_refusal words, among them), an --out path that cannot be written
 (checked before computing and again on writing), a stdout that cannot be
 written (a full disk, a closed pipe or fd), exhausted memory or an interrupt
 (Ctrl-C), each reported on one stderr line by battery.deliver. Each handler
@@ -113,13 +114,9 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     if len(args.lam) > args.n:
         parser.error(f"lambda has {len(args.lam)} rows but n = {args.n}")
     if args.command == "snp" and args.brute:
-        work = battery.brute_work(args.lam.parts, args.n)
-        limit = battery.BRUTE_WORK_LIMIT
-        if work > limit:
-            parser.error(
-                f"snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ {limit:,}, "
-                f"got {work:,}; drop --brute for the degreewise check"
-            )
+        refusal = battery.brute_refusal(args.lam, args.n)
+        if refusal is not None:
+            parser.error(refusal)
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, str]:

@@ -270,15 +270,14 @@ class TestSnp:
         assert len(doc["hull_lattice_points"]) == 34
 
     def test_brute_route_within_the_work_limit(self, capsys):
-        # (3+1)^5 * 3^5 = 248,832: the size of the CI run.
+        # (3+1)^5 * 2^6 = 65,536: the size of the CI run.
         status, out = run_cli(capsys, "snp", "--lambda", "3,1", "--n", "5", "--brute")
         assert status == 0
         assert json.loads(out)["snp"] is True
 
     @pytest.mark.parametrize(
         "parts, n, work",
-        [("2,1", 8, "43,046,721"), ("2,1", 7, "4,782,969"),
-         ("3,1", 7, "35,831,808"), ("4,2,1", 6, "11,390,625")],
+        [("2,1", 8, "3,359,232"), ("3,1", 7, "4,194,304")],
     )
     def test_brute_route_refuses_oversized_inputs(self, capsys, monkeypatch, parts, n, work):
         def no_expansion(lam, n):
@@ -292,7 +291,7 @@ class TestSnp:
         assert captured.out == ""
         assert captured.err.startswith("usage: grothsnp ")
         assert captured.err.splitlines()[-1] == (
-            "grothsnp: error: snp --brute limited to (lambda_1 + 1)^n * 3^n ≤ 3,000,000, "
+            "grothsnp: error: snp --brute limited to (lambda_1 + 1)^n * 2^(n+1) ≤ 3,000,000, "
             f"got {work}; drop --brute for the degreewise check"
         )
         assert sum(line.startswith("grothsnp: error:")
@@ -383,11 +382,13 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "parts, n, brute",
-        [((47,), 3, True), ((48,), 3, False), ((576,), 2, True), ((577,), 2, False)],
+        [((56,), 3, True), ((57,), 3, False), ((611,), 2, True), ((612,), 2, False),
+         ((749999,), 1, True), ((750000,), 1, False)],
     )
     def test_brute_snp_runs_within_the_work_limit(self, monkeypatch, parts, n, brute):
-        # (47 + 1)^3 * 3^3 = 2,985,984 and (576 + 1)^2 * 3^2 = 2,996,361 are
-        # within 3,000,000; one more in lambda_1 passes it. Nothing is expanded.
+        # (56 + 1)^3 * 2^4 = 2,963,088, (611 + 1)^2 * 2^3 = 2,996,352 and
+        # (749,999 + 1) * 2^2 = 3,000,000 are within 3,000,000; one more in
+        # lambda_1 passes it. Nothing is expanded.
         monkeypatch.setattr(battery, "run_check", lambda name, lam, n: name)
         expected = [name for name in battery.CHECKS if name != "brute-snp" or brute]
         assert battery.run_checks(Partition(parts), n) == expected
@@ -402,6 +403,31 @@ class TestVerify:
         )
         assert status == 1
         assert json.loads(out)["ok"] is False
+
+    def test_a_broken_invariant_is_a_failure_in_the_report(self, capsys, monkeypatch, tmp_path):
+        # The top Schur shape's count with its sign flipped, which
+        # SchurExpansion refuses: verify still writes the report and exits 1.
+        from grothsnp import grothendieck
+
+        counts = grothendieck.lenart_shape_counts
+
+        def flipped(lam, n):
+            terms = counts(lam, n)
+            top = max(terms)
+            return {**terms, top: -terms[top]}
+
+        monkeypatch.setattr(grothendieck, "lenart_shape_counts", flipped)
+        grothendieck.schur_expansion.cache_clear()
+        grothendieck.grothendieck_lenart_dominant.cache_clear()
+        target = tmp_path / "verify.json"
+        status = main(["verify", "--lambda", "3,2,1", "--n", "4", "--out", str(target)])
+        assert status == 1
+        assert capsys.readouterr().err == ""
+        doc = json.loads(target.read_text())
+        failed = {c["name"]: c["detail"] for c in doc["checks"] if not c["ok"]}
+        names = ("cross-oracle", "component-snp", "claim-a")
+        assert failed == dict.fromkeys(names, "coefficient sign broken at (3, 3, 3, 3)")
+        assert doc["ok"] is False
 
     def test_jobs_flag_does_not_change_the_output(self, capsys):
         args = ("verify", "--lambda", "2,1,0", "--n", "3", "--trials", "40")

@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import re
 import types
 from itertools import permutations
 from math import gcd, lcm, prod
@@ -376,6 +377,19 @@ class TestDominantTerms:
             "ok": False,
             "detail": "tableau models disagree",
         }
+
+    @pytest.mark.parametrize(
+        "name, parts, n, message",
+        [
+            ("claim-d", (2, 1), 3, "unknown check 'claim-d'"),
+            ("claim-b", (1, 1, 1), 2, "partition (1, 1, 1) has more than 2 rows"),
+            ("cross-oracle", (1, 1, 1), 2, "partition (1, 1, 1) has more than 2 rows"),
+        ],
+    )
+    def test_run_check_raises_on_the_callers_error(self, name, parts, n, message):
+        # Neither is a check's failure: the name and the row count are the caller's.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            battery.run_check(name, Partition(parts), n)
 
     @pytest.mark.parametrize(
         "lenart, setvalued",
@@ -1012,6 +1026,11 @@ def _one_count_off_by_one(terms):
     return {**terms, top: terms[top] + 1}
 
 
+def _flip_one_sign(terms):
+    top = max(terms)
+    return {**terms, top: -terms[top]}
+
+
 def _lowest_corner_moved(k):
     """A defect of mu_chain: shape k with its lowest corner box moved to
     row 1 (_box_moved_to_row_one)."""
@@ -1030,16 +1049,27 @@ def _drop_a_middle_degree_exponent(terms):
     return {exp: c for exp, c in terms.items() if exp != hole}
 
 
+# The memos keyed by (lambda, n) that a plant reaches through, taken before any
+# plant rebinds one of them.
+_PAIR_MEMOS = (
+    grothendieck.schur_expansion,
+    grothendieck.grothendieck_lenart_dominant,
+    grothendieck.mu_chain,
+)
+
+
 def _failing_checks() -> dict[int, dict[str, str]]:
     """The detail of each failing check of the battery, by n, on (3,2,1) at
-    n = 3 and (4,2) at n = 4, each pair read afresh from the Lenart memo."""
+    n = 3 and (4,2) at n = 4, each pair read afresh from _PAIR_MEMOS."""
     failing = {}
     for parts, n in (((3, 2, 1), 3), ((4, 2), 4)):
-        grothendieck.grothendieck_lenart_dominant.cache_clear()
+        for memo in _PAIR_MEMOS:
+            memo.cache_clear()
         records = battery.run_checks(Partition(parts), n)
         failing[n] = {r["name"]: r["detail"] for r in records if not r["ok"]}
-    # The memo holds a result of the planted defect: the next test must not read it.
-    grothendieck.grothendieck_lenart_dominant.cache_clear()
+    # The memos hold results of the planted defect: the next test must not read them.
+    for memo in _PAIR_MEMOS:
+        memo.cache_clear()
     return failing
 
 
@@ -1051,6 +1081,10 @@ class TestDefectMatrix:
     set-valued expansion, which no other check reads. brute-snp has two
     guards against that hole: the simplex puts it in the hull, and without
     the simplex the hull lattice points miss a point of a chain polytope.
+    Planted at the Schur expansion's top shape, a wrong count fails
+    cross-oracle alone, a dropped shape claim-a and component-snp too, and a
+    flipped sign, which SchurExpansion refuses, fails those three with the
+    validator's line.
     A wrong chain shape, planted at both lookups of mu_chain, fails every
     check that reads the chain; neither tableau model reads it, and claim b
     holds for any chain. At n >= 4 no check reads an orbit: a wrong one
@@ -1087,6 +1121,12 @@ class TestDefectMatrix:
                          set(), set(), id="hull-oracle-always-inside"),
             pytest.param((tableaux,), "ssyt_contents", _one_count_off_by_one,
                          set(), set(), id="ssyt-count-off-by-one"),
+            pytest.param((grothendieck,), "lenart_shape_counts", _double_one_coefficient,
+                         {"cross-oracle"}, {"cross-oracle"}, id="schur-count-wrong"),
+            pytest.param((grothendieck,), "lenart_shape_counts", _drop_one_term,
+                         {"cross-oracle", "component-snp", "claim-a"},
+                         {"cross-oracle", "component-snp", "claim-a"},
+                         id="schur-shape-dropped"),
         ]
         + [  # each shape of the (3,2,1)/3 chain, and the first four of (4,2)/4
             pytest.param((grothendieck, polytopes), "mu_chain", _lowest_corner_moved(k),
@@ -1102,6 +1142,19 @@ class TestDefectMatrix:
             monkeypatch.setattr(module, name, lambda *args: defect(original(*args)))
         failing = {n: set(details) for n, details in _failing_checks().items()}
         assert failing == {3: at_n3, 4: at_n4}
+
+    def test_a_broken_sign_fails_the_checks_that_read_the_expansion(self, monkeypatch):
+        # SchurExpansion refuses the flipped top shape; each check that reads
+        # the expansion fails with its line, and the rest of the battery runs.
+        original = grothendieck.lenart_shape_counts
+        monkeypatch.setattr(
+            grothendieck, "lenart_shape_counts", lambda *args: _flip_one_sign(original(*args))
+        )
+        names = ("cross-oracle", "component-snp", "claim-a")
+        assert _failing_checks() == {
+            3: dict.fromkeys(names, "coefficient sign broken at (3, 3, 3)"),
+            4: dict.fromkeys(names, "coefficient sign broken at (4, 3, 2, 2)"),
+        }
 
     @pytest.mark.parametrize(
         "blind, detail",
