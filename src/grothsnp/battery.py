@@ -28,7 +28,8 @@ ArgumentParser that routes --help through it report an unwritable or closed
 stdout, the argparse types count and size refuse an integer below 1 or 0 with
 that line while parsing, and deliver alone runs an entry point's work: it
 checks --out first, writes the report, and turns a file the work cannot
-write, exhausted memory or Ctrl-C into that line. dump_json writes every JSON
+write, exhausted memory or Ctrl-C into that line (a validator's ValueError
+into a `verification failed` line and 1). dump_json writes every JSON
 report and the figure manifest. The scripts load it before they parse their
 arguments, so it imports only the standard library when loaded, and `--help`
 compiles no math layer: run_check imports the math layers when it is first
@@ -71,10 +72,10 @@ BRUTE_SNP_MAX_N = 3  # brute-snp runs in at most this many variables, see run_ch
 # polytopes._directional_sums of each point of the support's bounding box, and
 # no exponent of G_lambda exceeds lambda_1 (a variable appears at most once per
 # column of a set-valued tableau), so (lambda_1 + 1)^n * 2^(n+1) bounds its
-# work before G_lambda is expanded. The bound also caps the memory of the
-# sweep, which holds those sums of every support point at once. Within the
-# limit, (4,2,1) at n = 6 (2,000,000) sweeps in about 0.65 s at a 37 MiB peak
-# as a child on a 2-vCPU shared host; (2,1) at n = 8 is just over it.
+# work before G_lambda is expanded; the sweep takes those sums 64 support
+# points at a time. Within the limit, (4,2,1) at n = 6 (2,000,000) sweeps in
+# about 0.65 s at a 22 MiB peak as a child on a 2-vCPU shared host; (2,1) at
+# n = 8 is just over it.
 BRUTE_WORK_LIMIT = 3_000_000
 
 
@@ -204,9 +205,10 @@ def deliver(
     status. produce() returns (status, report, note). With out, the report
     goes to that file, and the note, if any, to stdout; before produce runs,
     out must name a file, not a directory, in a writable directory. Without
-    out, the report goes to stdout. An unwritable --out or stdout, a file the
-    work cannot write (an OSError that names it), a MemoryError or Ctrl-C
-    ends in one stderr line and 2."""
+    out, the report goes to stdout. A ValueError from produce, a broken
+    invariant, ends in one stderr line and 1, with no report. An unwritable
+    --out or stdout, a file the work cannot write (an OSError that names it),
+    a MemoryError or Ctrl-C ends in one stderr line and 2."""
     refusal = f"cannot write --out {out}: "
     if out is not None:
         if os.path.isdir(out):
@@ -219,7 +221,11 @@ def deliver(
         if not os.access(parent, os.W_OK):
             return fail(refusal + f"directory {parent} is not writable", prog)
     try:
-        status, text, note = produce()
+        try:
+            status, text, note = produce()
+        except ValueError as exc:
+            print(f"{prog}: verification failed: {exc}", file=sys.stderr)
+            return 1
         if out is not None:
             try:
                 write_file(out, text)

@@ -6,8 +6,9 @@ report, so this module alone knows the shape of every report; the math layers
 return data. All output is deterministic: JSON objects are assembled in fixed
 key order, point lists are sorted, and every check is exact, with no sampled
 step, so identical invocations produce byte-identical files. Exit codes: 0
-success or verified, 1 verification failure, a check whose values break a
-validator's invariant among them (the report still goes to the output), 2
+success or verified, 1 verification failure (a value that breaks a
+validator's invariant fails its check in the verify report, and elsewhere
+ends the run in one stderr line with no report), 2
 usage error (snp --brute past the work bound, in the line
 battery.brute_refusal words, among them), an --out path that cannot be written
 (checked before computing and again on writing), a stdout that cannot be

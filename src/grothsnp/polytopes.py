@@ -12,7 +12,7 @@ audit each other.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from operator import gt, index
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -166,8 +166,12 @@ def snp_check_bruteforce(f: SparsePolynomial) -> SnpVerdict:
         raise ValueError("zero polynomial has no Newton polytope")
     cloud = PointCloud(f.n, support)
     # <d, x> <= h holds on the whole hull when h is the largest <d, p> over
-    # the support. The zero direction's height is 0, which no point breaks.
-    heights = list(map(max, zip(*map(_directional_sums, support))))
+    # the support, folded in 64 points at a time. The zero direction's
+    # height is 0, which no point breaks.
+    points = iter(support)
+    heights = _directional_sums(next(points))
+    while block := [_directional_sums(p) for p in islice(points, 64)]:
+        heights = list(map(max, heights, *block))
     box = product(*(range(min(c), max(c) + 1) for c in zip(*support)))
     violations = [
         point

@@ -11,67 +11,22 @@ of the partial filling in a per-label count list, so the order of fillings is
 deterministic, and places only labels that keep the filling valid, so every
 complete filling is a tableau of the family. It yields each complete filling
 as live lists, which the caller reads before it resumes the fill. The counting
-functions (ssyt_contents, set_valued_contents) tally contents over the fill
-without building a Tableau; the full monomial expansions of both models count
-SSYT and set-valued fillings, and in the package only they import this
-module. The enumerate_* generators are views that turn each filling into a Tableau as the
-fill reaches it, so they stream: the first tableau comes without the rest of
-the fill, and a view holds only the filling in hand. Nothing in the package
-calls them, and perfbench/tracing.py wraps them by name.
+functions (ssyt_contents, set_valued_contents) tally contents over the fill;
+the full monomial expansions of both models count SSYT and set-valued
+fillings, and in the package only they import this module. The enumerate_*
+views copy each filling as the fill reaches it into a Filling, the label
+tuples of its cells in row-major order, so they stream: the first filling
+comes without the rest of the fill, and a view holds only the one in hand.
+Nothing in the package calls them; perfbench/tracing.py wraps them by name.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .partitions import ExponentVector, Frozen, Partition
+from .partitions import ExponentVector, Partition
 
-
-class Tableau(Frozen):
-    """A filling of the skew diagram outer/inner by nonempty label sets.
-
-    entries[r] lists the cells of row r (0-based) left to right, covering
-    absolute columns inner.part(r+1) .. outer.part(r+1)-1; each cell is a
-    sorted tuple of positive integers (singletons for ordinary tableaux).
-    """
-
-    __slots__ = ("outer", "inner", "entries")
-
-    def __init__(
-        self,
-        outer: Partition,
-        inner: Partition,
-        entries: tuple[tuple[tuple[int, ...], ...], ...],
-    ) -> None:
-        super().__init__(outer, inner, entries)
-        if not outer.contains(inner):
-            raise ValueError("inner shape must fit inside outer shape")
-        if len(entries) != len(outer):
-            raise ValueError("one entry row per outer row required")
-        for r, row in enumerate(entries):
-            expected = outer.part(r + 1) - inner.part(r + 1)
-            if len(row) != expected:
-                raise ValueError(f"row {r + 1} must have {expected} cells")
-            for labels in row:
-                if not labels or any(x < 1 for x in labels):
-                    raise ValueError("cells must hold nonempty sets of positive ints")
-                if any(labels[i] >= labels[i + 1] for i in range(len(labels) - 1)):
-                    raise ValueError("cell labels must be strictly increasing tuples")
-
-
-def _tableaux(
-    outer: Partition, inner: Partition, fills: Iterable[list[tuple[int, ...]]]
-) -> Iterator[Tableau]:
-    """Each fill, the row-major label tuples of the cells of outer/inner,
-    split into rows as a Tableau."""
-    lengths = [outer.part(r + 1) - inner.part(r + 1) for r in range(len(outer))]
-    for cells in fills:
-        rows = []
-        start = 0
-        for length in lengths:
-            rows.append(tuple(cells[start : start + length]))
-            start += length
-        yield Tableau(outer=outer, inner=inner, entries=tuple(rows))
+Filling = tuple[tuple[int, ...], ...]
 
 
 # -- one fill for semistandard and flagged skew tableaux ---------------------
@@ -164,28 +119,28 @@ def ssyt_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     return acc
 
 
-def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Tableau]:
+def enumerate_ssyt(lam: Partition, n: int) -> Iterator[Filling]:
     """All semistandard Young tableaux of shape lam with entries in 1..n.
 
     Rows weakly increase, columns strictly increase. Shapes with more rows
     than n admit no filling and yield nothing.
     """
-    fills = ([(v,) for v in values] for values, _ in _fill(lam, Partition(), n, False))
-    yield from _tableaux(lam, Partition(), fills)
+    for values, _ in _fill(lam, Partition(), n, False):
+        yield tuple((v,) for v in values)
 
 
 # -- flagged strictly increasing skew tableaux -------------------------------
 
 
-def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Tableau]:
+def enumerate_lenart_tableaux(lam: Partition, mu: Partition, n: int) -> Iterator[Filling]:
     """All fillings of the skew shape mu/lam that are strictly increasing along
     rows and down columns, with every entry of row r at most r-1 (and in 1..n).
 
     The row-r cap makes row 1 unfillable, so any mu with mu_1 > lam_1 yields
     nothing at all.
     """
-    fills = ([(v,) for v in values] for values, _ in _fill(mu, lam, n, True))
-    yield from _tableaux(mu, lam, fills)
+    for values, _ in _fill(mu, lam, n, True):
+        yield tuple((v,) for v in values)
 
 
 # -- set-valued semistandard tableaux ----------------------------------------
@@ -259,12 +214,12 @@ def set_valued_contents(lam: Partition, n: int) -> dict[ExponentVector, int]:
     return acc
 
 
-def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Tableau]:
+def enumerate_set_valued(lam: Partition, n: int) -> Iterator[Filling]:
     """All set-valued semistandard fillings of lam with labels in 1..n.
 
     Rows weakly increase and columns strictly increase on set extremes:
     max(cell) <= min(right neighbour) and max(cell) < min(cell below).
     """
-    fills = ([tuple(c) for c in cells] for cells, _, _ in _fill_set_valued(lam, n))
-    yield from _tableaux(lam, Partition(), fills)
+    for cells, _, _ in _fill_set_valued(lam, n):
+        yield tuple(map(tuple, cells))
 

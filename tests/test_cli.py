@@ -303,6 +303,24 @@ class TestSnp:
         assert json.loads(out)["snp"] is True
 
 
+@pytest.fixture
+def flipped_top_sign(monkeypatch):
+    """The top Schur shape's count with its sign flipped, which SchurExpansion
+    refuses: at (3, 3, 3, 3) for (3,2,1) in 4 variables."""
+    from grothsnp import grothendieck
+
+    counts = grothendieck.lenart_shape_counts
+
+    def flipped(lam, n):
+        terms = counts(lam, n)
+        top = max(terms)
+        return {**terms, top: -terms[top]}
+
+    monkeypatch.setattr(grothendieck, "lenart_shape_counts", flipped)
+    grothendieck.schur_expansion.cache_clear()
+    grothendieck.grothendieck_lenart_dominant.cache_clear()
+
+
 class TestVerify:
     def test_all_checks_pass_on_the_smallest_case(self, capsys):
         status, out = run_cli(
@@ -404,21 +422,10 @@ class TestVerify:
         assert status == 1
         assert json.loads(out)["ok"] is False
 
-    def test_a_broken_invariant_is_a_failure_in_the_report(self, capsys, monkeypatch, tmp_path):
-        # The top Schur shape's count with its sign flipped, which
-        # SchurExpansion refuses: verify still writes the report and exits 1.
-        from grothsnp import grothendieck
-
-        counts = grothendieck.lenart_shape_counts
-
-        def flipped(lam, n):
-            terms = counts(lam, n)
-            top = max(terms)
-            return {**terms, top: -terms[top]}
-
-        monkeypatch.setattr(grothendieck, "lenart_shape_counts", flipped)
-        grothendieck.schur_expansion.cache_clear()
-        grothendieck.grothendieck_lenart_dominant.cache_clear()
+    def test_a_broken_invariant_is_a_failure_in_the_report(
+        self, capsys, tmp_path, flipped_top_sign
+    ):
+        # verify still writes the report and exits 1.
         target = tmp_path / "verify.json"
         status = main(["verify", "--lambda", "3,2,1", "--n", "4", "--out", str(target)])
         assert status == 1
@@ -434,6 +441,25 @@ class TestVerify:
         _, serial = run_cli(capsys, *args)
         _, parallel = run_cli(capsys, *args, "--jobs", "3")
         assert serial == parallel
+
+
+class TestBrokenInvariant:
+    """Outside verify, a value refused by its validator ends the run: one
+    stderr line and exit 1, with no report on stdout or in --out."""
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("command", ["expand", "groth", "snp"])
+    def test_one_line_and_exit_one(self, capsys, tmp_path, flipped_top_sign, command, out):
+        target = tmp_path / "report.json"
+        extra = ["--out", str(target)] if out else []
+        status = main([command, "--lambda", "3,2,1", "--n", "4", *extra])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "grothsnp: verification failed: coefficient sign broken at (3, 3, 3, 3)"
+        ]
+        assert not target.exists()
 
 
 class TestFigureData:

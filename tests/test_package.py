@@ -176,3 +176,29 @@ def test_loading_battery_freezes_the_heap_at_exit():
         check=True,
     )
     assert proc.stdout == "True\n"
+
+
+def test_the_benchmark_tracer_installs_over_the_package():
+    # perfbench/tracing.py looks each traced function up by name and rebinds
+    # it wherever a loaded grothsnp module binds it, so it runs in a child: a
+    # name the package no longer has fails here, not only in a traced run.
+    probe = (
+        "import sys\n"
+        "import tracing\n"
+        "from grothsnp import Partition, tableaux\n"
+        "modules = [m for name, m in list(sys.modules.items())\n"
+        "           if name == 'grothsnp' or name.startswith('grothsnp.')]\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer, modules)\n"
+        "fills = list(tableaux.enumerate_ssyt(Partition((2, 1)), 3))\n"
+        "print(len(fills), tracer.counts['tableaux.enumerate_ssyt.yielded'])"
+    )
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8 8\n"

@@ -18,7 +18,6 @@ from grothsnp import (
 from grothsnp.branching import gelfand_tsetlin_contents, set_valued_dominant_contents
 from grothsnp.partitions import ExponentVector
 from grothsnp.tableaux import (
-    Tableau,
     _fill_set_valued,
     _layout,
     enumerate_lenart_tableaux,
@@ -69,48 +68,53 @@ def kostka_oracle(parts: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     )
 
 
-def brute_force_fillings(row_lengths, labels, valid):
-    """Every assignment of one entry of labels to each cell, kept if valid;
-    row-major as flat tuples of cells."""
-    kept = []
-    for cells in product(labels, repeat=sum(row_lengths)):
-        rows, start = [], 0
-        for length in row_lengths:
-            rows.append(tuple(cells[start : start + length]))
-            start += length
-        if valid(tuple(rows)):
-            kept.append(cells)
-    return kept
+def split_rows(filling, row_lengths) -> tuple:
+    """The cells of a row-major filling split into rows of the given lengths."""
+    rows, start = [], 0
+    for length in row_lengths:
+        rows.append(tuple(filling[start : start + length]))
+        start += length
+    return tuple(rows)
+
+
+def brute_force_fillings(size, labels, valid):
+    """Every assignment of one entry of labels to each of size cells, kept if
+    valid; row-major as flat tuples of cells."""
+    return [cells for cells in product(labels, repeat=size) if valid(cells)]
 
 
 # Post-hoc validity predicates: the definitions of the three families,
-# checked cell by cell on a finished Tableau. They are the references the
-# brute-force order tests filter all label assignments with.
+# checked cell by cell on a finished filling of outer/inner. They are the
+# references the brute-force order tests filter all label assignments with.
 
 
-def cells(t: Tableau):
-    """(row, column, labels) in row-major order, 0-based absolute coordinates."""
-    for r, row in enumerate(t.entries):
-        start = t.inner.part(r + 1)
-        for offset, labels in enumerate(row):
-            yield r, start + offset, labels
+def cells(outer: Partition, inner: Partition, filling):
+    """(row, column, labels) in row-major order, 0-based absolute coordinates;
+    the filling holds one entry per cell of outer/inner."""
+    spots = [
+        (r, c) for r in range(len(outer)) for c in range(inner.part(r + 1), outer.part(r + 1))
+    ]
+    assert len(filling) == len(spots)
+    yield from ((r, c, labels) for (r, c), labels in zip(spots, filling))
 
 
-def labels_at(t: Tableau, r: int, c: int):
+def labels_at(outer: Partition, inner: Partition, filling, r: int, c: int):
     """The labels at row r, absolute column c, or None outside the skew shape."""
-    if 0 <= r < len(t.outer) and t.inner.part(r + 1) <= c < t.outer.part(r + 1):
-        return t.entries[r][c - t.inner.part(r + 1)]
+    if 0 <= r < len(outer) and inner.part(r + 1) <= c < outer.part(r + 1):
+        start = sum(outer.part(s + 1) - inner.part(s + 1) for s in range(r))
+        return filling[start + c - inner.part(r + 1)]
     return None
 
 
-def is_valid_ssyt(t: Tableau, n: int) -> bool:
+def is_valid_ssyt(outer: Partition, inner: Partition, filling, n: int) -> bool:
     """Straight shape, singleton cells in 1..n, rows weak, columns strict."""
-    if len(t.inner) != 0:
+    if len(inner) != 0:
         return False
-    for r, c, labels in cells(t):
+    for r, c, labels in cells(outer, inner, filling):
         if len(labels) != 1 or not 1 <= labels[0] <= n:
             return False
-        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        left = labels_at(outer, inner, filling, r, c - 1)
+        above = labels_at(outer, inner, filling, r - 1, c)
         if left is not None and left[0] > labels[0]:
             return False
         if above is not None and above[0] >= labels[0]:
@@ -118,17 +122,16 @@ def is_valid_ssyt(t: Tableau, n: int) -> bool:
     return True
 
 
-def is_valid_lenart(t: Tableau, lam: Partition, mu: Partition, n: int) -> bool:
-    """Skew shape mu/lam, strict rows and columns, row r capped at r-1."""
-    if t.outer != mu or t.inner != lam:
-        return False
-    for r, c, labels in cells(t):
+def is_valid_lenart(outer: Partition, inner: Partition, filling, n: int) -> bool:
+    """Strict rows and columns on the skew shape outer/inner, row r capped at r-1."""
+    for r, c, labels in cells(outer, inner, filling):
         if len(labels) != 1:
             return False
         v = labels[0]
         if not 1 <= v <= min(n, r):  # r is 0-based, so the cap is (r+1)-1 = r
             return False
-        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        left = labels_at(outer, inner, filling, r, c - 1)
+        above = labels_at(outer, inner, filling, r - 1, c)
         if left is not None and left[0] >= v:
             return False
         if above is not None and above[0] >= v:
@@ -136,14 +139,18 @@ def is_valid_lenart(t: Tableau, lam: Partition, mu: Partition, n: int) -> bool:
     return True
 
 
-def is_valid_set_valued(t: Tableau, n: int) -> bool:
-    """Straight shape, nonempty cells in 1..n, weak rows / strict columns on extremes."""
-    if len(t.inner) != 0:
+def is_valid_set_valued(outer: Partition, inner: Partition, filling, n: int) -> bool:
+    """Straight shape, nonempty strictly increasing cells in 1..n, weak rows /
+    strict columns on extremes."""
+    if len(inner) != 0:
         return False
-    for r, c, labels in cells(t):
-        if not labels or labels[-1] > n:
+    for r, c, labels in cells(outer, inner, filling):
+        if not labels or labels[0] < 1 or labels[-1] > n:
             return False
-        left, above = labels_at(t, r, c - 1), labels_at(t, r - 1, c)
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            return False
+        left = labels_at(outer, inner, filling, r, c - 1)
+        above = labels_at(outer, inner, filling, r - 1, c)
         if left is not None and left[-1] > labels[0]:
             return False
         if above is not None and above[-1] >= labels[0]:
@@ -151,12 +158,8 @@ def is_valid_set_valued(t: Tableau, n: int) -> bool:
     return True
 
 
-def flat(t: Tableau) -> tuple:
-    return tuple(labels for row in t.entries for labels in row)
-
-
-def label_count(t: Tableau) -> int:
-    return sum(len(labels) for labels in flat(t))
+def label_count(filling) -> int:
+    return sum(len(labels) for labels in filling)
 
 
 def nonempty_subsets(n: int) -> list[tuple[int, ...]]:
@@ -167,12 +170,12 @@ class TestSsyt:
     def test_single_box(self):
         fills = list(enumerate_ssyt(Partition((1,)), 2))
         assert len(fills) == 2
-        assert {t.entries for t in fills} == {(((1,),),), (((2,),),)}
+        assert {split_rows(t, [1]) for t in fills} == {(((1,),),), (((2,),),)}
 
     def test_hook_shape_and_kostka(self):
         fills = list(enumerate_ssyt(Partition((2, 1)), 3))
         assert len(fills) == 8
-        standard = [t for t in fills if sorted(flat(t)) == [(1,), (2,), (3,)]]
+        standard = [t for t in fills if sorted(t) == [(1,), (2,), (3,)]]
         assert len(standard) == 2
 
     def test_tall_column_is_infeasible(self):
@@ -185,12 +188,13 @@ class TestSsyt:
             assert got == ssyt_count_oracle(lam.parts, n), (lam.parts, n)
 
     def test_yields_only_valid_tableaux(self):
-        for t in enumerate_ssyt(Partition((2, 2)), 3):
-            assert is_valid_ssyt(t, 3)
+        lam = Partition((2, 2))
+        for t in enumerate_ssyt(lam, 3):
+            assert is_valid_ssyt(lam, Partition(), t, 3)
 
     def test_deterministic_order(self):
-        first = [t.entries for t in enumerate_ssyt(Partition((2, 1)), 3)]
-        second = [t.entries for t in enumerate_ssyt(Partition((2, 1)), 3)]
+        first = [split_rows(t, [2, 1]) for t in enumerate_ssyt(Partition((2, 1)), 3)]
+        second = [split_rows(t, [2, 1]) for t in enumerate_ssyt(Partition((2, 1)), 3)]
         assert first == second
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -211,11 +215,11 @@ class TestSsyt:
             if lam.size() > 4:
                 continue
             expected = brute_force_fillings(
-                list(lam.parts),
+                lam.size(),
                 singletons,
-                lambda rows: is_valid_ssyt(Tableau(lam, Partition(), rows), n),
+                lambda cells: is_valid_ssyt(lam, Partition(), cells, n),
             )
-            assert [flat(t) for t in enumerate_ssyt(lam, n)] == sorted(expected)
+            assert list(enumerate_ssyt(lam, n)) == sorted(expected)
 
 
     @pytest.mark.parametrize(
@@ -233,7 +237,7 @@ class TestSsyt:
         fills = list(enumerate_ssyt(lam, n))
         assert len(fills) == len(contents)
         # Row-major order with labels increasing: the most 1s first.
-        assert [flat(t).count((1,)) for t in fills] == sorted(
+        assert [t.count((1,)) for t in fills] == sorted(
             (alpha[0] for alpha in contents), reverse=True
         )
 
@@ -299,7 +303,7 @@ class TestLenart:
             lam = Partition(parts)
             fills = list(enumerate_lenart_tableaux(lam, lam, 4))
             assert len(fills) == 1
-            assert flat(fills[0]) == ()
+            assert fills[0] == ()
 
     def test_row_one_can_never_grow(self):
         got = list(enumerate_lenart_tableaux(Partition((2,)), Partition((3,)), 3))
@@ -314,7 +318,7 @@ class TestLenart:
         fills = list(enumerate_lenart_tableaux(lam, mu, 3))
         assert fills
         for t in fills:
-            assert is_valid_lenart(t, lam, mu, 3)
+            assert is_valid_lenart(mu, lam, t, 3)
 
     def test_row_major_order_against_brute_force(self):
         n = 3
@@ -322,13 +326,12 @@ class TestLenart:
             for lam in partitions_in_box(3, 3):
                 if not mu.contains(lam) or mu.size() - lam.size() > 4:
                     continue
-                lengths = [mu.part(r + 1) - lam.part(r + 1) for r in range(len(mu))]
                 expected = brute_force_fillings(
-                    lengths,
+                    mu.size() - lam.size(),
                     [(v,) for v in range(1, n + 1)],
-                    lambda rows: is_valid_lenart(Tableau(mu, lam, rows), lam, mu, n),
+                    lambda cells: is_valid_lenart(mu, lam, cells, n),
                 )
-                got = [flat(t) for t in enumerate_lenart_tableaux(lam, mu, n)]
+                got = list(enumerate_lenart_tableaux(lam, mu, n))
                 assert got == sorted(expected), (lam.parts, mu.parts)
 
     def test_layout_caps_by_row_and_cells_below(self):
@@ -356,8 +359,9 @@ class TestLenart:
 
     def test_flag_bound_is_row_minus_one(self):
         # row 2 may only hold label 1; row 3 labels up to 2
-        for t in enumerate_lenart_tableaux(Partition((3, 1)), Partition((3, 2, 2)), 3):
-            for r, _, labels in cells(t):
+        lam, mu = Partition((3, 1)), Partition((3, 2, 2))
+        for t in enumerate_lenart_tableaux(lam, mu, 3):
+            for r, _, labels in cells(mu, lam, t):
                 assert all(x <= r for x in labels)  # r is 0-based
 
 
@@ -452,26 +456,27 @@ def listed_strips_set_valued_dominant(
 class TestSetValued:
     def test_single_box_three_fillings(self):
         fills = list(enumerate_set_valued(Partition((1,)), 2))
-        cells = sorted(t.entries[0][0] for t in fills)
+        cells = sorted(t[0] for t in fills)
         assert cells == [(1,), (1, 2), (2,)]
 
     def test_empty_shape(self):
         fills = list(enumerate_set_valued(Partition(()), 3))
         assert len(fills) == 1
-        assert flat(fills[0]) == ()
+        assert fills[0] == ()
 
     def test_vertical_domino_is_forced(self):
         fills = list(enumerate_set_valued(Partition((1, 1)), 2))
         assert len(fills) == 1
-        assert fills[0].entries == (((1,),), ((2,),))
+        assert split_rows(fills[0], [1, 1]) == (((1,),), ((2,),))
 
     def test_yielded_tableaux_validate(self):
-        for t in enumerate_set_valued(Partition((2, 1)), 3):
-            assert is_valid_set_valued(t, 3)
+        lam = Partition((2, 1))
+        for t in enumerate_set_valued(lam, 3):
+            assert is_valid_set_valued(lam, Partition(), t, 3)
 
     def test_deterministic_order(self):
         runs = [
-            [t.entries for t in enumerate_set_valued(Partition((2,)), 3)]
+            [split_rows(t, [2]) for t in enumerate_set_valued(Partition((2,)), 3)]
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -482,11 +487,11 @@ class TestSetValued:
             if lam.size() > 3:
                 continue
             expected = brute_force_fillings(
-                list(lam.parts),
+                lam.size(),
                 nonempty_subsets(n),
-                lambda rows: is_valid_set_valued(Tableau(lam, Partition(), rows), n),
+                lambda cells: is_valid_set_valued(lam, Partition(), cells, n),
             )
-            assert [flat(t) for t in enumerate_set_valued(lam, n)] == sorted(expected)
+            assert list(enumerate_set_valued(lam, n)) == sorted(expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_polynomial_against_brute_force(self, n):
@@ -495,9 +500,9 @@ class TestSetValued:
                 continue
             expected: dict[tuple[int, ...], int] = {}
             fillings = brute_force_fillings(
-                list(lam.parts),
+                lam.size(),
                 nonempty_subsets(n),
-                lambda rows: is_valid_set_valued(Tableau(lam, Partition(), rows), n),
+                lambda cells: is_valid_set_valued(lam, Partition(), cells, n),
             )
             for cells in fillings:
                 labels = [x for cell in cells for x in cell]
@@ -593,15 +598,6 @@ class TestStreaming:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first.outer == Partition(parts)
+        assert len(first) == sum(parts)
         assert peak < 1 << 20
 
-
-class TestTableauType:
-    def test_entries_must_fit_the_skew_shape(self):
-        with pytest.raises(ValueError):
-            Tableau(outer=Partition((2,)), inner=Partition(()), entries=(((1,),),))
-
-    def test_empty_cells_rejected(self):
-        with pytest.raises(ValueError):
-            Tableau(outer=Partition((1,)), inner=Partition(()), entries=(((),),))

@@ -26,7 +26,6 @@ from grothsnp import (
     schur_expansion,
 )
 from grothsnp.partitions import Frozen
-from grothsnp.tableaux import Tableau
 
 
 def samples():
@@ -47,10 +46,6 @@ def samples():
                 detail="lattice point (1, 1) lies in the hull but not the support",
             ),
         ),
-        (
-            Tableau(p21, Partition(()), (((1,), (1, 2)), ((2,),))),
-            Tableau(p21, Partition((1,)), (((2,),), ((1, 3),))),
-        ),
     ]
 
 
@@ -68,8 +63,8 @@ def twin(value):
     return ref(*fields(value))
 
 
-def test_eight_value_types_share_the_base():
-    assert len(set(IDS)) == 8
+def test_seven_value_types_share_the_base():
+    assert len(set(IDS)) == 7
     assert all(isinstance(a, Frozen) for a, _ in samples())
 
 
@@ -203,30 +198,6 @@ CHAIN_31 = mu_chain(P((3, 1)), 3)
         (
             lambda: PointCloud(2, frozenset({(1, 0), (1,)})),
             "all points must have the cloud's dimension",
-        ),
-        (
-            lambda: Tableau(P((1,)), P((2,)), ((),)),
-            "inner shape must fit inside outer shape",
-        ),
-        (
-            lambda: Tableau(P((1,)), P(()), ()),
-            "one entry row per outer row required",
-        ),
-        (
-            lambda: Tableau(P((2,)), P(()), (((1,),),)),
-            "row 1 must have 2 cells",
-        ),
-        (
-            lambda: Tableau(P((1,)), P(()), (((),),)),
-            "cells must hold nonempty sets of positive ints",
-        ),
-        (
-            lambda: Tableau(P((1,)), P(()), (((0,),),)),
-            "cells must hold nonempty sets of positive ints",
-        ),
-        (
-            lambda: Tableau(P((1,)), P(()), (((2, 1),),)),
-            "cell labels must be strictly increasing tuples",
         ),
     ],
 )
