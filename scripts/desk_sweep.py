@@ -84,9 +84,16 @@ def sweep(args: argparse.Namespace) -> dict:
 
 
 def counts(text: str) -> tuple[int, ...]:
-    """The argparse type of --n-values; blanks and commas alone name no n."""
-    blank = not text.replace(",", "").strip()
-    return () if blank else tuple(map(battery.count, text.split(",")))
+    """The argparse type of --n-values: distinct counts between commas."""
+    entries = [entry.strip() for entry in text.split(",")]
+    if not any(entries):  # the box always holds the empty partition: one pair per n
+        raise argparse.ArgumentTypeError("names no variable count; nothing to sweep")
+    if not all(entries):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    values = tuple(map(battery.count, entries))
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError("repeats a variable count; name each n once")
+    return values
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -108,13 +115,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                              "process (default 1)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here instead of stdout")
-    args = parser.parse_args(argv)
-    # The box always holds the empty partition, so each n gives a pair.
-    if not args.n_values:
-        parser.error("--n-values names no variable count; nothing to sweep")
-    if len(set(args.n_values)) < len(args.n_values):
-        parser.error("--n-values repeats a variable count; name each n once")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,15 +24,20 @@ Example:
 
 from __future__ import annotations
 
+import argparse
 import os
+from typing import TYPE_CHECKING
 
-from grothsnp import Partition, partitions_in_box
 from grothsnp.battery import ArgumentParser, deliver, dump_json, size, write_file
-from grothsnp.cli import figure_data
+
+if TYPE_CHECKING:
+    from grothsnp import Partition
 
 
 def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     """Write one CSV and return its manifest entry."""
+    from grothsnp.cli import figure_data  # after parsing: --help needs no math
+
     text = figure_data(lam, n)
     label = "-".join(str(part) for part in lam.parts) or "empty"
     filename = f"lam_{label}_n{n}.csv"
@@ -49,19 +54,26 @@ def export_shape(lam: Partition, n: int, out_dir: str) -> dict:
     }
 
 
+def directory(text: str) -> str:
+    """The argparse type of --out-dir; an empty path names no directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory")
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=3, choices=(2, 3),
                         help="number of variables, 2 or 3 (default 3)")
     parser.add_argument("--max-part", type=size, default=3,
                         help="largest allowed part (default 3)")
-    parser.add_argument("--out-dir", type=str, required=True,
+    parser.add_argument("--out-dir", type=directory, required=True,
                         help="directory for the CSVs and manifest")
     args = parser.parse_args(argv)
-    if not args.out_dir:
-        parser.error("--out-dir must name a directory")
 
     def produce() -> tuple[int, str, None]:
+        from grothsnp import partitions_in_box  # after parsing: --help needs no math
+
         os.makedirs(args.out_dir, exist_ok=True)
         shapes = partitions_in_box(args.n, args.max_part)
         entries = [export_shape(lam, args.n, args.out_dir) for lam in shapes]

@@ -1,5 +1,7 @@
 """Command-line front end: compute, verify, and export.
 
+main is reached two ways, the `grothsnp` console script and
+`python -m grothsnp` (grothsnp/__main__.py); the module runs nothing itself.
 Subcommands mirror the library surface. Each subparser names its handler, and
 run() hands it the parsed argparse namespace. Each handler writes its own
 report, so this module alone knows the shape of every report; the math layers
@@ -20,7 +22,6 @@ imports the layers it uses, so `--help` loads none of them.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import battery
@@ -194,15 +195,10 @@ def _run_snp(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if verdict.is_snp else 1), battery.dump_json(payload)
 
 
-def _verify_names(args: argparse.Namespace) -> Sequence[str]:
-    """The checks verify selects: the whole battery unless --claim or
-    --lemmas narrows it."""
-    names = ([f"claim-{args.claim}"] if args.claim else []) + ["lemmas"] * args.lemmas
-    return names or battery.CHECKS
-
-
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    results = battery.run_checks(args.lam, args.n, _verify_names(args))
+    # the whole battery unless --claim or --lemmas narrows it
+    names = ([f"claim-{args.claim}"] if args.claim else []) + ["lemmas"] * args.lemmas
+    results = battery.run_checks(args.lam, args.n, names or battery.CHECKS)
     all_ok = all(entry["ok"] for entry in results)
     payload = {
         "lambda": args.lam.parts,
@@ -242,7 +238,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _check_args(parser, args)
     return battery.deliver(lambda: (*run(args), None), args.out)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

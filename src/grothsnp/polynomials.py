@@ -14,10 +14,6 @@ from typing import Iterator, Mapping
 from .partitions import ExponentVector
 
 
-def _graded_lex_key(exp: ExponentVector) -> tuple:
-    return (sum(exp), exp)
-
-
 class SparsePolynomial:
     """Polynomial in a fixed number of variables with exact integer coefficients."""
 
@@ -58,13 +54,14 @@ class SparsePolynomial:
             and self._terms == other._terms
         )
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # perfbench/tracing.py counts Lenart terms by it
         return len(self._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
             return f"SparsePolynomial({self.n}, 0)"
-        bits = [f"{c}*x^{e}" for e, c in self.sorted_terms()[:4]]
+        graded_lex = sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        bits = [f"{c}*x^{e}" for e, c in graded_lex[:4]]
         if len(self._terms) > 4:
             bits.append("...")
         return f"SparsePolynomial({self.n}, {' + '.join(bits)})"
@@ -73,10 +70,6 @@ class SparsePolynomial:
 
     def items(self) -> Iterator[tuple[ExponentVector, int]]:
         return iter(self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
-        """Terms sorted graded-lexicographically by exponent."""
-        return sorted(self._terms.items(), key=lambda item: _graded_lex_key(item[0]))
 
     def support(self) -> set[ExponentVector]:
         """Exponent vectors carrying a nonzero coefficient."""

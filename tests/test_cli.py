@@ -28,6 +28,11 @@ def run_cli(capsys, *argv):
     return status, out
 
 
+def graded_lex(poly):
+    """The terms of poly in graded-lex order, the order of the groth report."""
+    return sorted(poly.items(), key=lambda term: (sum(term[0]), term[0]))
+
+
 def env_with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -114,7 +119,7 @@ class TestGroth:
         ]
         assert len(pairs) == 74
         for lam, n in [*pairs, (Partition((4, 2, 1)), 7)]:
-            terms = grothendieck_lenart(lam, n).sorted_terms()
+            terms = graded_lex(grothendieck_lenart(lam, n))
             expected = battery.dump_json(
                 {"n": n, "terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
             )
@@ -129,7 +134,7 @@ class TestGroth:
         def no_schur_polynomial(mu, n):
             raise AssertionError("groth expanded a Schur polynomial")
 
-        terms = grothendieck_setvalued(Partition((3, 1)), 4).sorted_terms()
+        terms = graded_lex(grothendieck_setvalued(Partition((3, 1)), 4))
         expected = battery.dump_json(
             {"n": 4, "terms": [{"exp": list(e), "coeff": c} for e, c in terms]}
         )
@@ -191,7 +196,7 @@ class TestNewton:
         assert len(pairs) == 74
         for lam, n in pairs:
             support = {}
-            for exp, _ in grothendieck_lenart(lam, n).sorted_terms():
+            for exp, _ in graded_lex(grothendieck_lenart(lam, n)):
                 support.setdefault(sum(exp), []).append(list(exp))
             components = [
                 {
@@ -240,7 +245,7 @@ class TestSnp:
         assert len(pairs) == 74
         for lam, n in pairs:
             top = {}
-            for exp, _ in grothendieck_lenart(lam, n).sorted_terms():
+            for exp, _ in graded_lex(grothendieck_lenart(lam, n)):
                 top[sum(exp)] = list(exp)  # graded-lex order: the last is the max
             expected = battery.dump_json(
                 {
@@ -655,7 +660,7 @@ class TestUnwritableOut:
         [
             (["--max-part", "-1", "--out-dir", "figures"],
              "argument --max-part: must be at least 0"),
-            (["--out-dir", ""], "--out-dir must name a directory"),
+            (["--out-dir", ""], "argument --out-dir: must name a directory"),
         ],
         ids=["max-part=-1", "empty-out-dir"],
     )
@@ -1037,17 +1042,17 @@ class TestDeskSweepBattery:
         [
             pytest.param(["--n-values", n_values], reason, id=n_values)
             for n_values, reason in [
-                ("", "--n-values names no variable count; nothing to sweep"),
-                (",", "--n-values names no variable count; nothing to sweep"),
+                ("", "argument --n-values: names no variable count; nothing to sweep"),
+                (",", "argument --n-values: names no variable count; nothing to sweep"),
                 # A repeated n would sweep its pairs twice; it is refused
-                # like an empty sweep, before any check runs.
-                ("2,2", "--n-values repeats a variable count; name each n once"),
-                ("3,2,3", "--n-values repeats a variable count; name each n once"),
+                # like an empty sweep, while parsing.
+                ("2,2", "argument --n-values: repeats a variable count; name each n once"),
+                ("3,2,3", "argument --n-values: repeats a variable count; name each n once"),
                 ("0", "argument --n-values: must be at least 1"),
                 ("x", "argument --n-values: invalid counts value: 'x'"),
                 # An empty token beside an n is refused, as --lambda 3,,1 is.
-                ("2,,3", "argument --n-values: invalid counts value: '2,,3'"),
-                ("2,3,", "argument --n-values: invalid counts value: '2,3,'"),
+                ("2,,3", "argument --n-values: empty entry in '2,,3'"),
+                ("2,3,", "argument --n-values: empty entry in '2,3,'"),
             ]
         ]
         + [
@@ -1363,20 +1368,23 @@ class TestEntryPoint:
         assert "fractions" not in imported
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, loaded",
         [
-            ["-m", "grothsnp", "--help"],
-            ["-m", "grothsnp", "snp", "--help"],
-            [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
+            (["-m", "grothsnp", "--help"], {"grothsnp.cli"}),
+            (["-m", "grothsnp", "snp", "--help"], {"grothsnp.cli"}),
+            ([str(ROOT / "scripts" / "desk_sweep.py"), "--help"], set()),
+            ([str(ROOT / "scripts" / "export_figure_data.py"), "--help"], set()),
         ],
-        ids=["grothsnp", "grothsnp-snp", "desk_sweep"],
+        ids=["grothsnp", "grothsnp-snp", "desk_sweep", "export_figure_data"],
     )
-    def test_help_loads_no_math_layer(self, argv):
+    def test_help_loads_no_math_layer(self, argv, loaded):
+        # Each program parses with grothsnp.battery (and the CLI's parser)
+        # alone; the scripts import the math after parsing.
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: ")
-        assert {name for name in imported if name.split(".")[0] == "grothsnp"} <= {
-            "grothsnp", "grothsnp.__main__", "grothsnp.cli", "grothsnp.battery"
+        assert {name for name in imported if name.split(".")[0] == "grothsnp"} == {
+            "grothsnp", "grothsnp.battery", *loaded
         }
         assert not imported & MATH_LAYERS
 

@@ -182,16 +182,20 @@ def test_the_benchmark_tracer_installs_over_the_package():
     # perfbench/tracing.py looks each traced function up by name and rebinds
     # it wherever a loaded grothsnp module binds it, so it runs in a child: a
     # name the package no longer has fails here, not only in a traced run.
+    # Its Lenart term count takes len() of the polynomial, so
+    # SparsePolynomial.__len__ is pinned here too.
     probe = (
         "import sys\n"
         "import tracing\n"
-        "from grothsnp import Partition, tableaux\n"
+        "from grothsnp import Partition, grothendieck, tableaux\n"
         "modules = [m for name, m in list(sys.modules.items())\n"
         "           if name == 'grothsnp' or name.startswith('grothsnp.')]\n"
         "tracer = tracing.Tracer()\n"
         "tracing.install(tracer, modules)\n"
         "fills = list(tableaux.enumerate_ssyt(Partition((2, 1)), 3))\n"
-        "print(len(fills), tracer.counts['tableaux.enumerate_ssyt.yielded'])"
+        "print(len(fills), tracer.counts['tableaux.enumerate_ssyt.yielded'])\n"
+        "g = grothendieck.grothendieck_lenart(Partition((2, 1)), 3)\n"
+        "print(len(g.support()), tracer.counts['grothendieck.grothendieck_lenart.terms'])"
     )
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
@@ -201,4 +205,4 @@ def test_the_benchmark_tracer_installs_over_the_package():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "8 8\n"
+    assert proc.stdout == "8 8\n17 17\n"
