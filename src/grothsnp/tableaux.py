@@ -1,7 +1,6 @@
 """Backtracking fills of the three tableau families used downstream:
 semistandard Young tableaux, flagged strictly-increasing skew tableaux, and
-set-valued semistandard tableaux. The branching counts, which fill no cell,
-live in `branching`.
+set-valued semistandard tableaux.
 
 One fill serves the semistandard and the flagged skew tableaux, which differ
 only in row strictness and in each cell's cap; another serves the set-valued

@@ -1301,8 +1301,7 @@ class TestOutOfMemory:
 MATH_LAYERS = {
     f"grothsnp.{name}"
     for name in (
-        "partitions", "polynomials", "tableaux", "branching", "grothendieck", "polytopes",
-        "exactlp",
+        "partitions", "polynomials", "tableaux", "grothendieck", "polytopes", "exactlp",
     )
 }
 FULL_EXPANSIONS = {"grothsnp.polynomials", "grothsnp.tableaux"}
@@ -1404,7 +1403,7 @@ class TestEntryPoint:
         argv = ["-m", "grothsnp", *command, "--lambda", "2,1", "--n", "3"]
         proc, imported = run_importtime(argv)
         assert proc.returncode == 0
-        assert "grothsnp.branching" in imported
+        assert "grothsnp.grothendieck" in imported
         assert not imported & FULL_EXPANSIONS
 
     def test_snp_brute_loads_the_full_expansions(self):

@@ -26,12 +26,14 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
-from grothsnp import battery, branching, grothendieck, polytopes, tableaux
-from grothsnp.branching import lenart_shape_counts
+from grothsnp import battery, grothendieck, polytopes, tableaux
 from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
+    gelfand_tsetlin_contents,
     grothendieck_lenart_dominant,
     grothendieck_setvalued_dominant,
+    lenart_shape_counts,
+    set_valued_dominant_contents,
 )
 from grothsnp.partitions import convex_combination, majorizes
 from grothsnp.tableaux import _fill
@@ -333,6 +335,9 @@ def test_dominant_terms_fix_both_models(case):
         assert orbit_expansion(SparsePolynomial(n, dominant)) == full
 
 
+TALL_REFUSAL = "partition (1, 1, 1) has more than 2 rows"
+
+
 class TestDominantTerms:
     @pytest.mark.parametrize(
         "parts, n",
@@ -359,10 +364,26 @@ class TestDominantTerms:
         assert grothendieck_setvalued_dominant(Partition((1,)), n) == expected
 
     def test_rows_beyond_n_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(TALL_REFUSAL)):
             grothendieck_lenart_dominant(Partition((1, 1, 1)), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(TALL_REFUSAL)):
             grothendieck_setvalued_dominant(Partition((1, 1, 1)), 2)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [mu_chain, schur_expansion, grothendieck_setvalued, grothendieck_setvalued_dominant],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_every_entry_refuses_a_tall_shape_in_one_line(self, entry):
+        # Partition.padded words the one refusal for every library entry.
+        with pytest.raises(ValueError) as caught:
+            entry(Partition((1, 1, 1)), 2)
+        assert str(caught.value) == TALL_REFUSAL
+
+    def test_the_set_valued_counts_vanish_on_a_tall_shape(self):
+        # G_lambda is 0 in fewer variables than rows; refusing is the wrappers' policy.
+        assert set_valued_dominant_contents(Partition((1, 1, 1)), 2) == {}
+        assert tableaux.set_valued_contents(Partition((1, 1, 1)), 2) == {}
 
     def test_cross_oracle_reports_a_disagreement(self, monkeypatch):
         lam = Partition((2, 1))
@@ -394,7 +415,7 @@ class TestDominantTerms:
     @pytest.mark.parametrize(
         "lenart, setvalued",
         [
-            (branching.gelfand_tsetlin_contents, branching.set_valued_dominant_contents),
+            (gelfand_tsetlin_contents, set_valued_dominant_contents),
             (grothendieck_lenart_dominant, grothendieck_setvalued_dominant),
         ],
         ids=["kernels", "models"],
@@ -406,9 +427,14 @@ class TestDominantTerms:
     def test_the_helper_walk_sees_through_memos_and_calls(self):
         assert grothsnp_functions(grothendieck_lenart_dominant) >= {
             schur_expansion,
-            branching.gelfand_tsetlin_contents,
-            branching.lenart_shape_counts,
+            gelfand_tsetlin_contents,
+            lenart_shape_counts,
         }
+        # Both kernels share one module's globals, so the walk must also
+        # find the set-valued side's kernel, and only that side's.
+        setvalued = grothsnp_functions(grothendieck_setvalued_dominant)
+        assert set_valued_dominant_contents in setvalued
+        assert not setvalued & {gelfand_tsetlin_contents, lenart_shape_counts}
 
 
 def grothsnp_functions(fn) -> set:

@@ -15,7 +15,7 @@ from grothsnp import (
     schur_expansion,
     schur_polynomial,
 )
-from grothsnp.branching import gelfand_tsetlin_contents, set_valued_dominant_contents
+from grothsnp.grothendieck import gelfand_tsetlin_contents, set_valued_dominant_contents
 from grothsnp.partitions import ExponentVector
 from grothsnp.tableaux import (
     _fill_set_valued,

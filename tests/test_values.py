@@ -167,7 +167,7 @@ CHAIN_31 = mu_chain(P((3, 1)), 3)
         ),
         (
             lambda: MuChain(P((1, 1, 1)), 2, (P((1, 1, 1)),), ()),
-            "base shape has more rows than the ambient allows",
+            "partition (1, 1, 1) has more than 2 rows",
         ),
         (
             lambda: MuChain(P((3, 1)), 3, (P((3, 2)),), ()),
