@@ -4,8 +4,8 @@ import inspect
 import random
 import re
 import types
-from itertools import permutations
-from math import gcd, lcm, prod
+from itertools import permutations, product
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +234,59 @@ class TestRookStripPass:
             (1, 0, 0, 0): 1, (1, 1, 0, 0): 1, (1, 1, 1, 0): 1, (1, 1, 1, 1): 1,
         }
 
+
+def bareiss_determinant(matrix):
+    """The determinant of an integer matrix, fraction-free: each division by
+    the previous pivot is exact (Bareiss)."""
+    m = [list(row) for row in matrix]
+    size, sign, pivot = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return sign * m[-1][-1]
+
+
+def binomial(top, bottom):
+    return comb(top, bottom) if 0 <= bottom <= top else 0
+
+
+class TestLenartClosedForms:
+    """Lenart's theorem in closed form, on the 4 x 4 box at n <= 7: the shapes
+    of G_lambda's Schur expansion are the mu containing lambda, with at most n
+    rows and mu_i <= lambda_i + i - 1, and the coefficient of s_mu is
+    (-1)^|mu/lambda| det[C(j - 1, mu_i - lambda_j - i + j)]. The oracle fills
+    no cell, so it is independent of both the rook-strip pass and the fill."""
+
+    PAIRS = [(lam, n) for lam in partitions_in_box(4, 4) for n in range(max(1, len(lam)), 8)]
+
+    def test_shapes(self):
+        assert len(self.PAIRS) == 335
+        for lam, n in self.PAIRS:
+            lo = lam.padded(n)
+            rows = [range(part, part + i + 1) for i, part in enumerate(lo)]  # i from 0
+            expected = {mu for mu in product(*rows) if all(a >= b for a, b in zip(mu, mu[1:]))}
+            shapes = {mu.padded(n) for mu, _ in schur_expansion(lam, n).terms}
+            assert shapes == expected, (lam, n)
+
+    def test_coefficients_are_the_determinants(self):
+        seen = 0
+        for lam, n in self.PAIRS:
+            lo = lam.padded(n)
+            for shape, coeff in schur_expansion(lam, n).terms:
+                mu = shape.padded(n)
+                matrix = [[binomial(j, mu[i] - lo[j] - i + j) for j in range(n)] for i in range(n)]
+                sign = (-1) ** (shape.size() - lam.size())
+                assert coeff == sign * bareiss_determinant(matrix), (lam, n, mu)
+                seen += 1
+        assert seen == 7509
 
 class TestPolynomials:
     def test_one_box_two_variables(self):

@@ -14,11 +14,14 @@ runs, each named by its command line and run in-process:
   temporary directory that its key and its stdout name as OUT; its record
   also holds one digest over the name and bytes of every file written there.
 
-The file also holds the digests of five runs at scale, which CI compares
-from a child and this test does not run: `groth` at (4,3,2,1), n = 8, a
-53 MB report; `expand` and `verify` at (6,5,4,3,2,1), n = 12; and the
-degreewise `snp` and `newton` at (4,3,2,1), n = 8, the second a 46 MB report.
-A second test checks that the CI workflow reads each of those digests.
+The file also holds the digests of five runs at scale, which this test does
+not run: `groth` at (4,3,2,1), n = 8, a 53 MB report; `expand` and `verify`
+at (6,5,4,3,2,1), n = 12; and the degreewise `snp` and `newton` at
+(4,3,2,1), n = 8, the second a 46 MB report. They are the digest cases of
+tests/at_scale.py, whose runner compares them from a child, and CI runs it.
+A second test checks that the table and the manifest name the same runs at
+scale and that CI runs the table; a third runs the runner on small cases
+planted to fail.
 
 The tests that pin output against the mathematics stay where they are; this
 one pins it against the commit that wrote the file. A change that alters
@@ -47,13 +50,10 @@ MANIFEST = Path(__file__).with_name("output_manifest.json")
 SWEEP = "scripts/desk_sweep.py"
 EXPORT = "scripts/export_figure_data.py"
 OUT = "OUT"  # an export run's --out-dir, a fresh temporary directory
-AT_SCALE = [
-    ["grothsnp", "groth", "--lambda", "4,3,2,1", "--n", "8"],
-    ["grothsnp", "expand", "--lambda", "6,5,4,3,2,1", "--n", "12"],
-    ["grothsnp", "verify", "--lambda", "6,5,4,3,2,1", "--n", "12"],
-    ["grothsnp", "snp", "--lambda", "4,3,2,1", "--n", "8"],
-    ["grothsnp", "newton", "--lambda", "4,3,2,1", "--n", "8"],
-]
+_spec = importlib.util.spec_from_file_location("at_scale", Path(__file__).with_name("at_scale.py"))
+at_scale = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(at_scale)
+AT_SCALE = [shlex.split(case.argv) for case in at_scale.CASES if case.digest]
 
 BOX_COMMANDS = (
     ["expand"], ["groth"], ["chain"], ["newton"], ["snp"], ["snp", "--brute"],
@@ -130,7 +130,7 @@ def record(argv: list[str]) -> dict:
 def test_outputs_match_the_manifest():
     pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
     for argv in AT_SCALE:
-        del pinned[shlex.join(argv)]  # compared by CI, from a child
+        del pinned[shlex.join(argv)]  # compared by tests/at_scale.py, from a child
     seen = {shlex.join(argv): record(argv) for argv in runs()}
     assert len(seen) == 552 + 10 + 1 + 4 + 2
     assert seen.keys() == pinned.keys()
@@ -139,11 +139,45 @@ def test_outputs_match_the_manifest():
 
 
 def test_every_run_at_scale_has_its_ci_step():
-    """The test above skips the runs at scale, so a run at scale that no CI
-    step compares would be pinned by nothing."""
+    """The test above skips the runs at scale, so a run at scale that the
+    table does not compare, or that CI does not run, would be pinned by
+    nothing."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
-    for argv in AT_SCALE:
-        assert f'["{shlex.join(argv)}"]["stdout"]' in workflow, argv
+    assert "python tests/at_scale.py" in workflow
+    pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    in_process = {shlex.join(argv) for argv in runs()}
+    assert pinned.keys() - in_process == {shlex.join(argv) for argv in AT_SCALE}
+    assert len(AT_SCALE) == 5
+    keys = [case.argv for case in at_scale.CASES]
+    assert len(keys) == len(set(keys)) == 25
+
+
+def test_the_runner_names_each_cause(capsys):
+    """Five cases planted to fail, each on its own cause, and one that passes."""
+    Case = at_scale.Case
+    wrong = "grothsnp chain --lambda 1 --n 1"
+    cases = [
+        Case("wrong digest", wrong, digest=True),
+        Case("peak bound", "grothsnp chain --lambda 2 --n 2", peak_mib=1),
+        Case("false predicate", "grothsnp chain --lambda 2 --n 1", lambda doc: False),
+        Case("refused", "grothsnp verify --lambda 1,1,1 --n 2"),
+        Case("timeout", "grothsnp verify --lambda 1 --n 320", timeout=0.5),
+        Case("passes", "grothsnp chain --lambda 1 --n 2",
+             lambda doc: doc == {"mus": [[1, 0], [1, 1]], "rows": [2]}),
+    ]
+    assert at_scale.run(cases, pinned={wrong: "0" * 16}) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["case"] for line in lines] == [case.argv for case in cases]
+    assert all(line.keys() == {"case", "ok", "wall_s", "peak_mib", "detail"} for line in lines)
+    assert [line["ok"] for line in lines] == [False] * 5 + [True]
+    details = [line["detail"] for line in lines]
+    assert re.fullmatch(r"stdout digest [0-9a-f]{16}, pinned 0{16}", details[0])
+    assert re.fullmatch(r"peak [0-9.]+ MiB not under 1 MiB", details[1])
+    assert details[2] == "output check is false"
+    assert details[3] == "exit 2: grothsnp: error: lambda has 3 rows but n = 2"
+    assert details[4] == "timed out after 0.5 s"
+    assert details[5] == ""
+    assert lines[4]["wall_s"] < 5
 
 
 if __name__ == "__main__":
