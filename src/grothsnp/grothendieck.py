@@ -365,8 +365,12 @@ def mu_chain(lam: Partition, n: int) -> MuChain:
 
 
 def check_claim_a(lam: Partition, n: int) -> CheckResult:
-    """Each chain shape dominates every same-size shape in the expansion,
-    carries a nonzero coefficient itself, and nothing lives beyond the chain.
+    """Each chain shape is the strict maximum, in dominance order, of the
+    same-size shapes in the expansion: it dominates every one of them, none
+    other dominates it, and it carries a nonzero coefficient itself. Nothing
+    lives beyond the chain. Dominance is antisymmetric, so with a correct
+    majorizes the second comparison moves no verdict; it fails a majorizes
+    that says true too often.
     """
     expansion = schur_expansion(lam, n)
     chain = mu_chain(lam, n)
@@ -375,10 +379,11 @@ def check_claim_a(lam: Partition, n: int) -> CheckResult:
         k = mu.size() - base
         if k > chain.length:
             return CheckResult(False, f"coefficient at {mu.parts} beyond top degree")
-        if not majorizes(chain.mus[k].parts, mu.parts):
-            return CheckResult(
-                False, f"{mu.parts} not dominated by {chain.mus[k].parts} at k={k}"
-            )
+        top = chain.mus[k]
+        if not majorizes(top.parts, mu.parts):
+            return CheckResult(False, f"{mu.parts} not dominated by {top.parts} at k={k}")
+        if mu != top and majorizes(mu.parts, top.parts):
+            return CheckResult(False, f"{mu.parts} dominates {top.parts} at k={k}")
     coefficients = dict(expansion.terms)
     for k, mu in enumerate(chain.mus):
         if not coefficients.get(mu):
@@ -424,6 +429,10 @@ def check_claim_c(chain: MuChain) -> CheckResult:
     for all weights iff mu^(K-1) + mu^(K+1) is majorized by 2*mu^(K) for
     0 < K < N: the vertices (K-1, K, K+1), checked in integers. A failure
     names the doubled mix over its denominator 2.
+
+    The claim follows from the lemmas of check_lemmas_random: by the first
+    identity, p_r(k) = base_r + min(k, l_r), which is concave in k, so a
+    chain whose lemmas hold passes this check.
     """
     padded = [mu.padded(chain.n) for mu in chain.mus]
     for surplus in range(1, chain.length):

@@ -1071,6 +1071,7 @@ class TestPlantedDefects:
         for chain in chains + planted:
             verdict = check_claim_c(chain).ok
             assert verdict == _full_scan_claim_c(chain), (chain.mus, chain.n)
+            assert verdict or not check_lemmas_random(chain), (chain.mus, chain.n)
             failing += not verdict
         assert failing == 349
 
@@ -1169,10 +1170,11 @@ class TestDefectMatrix:
     holds for any chain. At n >= 4 no check reads an orbit: a wrong one
     fails brute-snp alone, at n <= 3, and the tests against the full
     expansions pin the orbits that groth, newton and figure-data print.
-    A majorizes or a hull oracle that always says true, and a wrong SSYT
-    count, fail nothing: the first can only hide a failure, the filter
-    sends no point of these cases to the simplex, and no check reads
-    schur_polynomial."""
+    A majorizes that always says true fails claim a alone: some other shape
+    of the same size then dominates the chain shape, which claim a's strict
+    maximum refuses. A hull oracle that always says true, and a wrong SSYT
+    count, fail nothing: the filter sends no point of these cases to the
+    simplex, and no check reads schur_polynomial."""
 
     @pytest.mark.parametrize(
         "modules, name, defect, at_n3, at_n4",
@@ -1195,7 +1197,7 @@ class TestDefectMatrix:
             pytest.param((polytopes,), "_orbit", _drop_the_last_of_a_long_orbit,
                          {"brute-snp"}, set(), id="orbit-point-dropped"),
             pytest.param((grothendieck, polytopes), "majorizes", lambda verdict: True,
-                         set(), set(), id="majorizes-always-true"),
+                         {"claim-a"}, {"claim-a"}, id="majorizes-always-true"),
             pytest.param((polytopes,), "hull_membership", lambda verdict: True,
                          set(), set(), id="hull-oracle-always-inside"),
             pytest.param((tableaux,), "ssyt_contents", _one_count_off_by_one,

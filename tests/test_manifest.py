@@ -33,7 +33,6 @@ the changed keys, which the command prints, one line each:
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import re
@@ -42,17 +41,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import ROOT, load
+
 from grothsnp import partitions_in_box
 from grothsnp.cli import main as cli_main
 
-ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 SWEEP = "scripts/desk_sweep.py"
 EXPORT = "scripts/export_figure_data.py"
 OUT = "OUT"  # an export run's --out-dir, a fresh temporary directory
-_spec = importlib.util.spec_from_file_location("at_scale", Path(__file__).with_name("at_scale.py"))
-at_scale = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(at_scale)
+at_scale = load("tests/at_scale.py")
 AT_SCALE = [shlex.split(case.argv) for case in at_scale.CASES if case.digest]
 
 BOX_COMMANDS = (
@@ -100,13 +98,7 @@ def record(argv: list[str]) -> dict:
     """The exit status and the stdout and stderr digests of one in-process
     run, and for an export the digest of the files it wrote."""
     prog, *args = argv
-    if prog in (SWEEP, EXPORT):
-        spec = importlib.util.spec_from_file_location(Path(prog).stem, ROOT / prog)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        main = module.main
-    else:
-        main = cli_main
+    main = load(prog).main if prog in (SWEEP, EXPORT) else cli_main
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir:
         args = [out_dir if arg == OUT else arg for arg in args]

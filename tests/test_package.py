@@ -4,16 +4,13 @@ module on first use, and importing the package loads no math layer."""
 import ast
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, child_env
 
 import grothsnp
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def loaded_after(code: str) -> list[str]:
@@ -26,7 +23,7 @@ def loaded_after(code: str) -> list[str]:
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=child_env(),
         check=True,
     )
     return json.loads(proc.stdout)
@@ -93,7 +90,7 @@ def test_verify_loads_no_random():
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=child_env(),
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "False 0"
@@ -123,7 +120,7 @@ def test_children_load_no_fractions(main, argv):
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=child_env(),
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == "False 0"
@@ -172,7 +169,7 @@ def test_loading_battery_freezes_the_heap_at_exit():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=child_env(),
         check=True,
     )
     assert proc.stdout == "True\n"
@@ -197,12 +194,11 @@ def test_the_benchmark_tracer_installs_over_the_package():
         "g = grothendieck.grothendieck_lenart(Partition((2, 1)), 3)\n"
         "print(len(g.support()), tracer.counts['grothendieck.grothendieck_lenart.terms'])"
     )
-    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(ROOT / "perfbench"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "8 8\n17 17\n"
