@@ -1,10 +1,13 @@
 """What the test modules share: the repository's root, the environment and
-loader for the programs they run, the flipped_top_sign fixture, and a
-terminal summary with one line per acceptance criterion after every run."""
+loader for the programs they run, the helpers run_cli and is_symmetric, the
+collection of table rows under the ids of the tests they replaced, the
+flipped_top_sign fixture, and a terminal summary with one line per
+acceptance criterion after every run."""
 
 import importlib.util
 import os
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,55 @@ def load(path: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_cli(capsys, *argv):
+    """grothsnp's exit status on argv, run in-process, and its stdout."""
+    from grothsnp.cli import main
+
+    status = main(list(argv))
+    return status, capsys.readouterr().out
+
+
+def is_symmetric(f):
+    """Invariance of f under all adjacent variable swaps (hence under S_n)."""
+    terms = dict(f.items())
+    for i in range(f.n - 1):
+        for exp, coeff in terms.items():
+            swapped = list(exp)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            if terms.get(tuple(swapped), 0) != coeff:
+                return False
+    return True
+
+
+def adopt(namespace, rows, check, marks=lambda row: ()):
+    """Collect each row under the id of the test it replaced, which is its
+    name: Class::test[param] as a test of that class in namespace (the class
+    made anew if it is gone), test[param] as a function of namespace, each
+    without [param] where the test took none. check(row, request) runs a row."""
+    groups = defaultdict(list)
+    for row in rows:
+        owner, _, test = row.name.rpartition("::")
+        name, bracket, param = test.partition("[")
+        groups[owner, name].append((row, param[:-1] if bracket else None))
+    for (owner, name), members in groups.items():
+        if members[0][1] is not None:
+            def test(row, request):
+                check(row, request)
+
+            params = [pytest.param(row, id=param, marks=marks(row)) for row, param in members]
+            test = pytest.mark.parametrize("row", params)(test)
+        else:
+            def test(request, row=members[0][0]):
+                check(row, request)
+
+            for mark in marks(members[0][0]):
+                test = mark(test)
+        if owner:
+            setattr(namespace.setdefault(owner, type(owner, (), {})), name, staticmethod(test))
+        else:
+            namespace[name] = test
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Acceptance battery: exact reproduction of the worked example plus the
 property and oracle suites at desk scale. All tolerances are zero; every
-comparison is on exact integers or rationals.
+comparison is on exact integers.
 
 Each criterion is one test named test_a1 .. test_a9; the terminal summary
 hook in conftest.py prints one PASS/FAIL line per criterion.
@@ -8,7 +8,8 @@ hook in conftest.py prints one PASS/FAIL line per criterion.
 
 import json
 import time
-from itertools import product
+
+from conftest import run_cli
 
 from grothsnp import (
     Partition,
@@ -29,20 +30,13 @@ from grothsnp import (
     rado_contains,
     schur_polynomial,
     snp_check_bruteforce,
-    snp_check_symmetric_fast,
 )
-from grothsnp.cli import main
 
 
 def sweep_combos(max_rows=4, max_part=4, max_n=4):
     for lam in sorted(partitions_in_box(max_rows, max_part), key=lambda p: p.parts):
         for n in range(max(1, len(lam)), max_n + 1):
             yield lam, n
-
-
-def run_cli(capsys, *argv):
-    status = main(list(argv))
-    return status, capsys.readouterr().out
 
 
 def test_a1_paper_expansion(capsys):

@@ -1,7 +1,8 @@
-"""Command-line surface: golden outputs, determinism, the fill limit, the
-desk sweep's battery and what each entry point imports. The exit codes are
-pinned by tests/test_exit_contract.py, whose rows that replaced tests of this
-module are collected here under their old ids (adopt, at the end)."""
+"""Command-line surface: golden outputs, determinism, shapes past Python's
+recursion limit and the desk sweep's battery. The exit codes are pinned by
+tests/test_exit_contract.py and what each program loads at start-up by the
+table LOADS of tests/test_package.py; the rows of both that replaced tests of
+this module are collected here under their old ids (adopt, at the end)."""
 
 import json
 import re
@@ -9,17 +10,12 @@ import subprocess
 import sys
 
 import pytest
-from conftest import ROOT, child_env, load
-from test_exit_contract import adopt
+import test_exit_contract
+from conftest import ROOT, adopt, child_env, load, run_cli
+from test_package import LOADS, spawn
 
 from grothsnp import MuChain, Partition, battery, mu_chain
 from grothsnp.cli import main
-
-
-def run_cli(capsys, *argv):
-    status = main(list(argv))
-    out = capsys.readouterr().out
-    return status, out
 
 
 def graded_lex(poly):
@@ -552,32 +548,6 @@ class TestDeskSweepBattery:
         assert report["failures"] == report["pairs"]
 
 
-MATH_LAYERS = {
-    f"grothsnp.{name}"
-    for name in (
-        "partitions", "polynomials", "tableaux", "grothendieck", "polytopes", "exactlp",
-    )
-}
-FULL_EXPANSIONS = {"grothsnp.polynomials", "grothsnp.tableaux"}
-
-
-def run_importtime(argv):
-    """The finished child and the names of the modules it imported, which
-    -X importtime lists on stderr."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    return proc, imported
-
-
 class TestEntryPoint:
     def test_installed_console_script(self):
         # The [project.scripts] target, read without tomllib (Python 3.10 has none).
@@ -598,82 +568,11 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"mus": [[1, 0], [1, 1]], "rows": [2]}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["-m", "grothsnp", "chain", "--lambda", "1", "--n", "2"],
-            [str(ROOT / "scripts" / "desk_sweep.py"), "--help"],
-            ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"],
-            ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1",
-             "--jobs", "2"],
-            [str(ROOT / "scripts" / "desk_sweep.py"), "--n-values", "2", "--jobs", "2"],
-        ],
-    )
-    def test_no_multiprocessing_import_without_a_pool(self, argv):
-        # Neither dataclasses (which loads inspect) nor fractions is part of
-        # start-up: the value types are __slots__ classes, and no module of
-        # the package imports fractions.
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        assert "grothsnp.battery" in imported
-        assert "multiprocessing" not in imported
-        assert "dataclasses" not in imported
-        assert "fractions" not in imported
 
-    @pytest.mark.parametrize(
-        "argv, loaded",
-        [
-            (["-m", "grothsnp", "--help"], {"grothsnp.cli"}),
-            (["-m", "grothsnp", "snp", "--help"], {"grothsnp.cli"}),
-            ([str(ROOT / "scripts" / "desk_sweep.py"), "--help"], set()),
-            ([str(ROOT / "scripts" / "export_figure_data.py"), "--help"], set()),
-        ],
-        ids=["grothsnp", "grothsnp-snp", "desk_sweep", "export_figure_data"],
-    )
-    def test_help_loads_no_math_layer(self, argv, loaded):
-        # Each program parses with grothsnp.battery (and the CLI's parser)
-        # alone; the scripts import the math after parsing.
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("usage: ")
-        assert {name for name in imported if name.split(".")[0] == "grothsnp"} == {
-            "grothsnp", "grothsnp.battery", *loaded
-        }
-        assert not imported & MATH_LAYERS
-
-    def test_verify_without_brute_snp_loads_no_simplex(self):
-        argv = ["-m", "grothsnp", "verify", "--lambda", "3,2,1", "--n", "5", "--trials", "1"]
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["ok"] is True
-        assert MATH_LAYERS - imported == {"grothsnp.exactlp", *FULL_EXPANSIONS}
-
-    @pytest.mark.parametrize(
-        "command",
-        [["expand"], ["chain"], ["groth"], ["newton"], ["snp"], ["figure-data"]],
-        ids=lambda command: command[0],
-    )
-    def test_dominant_commands_load_no_full_expansion(self, command):
-        argv = ["-m", "grothsnp", *command, "--lambda", "2,1", "--n", "3"]
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        assert "grothsnp.grothendieck" in imported
-        assert not imported & FULL_EXPANSIONS
-
-    def test_snp_brute_loads_the_full_expansions(self):
-        argv = ["-m", "grothsnp", "snp", "--brute", "--lambda", "2,1", "--n", "3"]
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        assert FULL_EXPANSIONS <= imported
-
-    def test_verify_with_brute_snp_in_a_child(self):
-        argv = ["-m", "grothsnp", "verify", "--lambda", "2,1", "--n", "3", "--trials", "5"]
-        proc, imported = run_importtime(argv)
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert doc["ok"] is True
-        assert doc["checks"][-1] == {"name": "brute-snp", "ok": True, "detail": ""}
-        assert FULL_EXPANSIONS <= imported
-
-
-adopt(globals())
+adopt(
+    globals(),
+    [row for row in test_exit_contract.ROWS if "::" in row.name],
+    test_exit_contract.check,
+    test_exit_contract.marks,
+)
+adopt(globals(), [row for row in LOADS if "::" in row.name], spawn)

@@ -40,8 +40,8 @@ Child faults, each run as a new interpreter:
   the busy sweep, which must have no worker process.
 
 A row that replaced an earlier test of tests/test_cli.py is named by that
-test's id, and test_cli.py collects it there (see adopt), so each id's
-history reads on; this module collects the other rows.
+test's id, and test_cli.py collects it there (see adopt in conftest.py), so
+each id's history reads on; this module collects the other rows.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ import signal
 import subprocess
 import sys
 import time
-from collections import defaultdict
 from typing import NamedTuple
 
 import pytest
@@ -543,29 +542,3 @@ def marks(row):
 )
 def test_row(row, request):
     check(row, request)
-
-
-def adopt(namespace):
-    """Collect each row named by a test it replaced under that test's id: a
-    method of the test's class in namespace, made anew if the class is gone."""
-    groups = defaultdict(list)
-    for row in ROWS:
-        if "::" in row.name:
-            cls, _, test = row.name.partition("::")
-            method, bracket, param = test.partition("[")
-            groups[cls, method].append(
-                pytest.param(row, id=param[:-1], marks=marks(row)) if bracket else row
-            )
-    for (cls, method), members in groups.items():
-        if isinstance(members[0], Row):
-            def test(self, request, row=members[0]):
-                check(row, request)
-
-            for mark in marks(members[0]):
-                test = mark(test)
-        else:
-            def test(self, row, request):
-                check(row, request)
-
-            test = pytest.mark.parametrize("row", members)(test)
-        setattr(namespace.setdefault(cls, type(cls, (), {})), method, test)

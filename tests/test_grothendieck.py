@@ -1,13 +1,13 @@
 """Grothendieck polynomials, the greedy chain, and the majorization checks."""
 
 import inspect
-import random
 import re
 import types
 from itertools import permutations, product
-from math import comb, gcd, lcm, prod
+from math import comb, gcd
 
 import pytest
+from conftest import is_symmetric
 from hypothesis import given, settings, strategies as st
 
 from grothsnp import (
@@ -27,7 +27,6 @@ from grothsnp import (
     schur_polynomial,
 )
 from grothsnp import battery, grothendieck, polytopes, tableaux
-from grothsnp.exactlp import convex_certificate
 from grothsnp.grothendieck import (
     gelfand_tsetlin_contents,
     grothendieck_lenart_dominant,
@@ -59,31 +58,20 @@ def lenart_coefficient(lam, mu, n):
     return (-1) ** (mu.size() - lam.size()) * count_lenart_tableaux(lam, mu, n)
 
 
-def _candidate_shapes(lam, n):
-    """Partitions mu with lam <= mu rowwise and mu_i <= lam_i + i - 1, <= n rows,
-    in lexicographic order of their parts, by a loop over the row index with
-    -1 marking a row not yet chosen (no recursion, so n = 1000 runs)."""
-    lo = lam.padded(n)
-    parts = [-1] * n
-    i = 0
-    while i >= 0:
-        if i == n:
-            yield Partition(tuple(parts))
-            i -= 1
-            continue
-        p = parts[i] + 1 if parts[i] >= 0 else lo[i]
-        if p > min(lo[i] + i, parts[i - 1] if i else lo[0]):
-            parts[i] = -1
-            i -= 1
-        else:
-            parts[i] = p
-            i += 1
+def lenart_range(lam, n):
+    """The shapes of Lenart's range in lexicographic order of their parts:
+    the partitions mu with at most n rows and lam_i <= mu_i <= lam_i + i - 1."""
+    rows = [range(part, part + i + 1) for i, part in enumerate(lam.padded(n))]  # i from 0
+    for mu in product(*rows):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            yield Partition(mu)
 
 
 def fill_expansion_terms(lam, n):
-    """The Schur expansion's terms by the fill: every candidate shape, each
-    coefficient counted one filling at a time, sorted as schur_expansion sorts."""
-    terms = [(mu, lenart_coefficient(lam, mu, n)) for mu in _candidate_shapes(lam, n)]
+    """The Schur expansion's terms by the fill: every shape of Lenart's range,
+    each coefficient counted one filling at a time, sorted as schur_expansion
+    sorts."""
+    terms = [(mu, lenart_coefficient(lam, mu, n)) for mu in lenart_range(lam, n)]
     terms = [(mu, coeff) for mu, coeff in terms if coeff]
     return sorted(terms, key=lambda item: (item[0].size(), item[0].parts))
 
@@ -146,19 +134,6 @@ class TestSchurExpansion:
             SchurExpansion(lam, 2, ((lam, 1), (Partition((3, 1)), -1)))
 
 
-def _recursive_candidate_shapes(lam, n):
-    """The recursion _candidate_shapes replaced: one call per row."""
-
-    def rec(i, prev, prefix):
-        if i > n:
-            yield Partition(prefix)
-            return
-        for p in range(lam.part(i), min(lam.part(i) + i - 1, prev) + 1):
-            yield from rec(i + 1, p, prefix + (p,))
-
-    yield from rec(1, lam.part(1), ())
-
-
 def _recursive_lenart_fills(lam, mu, n):
     """The recursion the flagged fill replaced: one call per cell."""
     cells = [(r, c) for r in range(len(mu)) for c in range(lam.part(r + 1), mu.part(r + 1))]
@@ -183,28 +158,18 @@ BOX_CASES = [(lam, n) for lam in partitions_in_box(3, 3) for n in range(max(1, l
 
 
 class TestLoopsMatchRecursion:
-    """_candidate_shapes and the flagged _fill loop over a row or cell index;
-    the recursions they replaced are the reference, same items in the same
-    order."""
-
-    def test_candidate_shapes(self):
-        for lam, n in BOX_CASES:
-            expected = list(_recursive_candidate_shapes(lam, n))
-            assert list(_candidate_shapes(lam, n)) == expected
+    """The flagged _fill loops over a cell index; the recursion it replaced is
+    the reference, same fillings in the same order."""
 
     def test_lenart_fills_on_the_candidate_shapes(self):
         filled = 0
         for lam, n in BOX_CASES:
-            for mu in _recursive_candidate_shapes(lam, n):
+            for mu in lenart_range(lam, n):
                 fills = [tuple(values) for values, _ in _fill(mu, lam, n, True)]
                 expected = _recursive_lenart_fills(lam, mu, n)
                 assert fills == expected
                 filled += len(expected) > 1
         assert filled > 0
-
-    def test_a_thousand_rows(self):
-        shapes = list(_candidate_shapes(Partition((1,)), 1000))
-        assert shapes == [Partition((1,) * k) for k in range(1, 1001)]
 
     def test_a_column_of_a_thousand_boxes(self):
         column = Partition((1,) * 1000)
@@ -270,11 +235,8 @@ class TestLenartClosedForms:
     def test_shapes(self):
         assert len(self.PAIRS) == 335
         for lam, n in self.PAIRS:
-            lo = lam.padded(n)
-            rows = [range(part, part + i + 1) for i, part in enumerate(lo)]  # i from 0
-            expected = {mu for mu in product(*rows) if all(a >= b for a, b in zip(mu, mu[1:]))}
-            shapes = {mu.padded(n) for mu, _ in schur_expansion(lam, n).terms}
-            assert shapes == expected, (lam, n)
+            shapes = {mu for mu, _ in schur_expansion(lam, n).terms}
+            assert shapes == set(lenart_range(lam, n)), (lam, n)
 
     def test_coefficients_are_the_determinants(self):
         seen = 0
@@ -353,13 +315,6 @@ def orbit_expansion(dominant: SparsePolynomial) -> SparsePolynomial:
         dominant.n,
         {point: coeff for exp, coeff in dominant.items() for point in permutations(exp)},
     )
-
-
-def is_symmetric(f: SparsePolynomial) -> bool:
-    """Invariance of f under every permutation of its variables: the orbits
-    of its terms at weakly decreasing exponents rebuild it."""
-    dominant = {exp: c for exp, c in f.items() if weakly_decreasing(exp)}
-    return orbit_expansion(SparsePolynomial(f.n, dominant)) == f
 
 
 @given(
@@ -694,31 +649,9 @@ def _plant_expansion(monkeypatch, *extra, drop=None):
 
 
 class TestClaimB:
-    def test_seeded_trials(self):
+    def test_holds_on_two_chains(self):
         assert check_claim_b(mu_chain(LAM310, 3))
         assert check_claim_b(mu_chain(Partition((4, 2, 1)), 4))
-
-    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    def test_fraction_trials_are_majorized(self, parts, n):
-        # the Fraction sampler that the exact check replaced, in integers:
-        # mixes of shuffled chain shapes stay within the matching mix of the
-        # shapes, both scaled by the same total
-        chain = mu_chain(Partition(parts), n)
-        padded = [mu.padded(n) for mu in chain.mus]
-        rng = random.Random(5)
-        for _ in range(150):
-            point, shape = _reference_claim_b_trial(rng, padded)
-            assert majorizes(shape, point)
-        assert check_claim_b(chain)
-
-    def test_unit_weight_reduces_to_single_polytope(self):
-        chain = mu_chain(LAM310, 3)
-        padded = [m.padded(3) for m in chain.mus]
-        rng = random.Random(3)
-        for k, w in enumerate(padded):
-            perm = list(w)
-            rng.shuffle(perm)
-            assert majorizes(w, tuple(perm))
 
     def test_mix_of_vertices_is_reflexive(self):
         chain = mu_chain(LAM310, 3)
@@ -728,7 +661,7 @@ class TestClaimB:
 
 
 class TestClaimC:
-    def test_seeded_trials(self):
+    def test_holds_on_two_chains(self):
         assert check_claim_c(mu_chain(LAM310, 3))
         assert check_claim_c(mu_chain(Partition((4, 2, 1)), 4))
 
@@ -737,18 +670,6 @@ class TestClaimC:
         padded = [m.padded(3) for m in chain.mus]
         mixed = convex_combination((1, 0, 1, 0), padded)
         assert majorizes([2 * x for x in padded[1]], mixed)
-
-    def test_weight_sampler_hits_integer_moments(self):
-        # the Fraction reference sampler that the vertex check replaced, in
-        # integers: weights over their total with moment K times that total
-        rng = random.Random(99)
-        for _ in range(300):
-            weights, target = _reference_integer_moment(rng, 5)
-            assert sum(weights) > 0
-            assert all(w >= 0 for w in weights)
-            moment = sum(k * w for k, w in enumerate(weights))
-            assert moment == target * sum(weights)
-            assert 0 <= target <= 5
 
     @pytest.mark.parametrize("top", range(7))
     def test_enumerated_points_are_the_vertices(self, top):
@@ -765,25 +686,6 @@ class TestClaimC:
                         c[i], c[j] = j - surplus, surplus - i
                         basic.add(_reduced(c, j - i))
             assert {_reduced(c, d) for c, d in _vertex_weights(top, surplus)} == basic
-
-    @pytest.mark.parametrize("top", range(7))
-    def test_vertices_certify_every_drawn_weight(self, top):
-        """Every enumerated point lies in Q_K, and every weight vector drawn by
-        the Fraction reference sampler is a convex mix of its Q_K's points."""
-        vertices = {}
-        for surplus in range(top + 1):
-            vertices[surplus] = _vertex_weights(top, surplus)
-            for c, d in vertices[surplus]:
-                assert min(c) >= 0 and sum(c) == d
-                assert sum(k * x for k, x in enumerate(c)) == surplus * d
-        rng = random.Random(top)
-        for _ in range(60):
-            weights, surplus = _reference_integer_moment(rng, top)
-            # The simplex takes one denominator: scale every row to it.
-            rows = [*vertices[surplus], (weights, sum(weights))]
-            scale = lcm(*(d for _, d in rows))
-            *points, target = [[x * (scale // d) for x in c] for c, d in rows]
-            assert convex_certificate(points, target) is not None
 
 
 def _vertex_weights(top, surplus):
@@ -803,12 +705,8 @@ def _reduced(numerators, denominator):
     return tuple(x // g for x in numerators), denominator // g
 
 
-# References for the claims. The full vertex scan of claim c, which the
-# adjacent-vertex check replaced, decides the same verdicts on every chain.
-# The Fraction samplers, whose seeded trials the exact checks replaced, stay
-# as property tests in integers, each weight vector as numerators over their
-# total: their claim-b trials must be majorized, and their claim-c weights
-# must be covered by the vertices.
+# The reference for claim c: the full vertex scan, which the adjacent-vertex
+# check replaced, decides the same verdicts on every chain.
 
 
 def _moment_vertices(top, surplus):
@@ -839,73 +737,6 @@ def _full_scan_claim_c(chain):
     )
 
 
-def _reference_weights(rng, count):
-    """Random nonnegative integer weights with a positive total."""
-    scale = max(1, 10**4 // max(count, 1))
-    raws = [rng.randint(0, scale) for _ in range(count)]
-    if sum(raws) == 0:
-        raws[rng.randrange(count)] = 1
-    return tuple(raws)
-
-
-def _reference_claim_b_trial(rng, padded):
-    """A mix of points of the chain's permutahedra, each point a mix of
-    rearrangements of its shape, and the same mix of the shapes, both scaled
-    to integers by the product of the outer and the inner totals."""
-    points, totals = [], []
-    for w in padded:
-        spots = []
-        for _ in range(rng.randint(1, 3)):
-            shuffled = list(w)
-            rng.shuffle(shuffled)
-            spots.append(tuple(shuffled))
-        inner = _reference_weights(rng, len(spots))
-        points.append(convex_combination(inner, spots))
-        totals.append(sum(inner))
-    weights = _reference_weights(rng, len(padded))
-    # Point k is scaled by its own total; bring each to the product of them.
-    common = prod(totals)
-    rescaled = [[common // d * x for x in point] for point, d in zip(points, totals)]
-    shape = convex_combination(weights, padded)
-    return convex_combination(weights, rescaled), [common * x for x in shape]
-
-
-def _reference_integer_moment(rng, top):
-    """Drawn weights moved to an integer moment K, sum k*c_k = K*sum c, by
-    shifting weight from the top indices to index 0. The weights are scaled
-    by lcm(1..top), so each shift, an excess over its index, is an integer."""
-    if top == 0:
-        return (1,), 0
-    scale = lcm(*range(1, top + 1))
-    c = [scale * x for x in _reference_weights(rng, top + 1)]
-    total = sum(c)
-    moment = sum(k * c[k] for k in range(top + 1))
-    target = moment // total
-    excess = moment - target * total
-    j = top
-    while excess > 0:
-        while c[j] == 0:
-            j -= 1
-        shift = min(c[j], excess // j)
-        c[j] -= shift
-        c[0] += shift
-        excess -= shift * j
-    return tuple(c), target
-
-
-def _reference_claim_c(chain, trials, seed):
-    """Whether every sampled mix with integer surplus K is majorized by the
-    K-th chain shape, both scaled by the weights' total."""
-    padded = [mu.padded(chain.n) for mu in chain.mus]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        weights, surplus = _reference_integer_moment(rng, chain.length)
-        shape = [sum(weights) * x for x in padded[surplus]]
-        if not majorizes(shape, convex_combination(weights, padded)):
-            return False
-    return True
-
-
 def _planted(chain, k, parts):
     """The chain with shape k replaced by Partition(parts), built without the
     checks of MuChain, which would refuse it."""
@@ -928,20 +759,6 @@ def _box_moved_to_row_one(chain, k, row):
 
 
 class TestIntegerPath:
-    @pytest.mark.parametrize("parts,n", DIFFERENTIAL_CASES)
-    def test_claim_c_weights_and_mixes_equal_the_fraction_ones(self, parts, n):
-        # each vertex's mix of two shapes over a + b is the mix of all the
-        # shapes by its weight vector over a + b, and is majorized by the K-th
-        # shape scaled by a + b
-        padded = [mu.padded(n) for mu in mu_chain(Partition(parts), n).mus]
-        top = len(padded) - 1
-        for surplus in range(top + 1):
-            vertices = _moment_vertices(top, surplus)
-            for (i, j, a, b), (weights, d) in zip(vertices, _vertex_weights(top, surplus)):
-                mixed = convex_combination((a, b), (padded[i], padded[j]))
-                assert mixed == convex_combination(weights, padded)
-                assert majorizes([d * x for x in padded[surplus]], mixed)
-
     def test_failure_details_print_integers(self, monkeypatch):
         # Claim b names the shape and its reversal; claim c prints its doubled
         # mix over the denominator 2.
@@ -1046,18 +863,6 @@ def _planted_chains():
 
 
 class TestPlantedDefects:
-    def test_vertex_check_fails_wherever_the_sampler_does(self):
-        sampled = vertex = 0
-        for chain in _planted_chains():
-            caught = not check_claim_c(chain)
-            if not _reference_claim_c(chain, 100, 3):
-                assert caught, (chain.mus, chain.n)
-                sampled += 1
-            vertex += caught
-        # 349 of the 393 planted chains; at 100 trials the sampler misses
-        # none of the vertex check's either
-        assert sampled == vertex == 349
-
     def test_adjacent_vertices_decide_what_the_full_scan_does(self):
         # every chain of the 3 x 3 box at n <= 5, and every planted chain
         chains = [

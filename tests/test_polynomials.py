@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import is_symmetric
 from hypothesis import given, settings, strategies as st
 
 from grothsnp import Partition, SparsePolynomial, schur_polynomial
@@ -11,18 +12,6 @@ from grothsnp import Partition, SparsePolynomial, schur_polynomial
 def x(i, n=2):
     """The monomial x_i (0-based index) in n variables."""
     return SparsePolynomial(n, {tuple(int(j == i) for j in range(n)): 1})
-
-
-def is_symmetric(f):
-    """Invariance of f under all adjacent variable swaps (hence under S_n)."""
-    terms = dict(f.items())
-    for i in range(f.n - 1):
-        for exp, coeff in terms.items():
-            swapped = list(exp)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if terms.get(tuple(swapped), 0) != coeff:
-                return False
-    return True
 
 
 class TestConstruction:
