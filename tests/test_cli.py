@@ -24,20 +24,6 @@ def graded_lex(poly):
 
 
 class TestExpand:
-    def test_displayed_expansion(self, capsys):
-        status, out = run_cli(capsys, "expand", "--lambda", "3,1,0", "--n", "3")
-        assert status == 0
-        doc = json.loads(out)
-        assert doc["lambda"] == [3, 1]
-        assert doc["n"] == 3
-        assert doc["terms"] == [
-            {"mu": [3, 1], "coeff": 1},
-            {"mu": [3, 1, 1], "coeff": -2},
-            {"mu": [3, 2], "coeff": -1},
-            {"mu": [3, 2, 1], "coeff": 2},
-            {"mu": [3, 2, 2], "coeff": -1},
-        ]
-
     def test_trailing_zeros_are_optional(self, capsys):
         _, bare = run_cli(capsys, "expand", "--lambda", "3,1", "--n", "3")
         _, padded = run_cli(capsys, "expand", "--lambda", "3,1,0", "--n", "3")
@@ -422,21 +408,6 @@ class TestFigureData:
         status, out = run_cli(capsys, "figure-data", "--lambda", "1,0", "--n", "2")
         assert status == 0
         assert out == "0,1,-,1\n1,0,-,1\n1,1,-,2\n"
-
-    def test_displayed_case_row_counts(self, capsys):
-        status, out = run_cli(capsys, "figure-data", "--lambda", "3,1,0", "--n", "3")
-        assert status == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 34
-        by_degree = {}
-        for line in lines:
-            by_degree.setdefault(line.rsplit(",", 1)[1], []).append(line)
-        assert {k: len(v) for k, v in by_degree.items()} == {
-            "4": 12,
-            "5": 12,
-            "6": 7,
-            "7": 3,
-        }
 
 
 class TestFillLimit:

@@ -310,8 +310,9 @@ ROWS = [
     # (300) in 4 variables needs more than 200 MiB.
     Row("TestOutOfMemory::test_verify_under_an_address_space_limit",
         G, "verify --lambda 300 --n 4", "rlimit:200", 2, "", ("grothsnp: error: out of memory",)),
+    # In 12 variables the sweep passes 40 MiB at (23), the 24th of its 61 pairs.
     Row("desk_sweep-address-space-limit",
-        S, "--max-part 200 --max-rows 1 --n-values 4 --jobs 2", "rlimit:40", 2, "",
+        S, "--max-part 60 --max-rows 1 --n-values 12 --jobs 2", "rlimit:40", 2, "",
         ("desk_sweep.py: error: out of memory",)),
     # The MemoryError is raised in the hog's frame, with the full memory still
     # held; the one line is printed once that frame is freed.

@@ -95,16 +95,6 @@ class TestLenartCoefficient:
 
 
 class TestSchurExpansion:
-    def test_displayed_expansion(self):
-        exp = schur_expansion(LAM310, 3)
-        assert dict(exp.terms) == {
-            Partition((3, 1)): 1,
-            Partition((3, 1, 1)): -2,
-            Partition((3, 2)): -1,
-            Partition((3, 2, 1)): 2,
-            Partition((3, 2, 2)): -1,
-        }
-
     def test_empty_shape(self):
         exp = schur_expansion(Partition(()), 2)
         assert dict(exp.terms) == {Partition(()): 1}
@@ -117,21 +107,6 @@ class TestSchurExpansion:
         exp = schur_expansion(LAM310, 3)
         keys = [(mu.size(), mu.parts) for mu, _ in exp.terms]
         assert keys == sorted(keys)
-
-    def test_rows_beyond_n_error(self):
-        with pytest.raises(ValueError):
-            schur_expansion(Partition((2, 1, 1)), 2)
-
-    def test_invariants_reject_bad_expansions(self):
-        lam = Partition((1,))
-        with pytest.raises(ValueError):
-            SchurExpansion(lam, 2, ((lam, 1), (Partition((1, 1)), 0)))
-        with pytest.raises(ValueError):
-            SchurExpansion(lam, 2, ((lam, 1), (Partition((1, 1)), 1)))
-        with pytest.raises(ValueError):
-            SchurExpansion(lam, 2, ((lam, 2),))
-        with pytest.raises(ValueError):
-            SchurExpansion(lam, 2, ((lam, 1), (Partition((3, 1)), -1)))
 
 
 def _recursive_lenart_fills(lam, mu, n):
@@ -268,20 +243,11 @@ class TestPolynomials:
     def test_symmetry(self):
         assert is_symmetric(grothendieck_lenart(LAM310, 3))
 
-    def test_cross_oracle_equality_small_sweep(self):
-        for lam in partitions_in_box(3, 3):
-            for n in range(max(1, len(lam)), 4):
-                assert grothendieck_lenart(lam, n) == grothendieck_setvalued(lam, n)
-
     def test_sign_alternation_by_degree(self):
         exp = schur_expansion(Partition((2, 1)), 3)
         for mu, coeff in exp.terms:
             k = mu.size() - 3
             assert coeff * (-1) ** k > 0
-
-    def test_rows_beyond_n_error(self):
-        with pytest.raises(ValueError):
-            grothendieck_setvalued(Partition((1, 1, 1)), 2)
 
 
 @given(
@@ -343,9 +309,6 @@ def test_dominant_terms_fix_both_models(case):
         assert orbit_expansion(SparsePolynomial(n, dominant)) == full
 
 
-TALL_REFUSAL = "partition (1, 1, 1) has more than 2 rows"
-
-
 class TestDominantTerms:
     @pytest.mark.parametrize(
         "parts, n",
@@ -371,22 +334,22 @@ class TestDominantTerms:
         assert grothendieck_lenart_dominant(Partition((1,)), n) == expected
         assert grothendieck_setvalued_dominant(Partition((1,)), n) == expected
 
-    def test_rows_beyond_n_error(self):
-        with pytest.raises(ValueError, match=re.escape(TALL_REFUSAL)):
-            grothendieck_lenart_dominant(Partition((1, 1, 1)), 2)
-        with pytest.raises(ValueError, match=re.escape(TALL_REFUSAL)):
-            grothendieck_setvalued_dominant(Partition((1, 1, 1)), 2)
-
     @pytest.mark.parametrize(
         "entry",
-        [mu_chain, schur_expansion, grothendieck_setvalued, grothendieck_setvalued_dominant],
+        [
+            mu_chain,
+            schur_expansion,
+            grothendieck_setvalued,
+            grothendieck_lenart_dominant,
+            grothendieck_setvalued_dominant,
+        ],
         ids=lambda entry: entry.__name__,
     )
     def test_every_entry_refuses_a_tall_shape_in_one_line(self, entry):
         # Partition.padded words the one refusal for every library entry.
         with pytest.raises(ValueError) as caught:
             entry(Partition((1, 1, 1)), 2)
-        assert str(caught.value) == TALL_REFUSAL
+        assert str(caught.value) == "partition (1, 1, 1) has more than 2 rows"
 
     def test_the_set_valued_counts_vanish_on_a_tall_shape(self):
         # G_lambda is 0 in fewer variables than rows; refusing is the wrappers' policy.
@@ -558,12 +521,6 @@ class TestMuChain:
                     blocked = not last.can_add_box(r)
                     assert full or blocked
 
-    def test_top_degree_matches_the_chain(self):
-        for lam in partitions_in_box(3, 3):
-            for n in range(max(1, len(lam)), 4):
-                g = grothendieck_lenart(lam, n)
-                assert g.max_degree() == lam.size() + mu_chain(lam, n).length
-
     def test_json_pads_to_n(self):
         chain = mu_chain(LAM310, 3)
         assert [list(mu.padded(chain.n)) for mu in chain.mus] == [
@@ -573,21 +530,6 @@ class TestMuChain:
             [3, 2, 2],
         ]
         assert list(chain.rows) == [2, 3, 3]
-
-    def test_rows_beyond_n_error(self):
-        with pytest.raises(ValueError):
-            mu_chain(Partition((1, 1, 1)), 2)
-
-    def test_invariants_reject_bad_chains(self):
-        lam = Partition((3, 1))
-        good = mu_chain(lam, 3)
-        with pytest.raises(ValueError):
-            MuChain(lam=lam, n=3, mus=good.mus[:-1], rows=good.rows)
-        with pytest.raises(ValueError):
-            MuChain(lam=lam, n=3, mus=good.mus[:-1], rows=good.rows[:-1])
-        shuffled = (good.mus[0], Partition((3, 1, 1))) + good.mus[2:]
-        with pytest.raises(ValueError):
-            MuChain(lam=lam, n=3, mus=shuffled, rows=(3,) + good.rows[1:])
 
 
 class TestClaimA:
@@ -827,9 +769,6 @@ class TestLemmas:
         chain = mu_chain(LAM310, 3)
         for mu in chain.mus:
             assert mu.part(1) == 3
-
-    def test_seeded_random_weights(self):
-        assert check_lemmas_random(mu_chain(Partition((4, 2, 1)), 4))
 
     def test_weights_over_different_denominators(self):
         chain = mu_chain(LAM310, 3)

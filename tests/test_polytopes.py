@@ -23,7 +23,6 @@ from grothsnp import (
     permutahedron_lattice_points,
     permutahedron_vertices,
     rado_contains,
-    schur_polynomial,
     snp_check_bruteforce,
     snp_check_symmetric_fast,
 )
@@ -145,12 +144,6 @@ class TestPermutahedron:
         assert Permutahedron.__slots__ == ("weight",)
         assert perm_of((2, 1), 4) == Permutahedron((2, 1, 0, 0))
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            Permutahedron(weight=(1, 2))
-        with pytest.raises(ValueError):
-            Permutahedron(weight=(2, -1))
-
     @pytest.mark.parametrize(
         "weight",
         [(2.5, 0.5), (2.0, 1), (Fraction(2), 1), ("2", 1)],
@@ -171,16 +164,6 @@ class TestHullMembership:
         cloud = PointCloud(2, frozenset({(2, 0), (0, 2)}))
         assert hull_membership((1, 1), cloud)
         assert not hull_membership((2, 2), cloud)
-
-    def test_empty_cloud_is_an_error(self):
-        with pytest.raises(ValueError):
-            hull_membership((0, 0), PointCloud(2, frozenset()))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hull_membership((1, 1, 1), PointCloud(2, frozenset({(0, 0)})))
-        with pytest.raises(ValueError):
-            PointCloud(2, frozenset({(1, 2, 3)}))
 
     @pytest.mark.parametrize("point", [(2.0, 0), (Fraction(1, 2), 0)], ids=["float", "Fraction"])
     def test_non_integer_cloud_point_is_refused(self, point):
@@ -213,32 +196,6 @@ class TestRado:
         with pytest.raises(ValueError, match="majorization undefined across unequal sums"):
             rado_contains(Partition((2,)), Partition((2, 1)))
 
-    def test_extensional_equivalence_small(self):
-        """Dominance, lattice-point containment, and vertex hull membership
-        decide the same relation (sizes up to 5, n up to 3 here; the full
-        range runs in the acceptance battery).
-        """
-        for size in range(0, 6):
-            shapes = list(partitions_of_size(size, 3, size or 1))
-            for n in range(1, 4):
-                usable = [p for p in shapes if len(p) <= n]
-                data = {
-                    p.parts: (
-                        permutahedron_lattice_points(Permutahedron.of_partition(p, n)),
-                        permutahedron_vertices(Permutahedron.of_partition(p, n)),
-                    )
-                    for p in usable
-                }
-                for theta in usable:
-                    for delta in usable:
-                        dom = rado_contains(theta, delta)
-                        sub = data[theta.parts][0] <= data[delta.parts][0]
-                        cloud = PointCloud(n, frozenset(data[delta.parts][1]))
-                        hull = all(
-                            hull_membership(v, cloud) for v in data[theta.parts][1]
-                        )
-                        assert dom == sub == hull, (theta.parts, delta.parts, n)
-
 
 class TestBruteForce:
     def test_simplex_is_saturated(self):
@@ -251,10 +208,6 @@ class TestBruteForce:
         verdict = snp_check_bruteforce(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1}))
         assert not verdict.is_snp
         assert verdict.violation == (1, 1)
-
-    def test_zero_polynomial_is_an_error(self):
-        with pytest.raises(ValueError):
-            snp_check_bruteforce(SparsePolynomial(2, {}))
 
     def test_displayed_grothendieck_case(self):
         verdict = snp_check_bruteforce(grothendieck_lenart(Partition((3, 1)), 3))
@@ -442,17 +395,6 @@ class TestFastRoute:
             (2, (1, 1)),
         ]
 
-    def test_agrees_with_brute_force_on_small_sweep(self):
-        for lam in partitions_in_box(3, 3):
-            for n in range(max(1, len(lam)), 4):
-                fast = snp_check_symmetric_fast(lam, n)
-                brute = snp_check_bruteforce(grothendieck_lenart(lam, n))
-                assert fast.is_snp and brute.is_snp
-                union = set()
-                for _, p in polytopes.newton_components(lam, n):
-                    union |= permutahedron_lattice_points(p)
-                assert brute.hull_lattice_points == frozenset(union)
-
 
 
 def full_route(poly, lam, n):
@@ -557,13 +499,3 @@ def test_brute_force_agrees_with_the_chain_polytopes(case):
     for mu in mu_chain(lam, n).mus:
         union |= permutahedron_lattice_points(Permutahedron.of_partition(mu, n))
     assert brute.hull_lattice_points == frozenset(union)
-
-class TestSchurNewtonPolytope:
-    def test_schur_support_is_the_permutahedron(self):
-        for lam in partitions_in_box(3, 3):
-            for n in range(max(1, len(lam)), 4):
-                s = schur_polynomial(lam, n)
-                expected = permutahedron_lattice_points(
-                    Permutahedron.of_partition(lam, n)
-                )
-                assert s.support() == expected

@@ -3,15 +3,19 @@
 Each type is a __slots__ class on the shared Frozen base. Its twin here is a
 frozen dataclass of the same name and fields, built without validation, which
 gives the reference hash and repr; equality, immutability, the refusal to
-pickle or copy, every ValueError and keyword construction are checked
-directly.
+pickle or copy and keyword construction are checked directly. One table,
+REFUSALS, pins every ValueError and IndexError that the package raises by
+its exact message, and a parse of the package finds any it lacks.
 """
 
+import ast
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import pytest
+from conftest import ROOT
 
 from grothsnp import (
     CheckResult,
@@ -22,10 +26,15 @@ from grothsnp import (
     SchurExpansion,
     SnpVerdict,
     SparsePolynomial,
+    battery,
+    hull_membership,
     mu_chain,
     schur_expansion,
+    snp_check_bruteforce,
 )
-from grothsnp.partitions import Frozen
+from grothsnp.exactlp import convex_certificate
+from grothsnp.partitions import Frozen, convex_combination, majorizes
+from grothsnp.tableaux import enumerate_lenart_tableaux
 
 
 def samples():
@@ -139,72 +148,138 @@ P = Partition
 CHAIN_31 = mu_chain(P((3, 1)), 3)
 
 
+# Each refusal of the library, as (build, its exact message). Each raises
+# ValueError but those in INDEX_ERRORS, which raise IndexError.
+REFUSALS = [
+    (lambda: P((2.5, 1)), "partition parts must be integers: 2.5"),
+    (lambda: P((1, -1)), "partition parts must be nonnegative: (1, -1)"),
+    (lambda: P((1, 2)), "partition parts must be weakly decreasing: (1, 2)"),
+    (
+        lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((2,)), 0))),
+        "expansion must not store zero coefficients",
+    ),
+    (
+        lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((1, 1, 1)), 1))),
+        "shape (1, 1, 1) outside the admissible range",
+    ),
+    (
+        lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((2,)), -1))),
+        "shape (2,) violates the row growth bound",
+    ),
+    (
+        lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((1, 1)), 1))),
+        "coefficient sign broken at (1, 1)",
+    ),
+    (lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 2),)), "leading coefficient must be 1"),
+    (
+        lambda: MuChain(P((1, 1, 1)), 2, (P((1, 1, 1)),), ()),
+        "partition (1, 1, 1) has more than 2 rows",
+    ),
+    (lambda: MuChain(P((3, 1)), 3, (P((3, 2)),), ()), "chain must start at the base shape"),
+    (lambda: MuChain(P((1,)), 1, (P((1,)), P((1, 1))), (2,)), "step 1 adds outside rows 1..1"),
+    (
+        lambda: MuChain(P((1,)), 2, (P((1,)), P((2,))), (1,)),
+        "step 1 exceeds the surplus budget of row 1",
+    ),
+    (
+        lambda: MuChain(P((1,)), 2, (P((1,)), P((1,))), (2,)),
+        "step 1 is not a single added box in row 2",
+    ),
+    (
+        lambda: MuChain(P((3, 1)), 3, (P((3, 1)), P((3, 1, 1))), (3,)),
+        "step 1 skipped a qualifying northern row",
+    ),
+    (
+        lambda: MuChain(P((3, 1)), 3, CHAIN_31.mus[:2], CHAIN_31.rows[:1]),
+        "chain stopped while a row still qualifies",
+    ),
+    (lambda: Permutahedron((1, -1)), "weight coordinates must be nonnegative"),
+    (lambda: Permutahedron((0, 1)), "weight must be weakly decreasing"),
+    (
+        lambda: PointCloud(2, frozenset({(1, 0), (1,)})),
+        "all points must have the cloud's dimension",
+    ),
+    (lambda: P((1,)).part(0), "row index must be >= 1, got 0"),
+    (lambda: P((2, 2)).add_box(2), "cannot add a box to row 2 of (2, 2)"),
+    (lambda: majorizes((2, 1, 0), (4, 0, -1)), "majorization requires nonnegative entries"),
+    (lambda: majorizes((2, 1, 0), (1, 1, 0)), "majorization undefined across unequal sums"),
+    (lambda: convex_combination((1,), ((1, 0), (0, 1))), "one weight per vector required"),
+    (lambda: convex_combination((3, -1), ((1, 0), (0, 1))), "convex weights must be nonnegative"),
+    (lambda: convex_combination((0,), ((1, 0),)), "convex weights must have a positive total"),
+    (lambda: convex_combination((1, 1), ((1, 0), (0, 1, 0))), "vectors must share a common length"),
+    (lambda: SparsePolynomial(-1), "variable count must be nonnegative"),
+    (lambda: SparsePolynomial(2, {(1, 0, 0): 1}), "bad exponent (1, 0, 0) for ambient 2"),
+    (lambda: SparsePolynomial(1) + SparsePolynomial(2), "ambient mismatch: 1 vs 2"),
+    (
+        lambda: hull_membership((0, 0), PointCloud(2, frozenset())),
+        "hull membership against an empty cloud",
+    ),
+    (
+        lambda: hull_membership((1, 1, 1), PointCloud(2, frozenset({(0, 0)}))),
+        "query point dimension does not match the cloud",
+    ),
+    (lambda: snp_check_bruteforce(SparsePolynomial(2)), "zero polynomial has no Newton polytope"),
+    (
+        lambda: convex_certificate([(1, 0), (0, 1, 0)], (1, 0)),
+        "all points must share the target's dimension",
+    ),
+    (lambda: list(enumerate_lenart_tableaux(P((2, 2)), P((3, 1)), 3)), "not a skew shape"),
+    (lambda: battery.run_check("nope", P((1,)), 1), "unknown check 'nope'"),
+]
+INDEX_ERRORS = {"row index must be >= 1, got 0"}
+
+
+def error_of(message):
+    return IndexError if message in INDEX_ERRORS else ValueError
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: P((2.5, 1)), "partition parts must be integers: 2.5"),
-        (lambda: P((1, -1)), "partition parts must be nonnegative: (1, -1)"),
-        (lambda: P((1, 2)), "partition parts must be weakly decreasing: (1, 2)"),
-        (
-            lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((2,)), 0))),
-            "expansion must not store zero coefficients",
-        ),
-        (
-            lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((1, 1, 1)), 1))),
-            "shape (1, 1, 1) outside the admissible range",
-        ),
-        (
-            lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((2,)), -1))),
-            "shape (2,) violates the row growth bound",
-        ),
-        (
-            lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 1), (P((1, 1)), 1))),
-            "coefficient sign broken at (1, 1)",
-        ),
-        (
-            lambda: SchurExpansion(P((1,)), 2, ((P((1,)), 2),)),
-            "leading coefficient must be 1",
-        ),
-        (
-            lambda: MuChain(P((1, 1, 1)), 2, (P((1, 1, 1)),), ()),
-            "partition (1, 1, 1) has more than 2 rows",
-        ),
-        (
-            lambda: MuChain(P((3, 1)), 3, (P((3, 2)),), ()),
+        *REFUSALS,
+        # mus and rows of unequal length, the other half of the base-shape
+        # check, whose message already names a row's id
+        pytest.param(
+            lambda: MuChain(P((3, 1)), 3, CHAIN_31.mus[:-1], CHAIN_31.rows),
             "chain must start at the base shape",
-        ),
-        (
-            lambda: MuChain(P((1,)), 1, (P((1,)), P((1, 1))), (2,)),
-            "step 1 adds outside rows 1..1",
-        ),
-        (
-            lambda: MuChain(P((1,)), 2, (P((1,)), P((2,))), (1,)),
-            "step 1 exceeds the surplus budget of row 1",
-        ),
-        (
-            lambda: MuChain(P((1,)), 2, (P((1,)), P((1,))), (2,)),
-            "step 1 is not a single added box in row 2",
-        ),
-        (
-            lambda: MuChain(P((3, 1)), 3, (P((3, 1)), P((3, 1, 1))), (3,)),
-            "step 1 skipped a qualifying northern row",
-        ),
-        (
-            lambda: MuChain(P((3, 1)), 3, CHAIN_31.mus[:2], CHAIN_31.rows[:1]),
-            "chain stopped while a row still qualifies",
-        ),
-        (lambda: Permutahedron((1, -1)), "weight coordinates must be nonnegative"),
-        (lambda: Permutahedron((0, 1)), "weight must be weakly decreasing"),
-        (
-            lambda: PointCloud(2, frozenset({(1, 0), (1,)})),
-            "all points must have the cloud's dimension",
+            id="<lambda>-chain must start at the base shape, one shape short",
         ),
     ],
 )
 def test_every_value_error(build, message):
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises((ValueError, IndexError)) as caught:
         build()
+    assert type(caught.value) is error_of(message)
     assert str(caught.value) == message
+
+
+def raised_head(node) -> str | None:
+    """'ValueError: head' for a `raise ValueError(...)` whose message starts
+    with the literal text head, and likewise for IndexError; None for any
+    other node."""
+    if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+        return None
+    error = getattr(node.exc.func, "id", None)
+    if error not in ("ValueError", "IndexError"):
+        return None
+    message = node.exc.args[0] if node.exc.args else None
+    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+    literal = [getattr(part, "value", None) for part in parts]
+    head = "".join(itertools.takewhile(lambda value: isinstance(value, str), literal))
+    return f"{error}: {head}" if head else f"{error} without a literal message"
+
+
+def test_every_raise_of_the_package_has_a_row():
+    # A ValueError or IndexError of the package whose literal head no row of
+    # REFUSALS produces is a refusal that the table misses.
+    pinned = [f"{error_of(message).__name__}: {message}" for _, message in REFUSALS]
+    unpinned = [
+        f"{path.name}:{node.lineno}: {head}"
+        for path in sorted((ROOT / "src" / "grothsnp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (head := raised_head(node)) and not any(row.startswith(head) for row in pinned)
+    ]
+    assert not unpinned
 
 
 @pytest.mark.parametrize(
